@@ -16,9 +16,9 @@ paper's throughput tables operate in:
   below 1x by design and is recorded untracked).
 
 The run also re-measures the gather/masked-dense crossover density (the
-basis of ``DEFAULT_CROSSOVER_DENSITY``), times the int8 weight path on the
-same decode GEMM, and pins greedy token-parity of the gather backend against
-the numpy reference for every registered sparsity method.
+basis of ``DEFAULT_CROSSOVER_DENSITY``) and pins greedy token-parity of the
+gather backend against the numpy reference for every registered sparsity
+method.
 
 Runs standalone (no pytest, no trained checkpoints)::
 
@@ -43,7 +43,6 @@ import numpy as np
 
 from repro.backend import get_backend
 from repro.backend.gather import DEFAULT_CROSSOVER_DENSITY, GatherGEMMBackend
-from repro.backend.int8 import Int8Backend
 from repro.engine.inference import SparseInferenceEngine
 from repro.nn.model_zoo import build_model
 from repro.sparsity.registry import REGISTRY
@@ -163,31 +162,6 @@ def measure_crossover(weights, x: np.ndarray, rng: np.random.Generator,
     return measured
 
 
-def run_int8(weights, x: np.ndarray, steps: int, repeats: int) -> Dict[str, float]:
-    """Int8 weight path vs float64 reference on the dense decode GEMM."""
-    w_up = weights[0]
-    numpy_backend = get_backend("numpy")
-    int8_backend = Int8Backend()
-    reference = numpy_backend.linear(x, w_up)
-    quantized = int8_backend.linear(x, w_up)  # also warms the quantization cache
-
-    def dense_loop():
-        for _ in range(steps):
-            numpy_backend.linear(x, w_up)
-
-    def int8_loop():
-        for _ in range(steps):
-            int8_backend.linear(x, w_up)
-
-    rounds_dense, rounds_int8 = _time_interleaved((dense_loop, int8_loop), repeats)
-    return {
-        "dense_seconds": min(rounds_dense),
-        "int8_seconds": min(rounds_int8),
-        "speedup": _median_ratio(rounds_dense, rounds_int8),
-        "max_abs_error": float(np.max(np.abs(quantized - reference))),
-    }
-
-
 def run_parity(model, rng: np.random.Generator) -> Dict[str, bool]:
     """Greedy token-identity of the gather backend for every registered method."""
     vocab = model.config.vocab_size
@@ -255,7 +229,6 @@ def run(steps: int = 100, repeats: int = 10, grid_step: float = 0.05, fast: bool
         },
         "densities": densities,
         "single_token": single,
-        "int8": run_int8(weights, x, steps, repeats),
         "parity": run_parity(model, rng),
     }
 
@@ -297,9 +270,6 @@ def main(argv=None) -> int:
     print(f"  single token (density {single['density']:.2f})  speedup {single['speedup']:.2f}x")
     print(f"  crossover: measured {payload['crossover']['measured']:.2f} "
           f"(configured {payload['crossover']['configured']:.2f})")
-    int8 = payload["int8"]
-    print(f"  int8 linear  speedup {int8['speedup']:.2f}x   "
-          f"max |err| {int8['max_abs_error']:.2e}")
     failed_parity = sorted(name for name, same in payload["parity"].items() if not same)
     print(f"  parity: {'ok' if not failed_parity else 'FAIL ' + ', '.join(failed_parity)} "
           f"({len(payload['parity'])} methods, greedy token-identity vs numpy)")

@@ -51,23 +51,12 @@ TRACKED_METRICS = {
         "slo.attainment_rate": "higher",
         "slo.goodput_fraction": "higher",
     },
-    "BENCH_speculative.json": {
-        "methods.dip.densities.d015.acceptance_rate": "higher",
-        "methods.dip.densities.d015.speedup_vs_plain": "higher",
-        "methods.dip.densities.d035.acceptance_rate": "higher",
-        "methods.dip.densities.d035.speedup_vs_plain": "higher",
-        "methods.gate.densities.d015.acceptance_rate": "higher",
-        "methods.gate.densities.d015.speedup_vs_plain": "higher",
-        "methods.gate.densities.d035.acceptance_rate": "higher",
-        "methods.gate.densities.d035.speedup_vs_plain": "higher",
-    },
     "BENCH_sparse_kernels.json": {
         "densities.d015.speedup": "higher",
         "densities.d025.speedup": "higher",
         "densities.d035.speedup": "higher",
         "densities.d050.speedup": "higher",
         "densities.d075.speedup": "higher",
-        "int8.speedup": "higher",
         "single_token.speedup": "higher",
     },
     "BENCH_prefix_cache.json": {

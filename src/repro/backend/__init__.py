@@ -19,24 +19,18 @@ from repro.backend.base import (
     resolve_backend,
     use_backend,
 )
-from repro.backend.compiled import CompiledBackend
 from repro.backend.gather import GatherGEMMBackend
-from repro.backend.int8 import Int8Backend
 from repro.backend.numpy_ref import NumpyBackend
 
 register_backend("numpy", NumpyBackend)
 register_backend("gather", GatherGEMMBackend)
-register_backend("compiled", CompiledBackend)
-register_backend("int8", Int8Backend)
 
 __all__ = [
     "BACKEND_ENV_VAR",
     "DEFAULT_BACKEND",
     "BackendLike",
     "ComputeBackend",
-    "CompiledBackend",
     "GatherGEMMBackend",
-    "Int8Backend",
     "NumpyBackend",
     "activation_fn",
     "active_backend",

@@ -236,26 +236,13 @@ class GatherGEMMBackend(NumpyBackend):
             while len(self._plans) > self.cache_size:
                 self._plans.popitem(last=False)
 
-    def _plan_entry(self, weight: np.ndarray, idx: np.ndarray, axis: int):
-        """Per-weight plan data (the gathered slice, pre-transposed for the
-        GEMM), or ``None`` pre-promotion.
-
-        Int8 backends override this to gather quantized code rows and carry
-        the matching scale slice alongside.
-        """
+    def _plan_entry(self, weight: np.ndarray, idx: np.ndarray, axis: int) -> Optional[np.ndarray]:
+        """Per-weight plan data, or ``None`` pre-promotion: the gathered
+        slice, pre-transposed so both gather axes reduce to ``x2d @ entry``
+        (row gathers select output units, column gathers select contraction
+        units, ``x2d`` then holding gathered activations)."""
         sub = self._gathered(weight, idx, axis)
         return None if sub is None else sub.T
-
-    def _plan_gemm(self, x2d: np.ndarray, entry) -> np.ndarray:
-        """``x2d`` against a plan entry.  Both gather axes reduce to
-        ``x2d @ sub.T``: row gathers select output units, column gathers
-        select contraction units (``x2d`` then holds gathered activations)."""
-        return x2d @ entry
-
-    @staticmethod
-    def _plan_fuse(up_entry, gate_entry):
-        """Stack the up and gate plan entries into one fused GEMM operand."""
-        return np.hstack((up_entry, gate_entry))
 
     # ------------------------------------------------------------ mask → idx
     @staticmethod
@@ -288,7 +275,7 @@ class GatherGEMMBackend(NumpyBackend):
             if idx.size == 0 or idx.size > self.crossover_density * d_ffn:
                 return None
             return _MLPPlan(
-                self._plan_fuse(self._plan_entry(w_up, idx, 0), self._plan_entry(w_gate, idx, 0)),
+                np.hstack((self._plan_entry(w_up, idx, 0), self._plan_entry(w_gate, idx, 0))),
                 idx.size,
                 self._plan_entry(w_down, idx, 1),
                 self._sub_mask(mask2d, idx),
@@ -319,7 +306,7 @@ class GatherGEMMBackend(NumpyBackend):
         if any(entry is None for entry in entries):
             return None  # promotion pending: dense now, plan on the next sighting
         plan = _MLPPlan(
-            self._plan_fuse(entries[0], entries[1]),
+            np.hstack((entries[0], entries[1])),
             idx.size,
             entries[2],
             self._sub_mask(mask2d, idx),
@@ -372,12 +359,12 @@ class GatherGEMMBackend(NumpyBackend):
         self.stats["gather_calls"] += 1
         x_eff = x * input_mask if input_mask is not None else x
         x2d = x_eff.reshape(-1, x_eff.shape[-1])
-        ug = self._plan_gemm(x2d, plan.fused)
+        ug = x2d @ plan.fused
         glu = plan.act(ug[:, plan.width :])  # fresh array: in-place from here on
         glu *= ug[:, : plan.width]
         if plan.sub_mask is not None:
             glu *= plan.sub_mask
-        out = self._plan_gemm(glu, plan.down)
+        out = glu @ plan.down
         return out.reshape(*x.shape[:-1], w_down.shape[0])
 
     def masked_down(self, w_down: np.ndarray, glu: np.ndarray, down_mask: np.ndarray) -> np.ndarray:
@@ -389,5 +376,5 @@ class GatherGEMMBackend(NumpyBackend):
         acts = glu.reshape(-1, glu.shape[-1])[:, plan.idx]  # fresh copy: safe to mask in place
         if plan.sub_mask is not None:
             np.multiply(acts, plan.sub_mask, out=acts)
-        out = self._plan_gemm(acts, plan.down)
+        out = acts @ plan.down
         return out.reshape(*glu.shape[:-1], w_down.shape[0])

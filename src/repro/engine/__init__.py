@@ -15,12 +15,6 @@ from repro.engine.inference import (
     iter_length_buckets,
     serve_continuous_greedy,
 )
-from repro.engine.speculative import (
-    SpeculationStats,
-    SpeculativeContinuousBatch,
-    SpeculativeDecoder,
-    serve_speculative_greedy,
-)
 from repro.engine.throughput import (
     ThroughputEstimate,
     estimate_throughput,
@@ -32,10 +26,6 @@ __all__ = [
     "SparseInferenceEngine",
     "ContinuousBatch",
     "serve_continuous_greedy",
-    "SpeculationStats",
-    "SpeculativeDecoder",
-    "SpeculativeContinuousBatch",
-    "serve_speculative_greedy",
     "MaskRecorder",
     "iter_length_buckets",
     "ThroughputEstimate",

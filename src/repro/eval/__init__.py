@@ -12,8 +12,6 @@ from repro.eval.harness import (
     EvaluationSettings,
     MethodEvaluation,
     evaluate_method,
-    run_density_sweep,
-    run_method_grid,
 )
 from repro.eval.reporting import format_table, format_series, results_to_rows
 
@@ -29,8 +27,6 @@ __all__ = [
     "EvaluationSettings",
     "MethodEvaluation",
     "evaluate_method",
-    "run_density_sweep",
-    "run_method_grid",
     "format_table",
     "format_series",
     "results_to_rows",

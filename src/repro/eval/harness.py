@@ -1,16 +1,12 @@
-"""Single-method evaluation plus deprecated grid/sweep entry points.
+"""Single-method evaluation.
 
-The grid and sweep runners moved to :mod:`repro.pipeline.runner`;
-:func:`run_method_grid` and :func:`run_density_sweep` remain as thin
-deprecation shims that build a :class:`~repro.pipeline.session.SparseSession`
-and delegate.
+The grid and sweep runners live in :mod:`repro.pipeline.runner`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -100,77 +96,3 @@ def evaluate_method(
         task_accuracies=task_accuracies,
     )
 
-
-def _legacy_session(
-    model: CausalLM,
-    eval_sequences: np.ndarray,
-    calibration_sequences: Optional[np.ndarray],
-    primary_task: Optional[MultipleChoiceTask],
-    tasks: Optional[Dict[str, MultipleChoiceTask]],
-    settings: EvaluationSettings,
-    model_name: str,
-):
-    from repro.pipeline.session import SparseSession
-
-    return SparseSession(
-        model,
-        None,
-        settings=settings,
-        model_name=model_name,
-        eval_sequences=eval_sequences,
-        calibration_sequences=calibration_sequences,
-        primary_task=primary_task,
-        task_suite=tasks,
-    )
-
-
-def run_method_grid(
-    model: CausalLM,
-    method_names: Sequence[str],
-    target_density: float,
-    eval_sequences: np.ndarray,
-    calibration_sequences: np.ndarray,
-    primary_task: Optional[MultipleChoiceTask] = None,
-    tasks: Optional[Dict[str, MultipleChoiceTask]] = None,
-    settings: EvaluationSettings = EvaluationSettings(),
-    model_name: str = "",
-    method_kwargs: Optional[Dict[str, Dict]] = None,
-) -> List[MethodEvaluation]:
-    """Deprecated shim for :func:`repro.pipeline.runner.method_grid`."""
-    warnings.warn(
-        "run_method_grid() is deprecated; use repro.pipeline.runner.method_grid() "
-        "with a SparseSession instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.pipeline.runner import method_grid
-
-    session = _legacy_session(
-        model, eval_sequences, calibration_sequences, primary_task, tasks, settings, model_name
-    )
-    return method_grid(session, method_names, target_density, method_kwargs=method_kwargs)
-
-
-def run_density_sweep(
-    model: CausalLM,
-    method_factory: Callable[[float], Optional[SparsityMethod]],
-    densities: Sequence[float],
-    eval_sequences: np.ndarray,
-    calibration_sequences: Optional[np.ndarray] = None,
-    primary_task: Optional[MultipleChoiceTask] = None,
-    settings: EvaluationSettings = EvaluationSettings(),
-    model_name: str = "",
-) -> List[MethodEvaluation]:
-    """Deprecated shim for :func:`repro.pipeline.runner.density_sweep`."""
-    warnings.warn(
-        "run_density_sweep() is deprecated; use repro.pipeline.runner.density_sweep() "
-        "with a SparseSession instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.pipeline.runner import density_sweep
-
-    session = _legacy_session(
-        model, eval_sequences, calibration_sequences, primary_task, None, settings, model_name
-    )
-    return density_sweep(session, method_factory, densities)

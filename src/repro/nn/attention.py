@@ -227,31 +227,6 @@ class KVCache:
         self.lengths[slot] = 0
         self.length = int(self.lengths.max())
 
-    def truncate(self, length: int) -> None:
-        """Roll the whole cache back to ``length`` tokens.
-
-        The K/V past ``length`` stay in the buffer but become dead: every
-        consumer slices by ``length``/``lengths`` (and masks shorter slots),
-        and the next append overwrites them.  This is the speculative-decode
-        rollback — rejected draft tokens are verified into the cache in one
-        batched forward and then truncated away.
-        """
-        if not 0 <= length <= self.max_seq_len:
-            raise ValueError(f"truncate length {length} outside [0, {self.max_seq_len}]")
-        if length > self.length:
-            raise ValueError(f"cannot truncate to {length}: cache holds {self.length} tokens")
-        self.length = int(length)
-        self.lengths[:] = length
-
-    def truncate_slot(self, slot: int, length: int) -> None:
-        """Roll one slot back to ``length`` tokens (speculative rollback)."""
-        if not 0 <= length <= int(self.lengths[slot]):
-            raise ValueError(
-                f"cannot truncate slot {slot} to {length}: it holds {int(self.lengths[slot])} tokens"
-            )
-        self.lengths[slot] = length
-        self.length = int(self.lengths.max())
-
     def slot_view(self, slots) -> "KVCacheSlotView":
         """A per-slot append view over ``slots`` for continuous-batching decode."""
         return KVCacheSlotView(self, slots)
@@ -295,33 +270,25 @@ class KVCacheSlotView:
         return int(self.lengths.max())
 
     def append(self, keys: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Append ``t`` decode tokens per selected slot at per-slot positions.
+        """Append one decode token per selected slot at per-slot positions.
 
-        ``keys``/``values`` have shape ``(n_slots, n_kv_heads, t, head_dim)``
-        (``t = 1`` is the ordinary decode step; ``t > 1`` is the speculative
-        batched-verify chunk).  Token ``j`` of slot ``i`` lands at that slot's
-        own position ``lengths[i] + j``.  Returns gathered ``(n_slots,
-        n_kv_heads, total, head_dim)`` arrays where ``total`` is the longest
-        selected slot after the append.
+        ``keys``/``values`` have shape ``(n_slots, n_kv_heads, 1, head_dim)``.
+        Returns gathered ``(n_slots, n_kv_heads, total, head_dim)`` arrays
+        where ``total`` is the longest selected slot after the append.
         """
-        if keys.ndim != 4:
-            raise ValueError("slot views expect (n_slots, n_kv_heads, t, head_dim) K/V")
+        if keys.ndim != 4 or keys.shape[2] != 1:
+            raise ValueError("slot views append exactly one token per slot and step")
         if keys.shape[0] != self.slots.size:
             raise ValueError(f"expected K/V for {self.slots.size} slots, got {keys.shape[0]}")
         cache = self.cache
-        t = keys.shape[2]
         positions = cache.lengths[self.slots]
-        if int(positions.max()) + t > cache.max_seq_len:
+        if int(positions.max()) + 1 > cache.max_seq_len:
             raise RuntimeError("KV cache overflow")
-        # Advanced indexing on axes 0 and 2 with the head slice in between
-        # moves the indexed axes to the front: (n_slots, t, heads, head_dim).
-        slot_index = self.slots[:, None]
-        token_positions = positions[:, None] + np.arange(t)[None, :]
-        cache.keys[slot_index, :, token_positions] = keys.transpose(0, 2, 1, 3)
-        cache.values[slot_index, :, token_positions] = values.transpose(0, 2, 1, 3)
-        cache.lengths[self.slots] = positions + t
+        cache.keys[self.slots, :, positions] = keys[:, :, 0]
+        cache.values[self.slots, :, positions] = values[:, :, 0]
+        cache.lengths[self.slots] = positions + 1
         cache.length = int(cache.lengths.max())
-        total = int(positions.max()) + t
+        total = int(positions.max()) + 1
         return cache.keys[self.slots, :, :total], cache.values[self.slots, :, :total]
 
 

@@ -66,15 +66,6 @@ METRIC_CATALOG: Dict[str, str] = {
     "fleet_worker_experiments_total": "experiments run by the labelled worker (heartbeat mirror)",
     # ------------------------------------------------- fleet histograms
     "fleet_ttft_seconds": "fleet-side time to first token (submission to first streamed token)",
-    # --------------------------------------------- speculation gauges
-    "speculation_enabled": "1 when the scheduler decodes speculatively (draft + verify)",
-    "speculation_rounds_total": "draft/verify rounds executed (slot-rounds in batched decode)",
-    "speculation_draft_tokens_total": "tokens proposed by the low-density draft pass",
-    "speculation_accepted_tokens_total": "draft tokens the target verify forward accepted",
-    "speculation_bonus_tokens_total": "rounds whose full draft was accepted (free bonus token)",
-    "speculation_emitted_tokens_total": "tokens emitted by speculative decode (accepted + correction/bonus)",
-    "speculation_acceptance_rate": "accepted fraction of drafted tokens (target agreement)",
-    "speculation_drafts_per_token": "draft forwards spent per emitted token (lower is cheaper)",
     # -------------------------------------------------- backend gauges
     "backend_gather_calls": "sparse MLP calls served by the gather-GEMM kernels",
     "backend_dense_calls": "sparse MLP calls that fell back to masked-dense",

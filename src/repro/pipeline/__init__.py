@@ -27,7 +27,6 @@ from repro.pipeline.spec import (
     MethodSection,
     ModelSection,
     SpecError,
-    SpeculationSection,
 )
 from repro.pipeline.session import SparseSession
 from repro.pipeline.runner import (
@@ -47,7 +46,6 @@ __all__ = [
     "MethodSection",
     "EvalSection",
     "HardwareSection",
-    "SpeculationSection",
     "SpecError",
     "CACHE_POLICIES",
     "SparseSession",

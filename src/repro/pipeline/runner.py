@@ -1,8 +1,7 @@
 """Grid and sweep runners over :class:`~repro.pipeline.session.SparseSession`.
 
-These subsume the legacy ``repro.eval.harness.run_method_grid`` /
-``run_density_sweep`` free functions (which now delegate here) and add the
-spec-driven entry point :func:`run_experiment`, which evaluates a declarative
+Besides :func:`method_grid` and :func:`density_sweep`, the spec-driven
+entry point :func:`run_experiment` evaluates a declarative
 :class:`~repro.pipeline.spec.ExperimentSpec` end to end and can persist its
 rows as artifacts.  A spec whose ``hardware`` is a list fans out through
 :func:`hardware_sweep`: the density grid is evaluated once on a shared

@@ -20,7 +20,6 @@ import numpy as np
 from repro.backend import BackendLike, use_backend
 from repro.data.tasks import MultipleChoiceTask
 from repro.engine.inference import SparseInferenceEngine
-from repro.engine.speculative import SpeculativeDecoder
 from repro.engine.throughput import ThroughputEstimate, throughput_for_method
 from repro.eval.accuracy import suite_accuracy, task_accuracy
 from repro.eval.harness import EvaluationSettings, MethodEvaluation
@@ -32,7 +31,7 @@ from repro.sparsity.base import DenseBaseline, MLPMasks, SparsityMethod
 from repro.sparsity.registry import REGISTRY
 from repro.utils.logging import get_logger
 
-from repro.pipeline.spec import ExperimentSpec, HardwareSection, MethodSection, SpeculationSection
+from repro.pipeline.spec import ExperimentSpec, HardwareSection
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a package cycle
     from repro.experiments.artifacts import ArtifactCache
@@ -68,7 +67,6 @@ class SparseSession:
         dense_ppl: Optional[float] = None,
         record_masks: bool = False,
         backend: BackendLike = None,
-        speculation: Optional[SpeculationSection] = None,
     ) -> None:
         if isinstance(method, str):
             method = REGISTRY.create(method)
@@ -87,10 +85,6 @@ class SparseSession:
         #: Compute backend the session's metrics run under (name, instance, or
         #: None to inherit the ambient selection — see ``repro.backend``).
         self.backend: BackendLike = backend
-        #: Spec-level speculative-decoding defaults (``None`` = disabled);
-        #: :meth:`speculative_decoder` reads its fallbacks from here.
-        self.speculation = speculation
-        self._speculative_decoders: Dict[tuple, "SpeculativeDecoder"] = {}
         self.engine: Optional[SparseInferenceEngine] = (
             SparseInferenceEngine(model, self.method, record_masks=record_masks, backend=backend)
             if model is not None
@@ -142,7 +136,6 @@ class SparseSession:
                 settings=spec.eval.settings(),
                 model_name=spec.model.name,
                 backend=spec.backend,
-                speculation=spec.speculation if spec.speculation.enabled else None,
             )
 
         task_suite = None
@@ -170,7 +163,6 @@ class SparseSession:
             task_suite=task_suite,
             dense_ppl=prepared.dense_ppl,
             backend=spec.backend,
-            speculation=spec.speculation if spec.speculation.enabled else None,
         )
 
     def with_method(self, method: MethodLike) -> "SparseSession":
@@ -195,7 +187,6 @@ class SparseSession:
             task_suite=self.task_suite,
             dense_ppl=self.dense_ppl,
             backend=self.backend,
-            speculation=self.speculation,
         )
 
     def share_calibration(self) -> "SparseSession":
@@ -378,107 +369,6 @@ class SparseSession:
         if prompts.ndim == 1:
             return self.engine.generate(prompts, max_new_tokens, temperature=temperature, rng=rng)
         return self.engine.generate_batch(prompts, max_new_tokens, temperature=temperature, rng=rng)
-
-    # ------------------------------------------------------------- speculation
-    def build_draft_method(
-        self, draft_density: Optional[float] = None, method: Optional[str] = None
-    ) -> SparsityMethod:
-        """Instantiate (and calibrate) the draft method for speculative decode.
-
-        Defaults come from the session's :class:`SpeculationSection` (or
-        density 0.35 with the session's own method when the spec never
-        enabled speculation).  The draft is a *separate* method instance with
-        its own state — it cannot share the target's calibration — so
-        calibration-requiring drafts are calibrated here from the session's
-        stored sequences.
-        """
-        self._require_model("build_draft_method")
-        section = self.speculation if self.speculation is not None else SpeculationSection()
-        if draft_density is None:
-            draft_density = section.draft_density
-        fallback = MethodSection(
-            name=self.method.name, target_density=self.method.target_density
-        )
-        section = section.replace(
-            method=method if method is not None else section.method,
-            draft_density=draft_density,
-        )
-        draft = section.build_draft(fallback)
-        if draft.requires_calibration:
-            if self.calibration_sequences is None:
-                raise ValueError(
-                    f"draft method '{draft.name}' requires calibration sequences; construct "
-                    "the session with calibration_sequences"
-                )
-            sequences = self.calibration_sequences[: self.settings.calibration_sequences]
-            assert self.model is not None  # _require_model above
-            with use_backend(self.backend):
-                draft.calibrate(self.model, sequences)
-        return draft
-
-    def speculative_decoder(
-        self,
-        k: Optional[int] = None,
-        draft_density: Optional[float] = None,
-        draft_method: Optional[SparsityMethod] = None,
-    ) -> SpeculativeDecoder:
-        """A (target, draft) :class:`SpeculativeDecoder` over this session.
-
-        Arguments default to the spec's speculation section.  Decoders built
-        without an explicit ``draft_method`` are memoised per
-        ``(method, draft_density, k)`` so repeated calls (and the serving
-        scheduler) reuse one calibrated draft.  Cache-state methods (DIP-CA)
-        are refused — as target or draft — with the continuous-batching
-        precedent's error style.
-        """
-        self._require_model("speculative_decoder")
-        section = self.speculation if self.speculation is not None else SpeculationSection()
-        if k is None:
-            k = section.k
-        if draft_density is None:
-            draft_density = section.draft_density
-        self.calibrate()
-        assert self.engine is not None  # _require_model above
-        if draft_method is not None:
-            return SpeculativeDecoder(
-                self.engine,
-                SparseInferenceEngine(self.model, draft_method, backend=self.backend),
-                k=k,
-            )
-        key = (section.method or self.method.name, float(draft_density), int(k))
-        decoder = self._speculative_decoders.get(key)
-        if decoder is None:
-            draft = self.build_draft_method(draft_density=draft_density, method=section.method)
-            decoder = SpeculativeDecoder(
-                self.engine,
-                SparseInferenceEngine(self.model, draft, backend=self.backend),
-                k=k,
-            )
-            self._speculative_decoders[key] = decoder
-        return decoder
-
-    def generate_speculative(
-        self,
-        prompts: np.ndarray,
-        max_new_tokens: int,
-        k: Optional[int] = None,
-        draft_density: Optional[float] = None,
-    ) -> np.ndarray:
-        """Greedy speculative continuations — token-identical to
-        ``generate(..., temperature=0.0)``.
-
-        A single ``(prompt_len,)`` prompt decodes through the single-sequence
-        draft/verify loop; a batch (2-D array or ragged list) decodes through
-        a slot-wise :class:`~repro.engine.speculative.SpeculativeContinuousBatch`.
-        Method state (target and draft) is reset first, like every metric.
-        """
-        self._require_model("generate_speculative")
-        decoder = self.speculative_decoder(k=k, draft_density=draft_density)
-        self.reset()
-        decoder.draft.reset()
-        if isinstance(prompts, np.ndarray) and prompts.ndim == 1:
-            return decoder.generate(prompts, max_new_tokens)
-        return decoder.generate_batch(prompts, max_new_tokens)
 
     def evaluate(self, include_suite: bool = True) -> MethodEvaluation:
         """Full evaluation row: perplexity plus (when tasks exist) accuracies.

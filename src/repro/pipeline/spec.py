@@ -117,59 +117,6 @@ class MethodSection(ConfigBase):
 
 
 @dataclasses.dataclass(frozen=True)
-class SpeculationSection(ConfigBase):
-    """Self-speculative decoding configuration (disabled by default).
-
-    When ``enabled``, sessions built from the spec decode with a low-density
-    *draft* pass proposing ``k`` tokens per round and the serving-density
-    method verifying them in one batched forward
-    (:class:`repro.engine.speculative.SpeculativeDecoder`).  ``method`` names
-    the draft's registry method (``None`` reuses the experiment's own method)
-    and ``kwargs`` its extra constructor arguments; greedy acceptance keeps
-    outputs token-identical to plain ``generate`` regardless of these knobs.
-    """
-
-    enabled: bool = False
-    #: Draft sparsity method; ``None`` means the experiment's own method.
-    method: Optional[str] = None
-    #: Density the draft pass runs at (the cheap end of the pair).
-    draft_density: float = 0.35
-    #: Tokens the draft proposes per verify forward.
-    k: int = 4
-    #: Extra constructor kwargs for the draft method (ignored when ``method``
-    #: is ``None`` and empty — the experiment method's kwargs apply then).
-    kwargs: Mapping[str, Any] = dataclasses.field(default_factory=dict)
-
-    def __post_init__(self):
-        _require(
-            self.method is None or self.method in REGISTRY,
-            f"unknown speculation method '{self.method}'; available: {REGISTRY.names()}",
-        )
-        _require(0.0 < self.draft_density <= 1.0, "speculation.draft_density must lie in (0, 1]")
-        _require(1 <= self.k <= 64, "speculation.k must lie in [1, 64]")
-        if self.method is not None:
-            try:
-                REGISTRY.validate_kwargs(
-                    self.method, dict(self.kwargs, target_density=self.draft_density)
-                )
-            except TypeError as exc:
-                raise SpecError(f"speculation.kwargs invalid: {exc}") from exc
-
-    def build_draft(self, fallback: MethodSection) -> SparsityMethod:
-        """Instantiate the draft method (``fallback`` = the experiment method).
-
-        With ``method=None`` the draft is the experiment's own method —
-        including its kwargs — rebuilt at ``draft_density``; otherwise the
-        named method is built with this section's kwargs.
-        """
-        if self.method is None:
-            return REGISTRY.create(
-                fallback.name, target_density=self.draft_density, **dict(fallback.kwargs)
-            )
-        return REGISTRY.create(self.method, target_density=self.draft_density, **dict(self.kwargs))
-
-
-@dataclasses.dataclass(frozen=True)
 class EvalSection(ConfigBase):
     """Evaluation workload sizes and task selection."""
 
@@ -292,8 +239,6 @@ class ExperimentSpec(ConfigBase):
     method: MethodSection = dataclasses.field(default_factory=MethodSection)
     #: Density grid; empty means "just method.target_density".
     densities: Tuple[float, ...] = ()
-    #: Self-speculative decoding (disabled by default; parity-preserving).
-    speculation: SpeculationSection = dataclasses.field(default_factory=SpeculationSection)
     eval: EvalSection = dataclasses.field(default_factory=EvalSection)
     #: ``None`` (accuracy-only), one :class:`HardwareSection`, or a list of
     #: them — a multi-device hardware sweep evaluated by
@@ -353,9 +298,6 @@ class ExperimentSpec(ConfigBase):
             data=_section_from_dict(DataSection, data.get("data"), "data"),
             method=_section_from_dict(MethodSection, data.get("method"), "method"),
             densities=tuple(data.get("densities", ())),
-            speculation=_section_from_dict(
-                SpeculationSection, data.get("speculation"), "speculation"
-            ),
             eval=_section_from_dict(EvalSection, data.get("eval"), "eval"),
             hardware=data.get("hardware", {}),
             backend=data.get("backend"),

@@ -48,7 +48,6 @@ import numpy as np
 
 from repro.backend import resolve_backend
 from repro.engine.inference import ContinuousBatch
-from repro.engine.speculative import SpeculativeContinuousBatch, SpeculativeDecoder
 from repro.nn.prefix_cache import PrefixCache
 from repro.nn.transformer import _sample_token
 from repro.obs import MetricsRegistry, Trace, TraceSink, monotonic
@@ -91,19 +90,6 @@ class SchedulerConfig:
     #: only the aggregate counters — the instrumentation-off baseline of
     #: ``benchmarks/bench_latency_slo.py``'s overhead gate.
     trace_requests: bool = True
-    #: Decode speculatively: a low-density draft pass proposes tokens that
-    #: the serving-density method verifies in one batched forward.  Greedy
-    #: only (sampled requests are rejected at submission); outputs stay
-    #: token-identical to plain ``generate``.  Disables the prefix cache
-    #: (cached blocks hold target-density K/V the draft cannot use) and
-    #: refuses cache-state methods (DIP-CA) at construction.
-    speculative: bool = False
-    #: Draft tokens per verify forward; ``None`` uses the session's
-    #: :class:`~repro.pipeline.spec.SpeculationSection` (default 4).
-    speculative_k: Optional[int] = None
-    #: Density of the draft pass; ``None`` uses the session's speculation
-    #: section (default 0.35).
-    speculative_draft_density: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_batch_size <= 0:
@@ -116,12 +102,6 @@ class SchedulerConfig:
             raise ValueError("prefix_cache_bytes must be non-negative (0 disables the cache)")
         if self.prefix_block_size <= 0:
             raise ValueError("prefix_block_size must be positive")
-        if self.speculative_k is not None and not 1 <= self.speculative_k <= 64:
-            raise ValueError("speculative_k must lie in [1, 64]")
-        if self.speculative_draft_density is not None and not (
-            0.0 < self.speculative_draft_density <= 1.0
-        ):
-            raise ValueError("speculative_draft_density must lie in (0, 1]")
 
 
 class _Entry:
@@ -246,49 +226,22 @@ class ContinuousBatchingScheduler:
         session.calibrate()
         self._sequential_method = bool(session.method.requires_cache_state)
         width = 1 if self._sequential_method else self.config.max_batch_size
-        # Prefix caching is skipped for cache-state methods (reusing a head's
-        # K/V would skip the prefix forward and change the method's masks)
-        # and under speculation (cached blocks hold target-density K/V only;
-        # the draft caches would desync from the target caches).
+        # Prefix caching is skipped for cache-state methods: reusing a head's
+        # K/V would skip the prefix forward and change the method's masks.
         self.prefix_cache: Optional[PrefixCache] = None
-        if (
-            not self._sequential_method
-            and not self.config.speculative
-            and self.config.prefix_cache_bytes > 0
-        ):
+        if not self._sequential_method and self.config.prefix_cache_bytes > 0:
             self.prefix_cache = PrefixCache(
                 self.config.prefix_cache_bytes, self.config.prefix_block_size
             )
-        #: The (target, draft) decoder pair when ``config.speculative`` — the
-        #: session memoises it, so schedulers over one session share one
-        #: calibrated draft.  ``None`` for plain lock-step decode.
-        self.speculative: Optional[SpeculativeDecoder] = None
-        self.batch: ContinuousBatch
-        if self.config.speculative:
-            # Refuses cache-state methods (DIP-CA) with the continuous-batching
-            # precedent's error; calibrates the draft from session sequences.
-            self.speculative = session.speculative_decoder(
-                k=self.config.speculative_k,
-                draft_density=self.config.speculative_draft_density,
-            )
-            self.batch = SpeculativeContinuousBatch.from_engines(
-                session.engine,
-                self.speculative.draft,
-                k=self.speculative.k,
-                max_batch_size=width,
-                max_seq_len=self.config.max_seq_len,
-                pad_id=self.config.pad_id,
-            )
-        else:
-            self.batch = ContinuousBatch(
-                session.engine.model,
-                mlp_override=session.engine.mlp_override,
-                max_batch_size=width,
-                max_seq_len=self.config.max_seq_len,
-                pad_id=self.config.pad_id,
-                prefix_cache=self.prefix_cache,
-                backend=session.backend,
-            )
+        self.batch = ContinuousBatch(
+            session.engine.model,
+            mlp_override=session.engine.mlp_override,
+            max_batch_size=width,
+            max_seq_len=self.config.max_seq_len,
+            pad_id=self.config.pad_id,
+            prefix_cache=self.prefix_cache,
+            backend=session.backend,
+        )
         self._waiting: List[_Entry] = []
         self._active: Dict[int, _Entry] = {}  # slot -> entry
         self._wake = asyncio.Event()
@@ -352,11 +305,6 @@ class ContinuousBatchingScheduler:
             raise RuntimeError("scheduler is stopping; no new requests accepted")
         if len(self._waiting) >= self.config.max_queue:
             raise RequestError(f"queue full ({self.config.max_queue} requests waiting)")
-        if self.speculative is not None and request.temperature > 0:
-            raise RequestError(
-                "speculative decoding is greedy-only (acceptance compares draft tokens "
-                "to the target argmax); submit with temperature=0"
-            )
         prompt_room = self.batch.max_seq_len - len(request.prompt)
         if prompt_room <= 0:
             raise RequestError(
@@ -494,16 +442,6 @@ class ContinuousBatchingScheduler:
             reg.gauge("prefix_cache_hits").set(cache["hits"])
             reg.gauge("prefix_cache_misses").set(cache["misses"])
             reg.gauge("prefix_cache_hit_tokens").set(cache["hit_tokens"])
-        reg.gauge("speculation_enabled").set(1 if self.speculative is not None else 0)
-        if isinstance(self.batch, SpeculativeContinuousBatch):
-            spec = self.batch.stats
-            reg.gauge("speculation_rounds_total").set(spec.rounds)
-            reg.gauge("speculation_draft_tokens_total").set(spec.draft_tokens)
-            reg.gauge("speculation_accepted_tokens_total").set(spec.accepted_tokens)
-            reg.gauge("speculation_bonus_tokens_total").set(spec.bonus_tokens)
-            reg.gauge("speculation_emitted_tokens_total").set(spec.emitted_tokens)
-            reg.gauge("speculation_acceptance_rate").set(spec.acceptance_rate)
-            reg.gauge("speculation_drafts_per_token").set(spec.drafts_per_token)
         backend = resolve_backend(self.session.backend)
         cache_stats = getattr(backend, "cache_stats", None)
         if callable(cache_stats):
@@ -552,13 +490,6 @@ class ContinuousBatchingScheduler:
             "backend": backend.name,
             "prefix_cache": prefix,
         }
-        speculation: Dict[str, object] = {"enabled": self.speculative is not None}
-        if self.speculative is not None and isinstance(self.batch, SpeculativeContinuousBatch):
-            speculation["k"] = self.batch.k
-            speculation["draft_density"] = self.speculative.draft.method.target_density
-            speculation["draft_method"] = self.speculative.draft.method.name
-            speculation.update(self.batch.stats.as_dict())
-        payload["speculation"] = speculation
         cache_stats = getattr(backend, "cache_stats", None)
         if callable(cache_stats):
             payload["backend_cache"] = cache_stats()
@@ -574,10 +505,6 @@ class ContinuousBatchingScheduler:
     def _emit(self, entry: _Entry, logits_row: np.ndarray) -> None:
         """Sample one token for ``entry``, stream it, retire when done."""
         token = _sample_token(logits_row, entry.request.temperature, entry.rng)
-        self._emit_token(entry, token)
-
-    def _emit_token(self, entry: _Entry, token: int) -> None:
-        """Stream an already-decided token for ``entry``, retire when done."""
         entry.tokens.append(token)
         entry.last_token = token
         entry.stream.put_nowait(token)
@@ -639,28 +566,6 @@ class ContinuousBatchingScheduler:
         if not self._active:
             return
         slots = sorted(self._active)
-        if isinstance(self.batch, SpeculativeContinuousBatch):
-            try:
-                rows = self.batch.step_speculative(
-                    slots, [self._active[s].last_token for s in slots]
-                )
-            except Exception as exc:
-                logger.exception(
-                    "speculative step failed; failing %d active request(s)", len(slots)
-                )
-                self._fail_entries([self._active[s] for s in slots], exc)
-                return
-            self._c_steps.inc()
-            self._c_step_slots.inc(len(slots))
-            for slot, tokens in zip(slots, rows):
-                entry = self._active[slot]
-                for token in tokens:
-                    if entry.remaining <= 0:
-                        # Beyond-budget continuation tokens from an accepted
-                        # draft; the entry already retired (slot evicted).
-                        break
-                    self._emit_token(entry, token)
-            return
         try:
             logits = self.batch.step(slots, [self._active[s].last_token for s in slots])
         except Exception as exc:

@@ -46,13 +46,11 @@ from repro.sparsity.dip import DynamicInputPruning
 from repro.sparsity.cache_aware import CacheAwareDIP, LayerCacheState, cache_aware_scores
 from repro.sparsity.density import DIPDensityAllocation, allocate_dip_densities, fit_allocation_model
 from repro.sparsity.registry import (
-    METHOD_REGISTRY,
     REGISTRY,
     MethodInfo,
     MethodRegistry,
     UnknownMethodError,
     available_methods,
-    build_method,
     create_method,
     describe_methods,
     register_method,
@@ -82,7 +80,6 @@ __all__ = [
     "DIPDensityAllocation",
     "allocate_dip_densities",
     "fit_allocation_model",
-    "build_method",
     "create_method",
     "register_method",
     "describe_methods",
@@ -91,5 +88,4 @@ __all__ = [
     "MethodInfo",
     "MethodRegistry",
     "UnknownMethodError",
-    "METHOD_REGISTRY",
 ]

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from repro.eval.accuracy import suite_accuracy, task_accuracy
-from repro.eval.harness import EvaluationSettings, evaluate_method, run_density_sweep, run_method_grid
+from repro.eval.harness import EvaluationSettings, evaluate_method
 from repro.eval.operating_point import find_operating_point, max_throughput_at_ppl_increase
 from repro.eval.perplexity import dense_perplexity, perplexity
 from repro.eval.reporting import format_series, format_table, results_to_rows
+from repro.pipeline.runner import density_sweep, method_grid
+from repro.pipeline.session import SparseSession
 from repro.sparsity.dip import DynamicInputPruning
-from repro.sparsity.registry import build_method
+from repro.sparsity.registry import create_method
 
 
 class TestPerplexity:
@@ -105,33 +107,30 @@ class TestHarness:
         assert result.row()["model"] == "tiny"
 
     def test_evaluate_method_requires_calibration_data(self, trained_tiny_model, eval_sequences):
-        method = build_method("cats", 0.5)
+        method = create_method("cats", target_density=0.5)
         with pytest.raises(ValueError):
             evaluate_method(trained_tiny_model, method, eval_sequences)
 
     def test_run_method_grid(self, trained_tiny_model, eval_sequences, calibration_sequences):
         settings = EvaluationSettings(max_eval_sequences=2, max_task_examples=2, calibration_sequences=2)
-        results = run_method_grid(
+        session = SparseSession(
             trained_tiny_model,
-            ["dense", "dip", "up"],
-            target_density=0.5,
-            eval_sequences=eval_sequences,
-            calibration_sequences=calibration_sequences,
+            None,
             settings=settings,
             model_name="tiny",
+            eval_sequences=eval_sequences,
+            calibration_sequences=calibration_sequences,
         )
+        results = method_grid(session, ["dense", "dip", "up"], target_density=0.5)
         assert [r.method_name for r in results] == ["dense", "dip", "up"]
         assert all(np.isfinite(r.perplexity) for r in results)
 
     def test_run_density_sweep_monotone(self, trained_tiny_model, eval_sequences):
         settings = EvaluationSettings(max_eval_sequences=2)
-        results = run_density_sweep(
-            trained_tiny_model,
-            lambda d: DynamicInputPruning(d),
-            densities=[0.3, 0.8],
-            eval_sequences=eval_sequences,
-            settings=settings,
+        session = SparseSession(
+            trained_tiny_model, None, settings=settings, eval_sequences=eval_sequences
         )
+        results = density_sweep(session, lambda d: DynamicInputPruning(d), densities=[0.3, 0.8])
         assert results[0].perplexity >= results[1].perplexity - 0.05
 
 

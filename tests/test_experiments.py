@@ -46,7 +46,6 @@ class TestPreparationConfig:
         assert FAST_PREPARATION.train_steps < PreparationConfig().train_steps
 
 
-@pytest.mark.slow
 class TestPrepareModel:
     def test_prepare_trains_and_caches(self, tmp_path):
         cache = ArtifactCache(tmp_path)

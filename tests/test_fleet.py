@@ -12,6 +12,7 @@ smaller set of pipe tests covers real process isolation and SIGKILL.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import threading
 import time
@@ -21,7 +22,13 @@ import numpy as np
 import pytest
 
 from repro.obs import MetricsRegistry
-from repro.serving import BackgroundServer, GenerationRequest, RequestError
+from repro.serving import (
+    BackgroundServer,
+    ContinuousBatchingScheduler,
+    GenerationRequest,
+    RequestError,
+    SchedulerConfig,
+)
 from repro.serving.fleet import (
     DECODE_ENTRYPOINT,
     FleetConfig,
@@ -136,6 +143,31 @@ class TestInprocFleet:
             assert stats["requests_completed"] == 2.0
             assert stats["requests_failed"] == 0.0
             assert stats["worker_deaths"] == 0.0
+
+    def test_seeded_sampling_matches_session_and_scheduler(self, reference_session):
+        """A seeded sampled request gives the same tokens through the session,
+        one scheduler with every request in flight, and a 2-worker fleet."""
+        prompts = [(5, 9, 2, 7), (3, 1), (8, 6, 4, 2, 11, 13, 1), (7,), (2, 4, 6, 8, 10)]
+        requests = [
+            GenerationRequest(prompt=p, max_new_tokens=6, temperature=0.8, seed=100 + i)
+            for i, p in enumerate(prompts)
+        ]
+        want = []
+        for request in requests:
+            sequence = reference_session.generate(
+                np.asarray(request.prompt, dtype=np.int64), 6, temperature=0.8, rng=request.seed
+            )
+            want.append([int(t) for t in sequence[len(request.prompt):]])
+
+        async def serve():
+            config = SchedulerConfig(max_batch_size=8)
+            async with ContinuousBatchingScheduler(reference_session, config) as sched:
+                return await asyncio.gather(*[sched.submit(r) for r in requests])
+
+        assert [list(r.tokens) for r in asyncio.run(serve())] == want
+        with make_fleet(decode_workers=2) as fleet:
+            streams = [fleet.submit(r) for r in requests]
+            assert [list(s.result(60).tokens) for s in streams] == want
 
     def test_overlong_prompt_rejected_before_dispatch(self):
         with make_fleet(decode_workers=1) as fleet:

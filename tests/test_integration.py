@@ -5,16 +5,18 @@ import pytest
 
 from repro.engine.inference import SparseInferenceEngine
 from repro.engine.throughput import throughput_for_method
-from repro.eval.harness import EvaluationSettings, run_method_grid
+from repro.eval.harness import EvaluationSettings
 from repro.eval.operating_point import find_operating_point
 from repro.eval.perplexity import dense_perplexity, perplexity
 from repro.hwsim.device import APPLE_A18, DeviceSpec
 from repro.hwsim.memory import build_layout
 from repro.hwsim.simulator import HWSimulator, SimulationConfig
 from repro.hwsim.trace import trace_from_masks
+from repro.pipeline.runner import method_grid
+from repro.pipeline.session import SparseSession
 from repro.sparsity.cache_aware import CacheAwareDIP
 from repro.sparsity.dip import DynamicInputPruning
-from repro.sparsity.registry import build_method
+from repro.sparsity.registry import create_method
 from repro.training.distill import DistillationConfig, finetune_lora_distillation
 from repro.training.lora import LoRAConfig, attach_mlp_adapters, fuse_adapters
 from repro.utils.units import GB, MB
@@ -26,14 +28,18 @@ class TestAccuracyPipeline:
     ):
         """A miniature Table 1: dense best, oracle close, DIP beats DejaVu."""
         settings = EvaluationSettings(max_eval_sequences=3, calibration_sequences=2)
-        results = run_method_grid(
+        session = SparseSession(
             trained_tiny_model,
-            ["dense", "glu-oracle", "dip", "dejavu"],
-            target_density=0.4,
-            eval_sequences=eval_sequences,
-            calibration_sequences=calibration_sequences,
+            None,
             settings=settings,
             model_name="tiny",
+            eval_sequences=eval_sequences,
+            calibration_sequences=calibration_sequences,
+        )
+        results = method_grid(
+            session,
+            ["dense", "glu-oracle", "dip", "dejavu"],
+            target_density=0.4,
             method_kwargs={"dejavu": {"predictor_hidden": 8, "predictor_epochs": 1}},
         )
         ppl = {r.method_name: r.perplexity for r in results}
@@ -110,7 +116,7 @@ class TestThroughputPipeline:
 class TestRegistryCoverage:
     @pytest.mark.parametrize("name", ["glu", "glu-oracle", "gate", "up", "cats", "dip", "dip-ca"])
     def test_every_method_runs_through_engine(self, name, trained_tiny_model, eval_sequences, calibration_sequences):
-        method = build_method(name, target_density=0.7)
+        method = create_method(name, target_density=0.7)
         if method.requires_calibration:
             method.calibrate(trained_tiny_model, calibration_sequences[:2])
         ppl = perplexity(trained_tiny_model, eval_sequences[:1], method)

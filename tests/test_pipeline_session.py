@@ -3,19 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.eval.harness import EvaluationSettings, evaluate_method, run_density_sweep, run_method_grid
+from repro.eval.harness import EvaluationSettings, evaluate_method
 from repro.eval.perplexity import perplexity
 from repro.nn.mlp import SwiGLUMLP
-from repro.pipeline.runner import ExperimentResult, density_sweep, method_grid
+from repro.pipeline.runner import ExperimentResult, density_sweep
 from repro.pipeline.session import SparseSession
 from repro.sparsity.base import MLPMasks, SparsityMethod
 from repro.sparsity.cache_aware import CacheAwareDIP
 from repro.sparsity.dip import DynamicInputPruning
 from repro.sparsity.registry import (
-    METHOD_REGISTRY,
     REGISTRY,
     available_methods,
-    build_method,
     create_method,
     describe_methods,
     register_method,
@@ -143,41 +141,6 @@ class TestSessionParity:
 
 
 class TestRunners:
-    def test_method_grid_matches_legacy_shim(
-        self, trained_tiny_model, eval_sequences, calibration_sequences, settings
-    ):
-        session = _session(
-            trained_tiny_model, None, settings, eval_sequences, calibration_sequences=calibration_sequences
-        )
-        new = method_grid(session, ["dense", "dip", "up"], 0.5)
-        with pytest.warns(DeprecationWarning):
-            legacy = run_method_grid(
-                trained_tiny_model,
-                ["dense", "dip", "up"],
-                target_density=0.5,
-                eval_sequences=eval_sequences,
-                calibration_sequences=calibration_sequences,
-                settings=settings,
-                model_name="tiny",
-            )
-        assert [r.method_name for r in new] == [r.method_name for r in legacy]
-        for a, b in zip(new, legacy):
-            assert a.perplexity == pytest.approx(b.perplexity)
-
-    def test_density_sweep_matches_legacy_shim(self, trained_tiny_model, eval_sequences, settings):
-        session = _session(trained_tiny_model, None, settings, eval_sequences)
-        new = density_sweep(session, "dip", [0.3, 0.8])
-        with pytest.warns(DeprecationWarning):
-            legacy = run_density_sweep(
-                trained_tiny_model,
-                lambda d: DynamicInputPruning(d),
-                densities=[0.3, 0.8],
-                eval_sequences=eval_sequences,
-                settings=settings,
-            )
-        for a, b in zip(new, legacy):
-            assert a.perplexity == pytest.approx(b.perplexity)
-
     def test_experiment_result_rows_and_table(self, trained_tiny_model, eval_sequences, settings):
         session = _session(trained_tiny_model, None, settings, eval_sequences)
         result = ExperimentResult(spec=None, evaluations=density_sweep(session, "dip", [0.5]))
@@ -265,18 +228,3 @@ class TestRegistryRedesign:
         assert everything["cats"]["requires_calibration"] is True
         # Function factories cannot know: depends on constructor arguments.
         assert everything["glu"]["requires_calibration"] is None
-
-    def test_build_method_deprecated_but_identical(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = build_method("dip", target_density=0.4)
-        fresh = create_method("dip", target_density=0.4)
-        assert type(legacy) is type(fresh)
-        assert legacy.target_density == fresh.target_density
-
-    def test_legacy_mapping_view(self):
-        with pytest.warns(DeprecationWarning):
-            factory = METHOD_REGISTRY["dip"]
-        assert factory(target_density=0.6).target_density == 0.6
-        assert "dip-ca" in set(METHOD_REGISTRY)
-        with pytest.warns(DeprecationWarning), pytest.raises(KeyError):
-            METHOD_REGISTRY["magic"]

@@ -132,6 +132,8 @@ class TestValidation:
     def test_from_dict_unknown_top_level_key(self):
         with pytest.raises(SpecError, match="unknown key"):
             ExperimentSpec.from_dict({"modle": {}})
+        with pytest.raises(SpecError, match="unknown key"):
+            ExperimentSpec.from_dict({"speculation": {"enabled": True}})
 
     def test_from_dict_unknown_section_key(self):
         with pytest.raises(SpecError, match="valid keys"):

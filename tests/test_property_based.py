@@ -6,32 +6,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.compression.quantizer import dequantize_uniform, quantize_tensor_uniform
-from repro.engine.inference import SparseInferenceEngine
-from repro.engine.speculative import SpeculativeDecoder
 from repro.hwsim.cache import LFUCache, LRUCache
-from repro.nn.transformer import CausalLM, TransformerConfig
 from repro.sparsity.base import topk_fraction_mask, topk_mask
 from repro.sparsity.cache_aware import cache_aware_scores
 from repro.sparsity.density import allocate_dip_densities
-from repro.sparsity.registry import REGISTRY
 from repro.utils.pareto import pareto_front_indices
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
-
-_SPEC_MODEL = None
-
-
-def _spec_engine() -> SparseInferenceEngine:
-    """A tiny untrained model, built once — hypothesis examples share it."""
-    global _SPEC_MODEL
-    if _SPEC_MODEL is None:
-        config = TransformerConfig(
-            vocab_size=64, d_model=32, n_layers=2, n_heads=4,
-            n_kv_heads=2, d_ffn=64, max_seq_len=96,
-        )
-        _SPEC_MODEL = CausalLM(config, seed=3)
-        _SPEC_MODEL.eval()
-    return SparseInferenceEngine(_SPEC_MODEL, REGISTRY.create("gate", target_density=0.75))
 
 
 class TestTopKProperties:
@@ -133,78 +114,6 @@ class TestParetoProperties:
         for i in idx:
             dominated = np.any((cost < cost[i]) & (objective < objective[i]))
             assert not dominated
-
-
-class TestSpeculativeDecodeProperties:
-    """Invariants of speculative decode, on random prompts / budgets / k.
-
-    Emitted tokens split into three disjoint sources — accepted drafts, the
-    one correction-or-bonus token each verify round emits, and plain steps
-    (prefill's first token plus end-of-budget fallbacks).  The stats ledger
-    must account for every token under that decomposition, and the output
-    itself must be byte-identical to plain greedy ``generate``.
-    """
-
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        prompt_len=st.integers(min_value=1, max_value=12),
-        max_new=st.integers(min_value=1, max_value=12),
-        k=st.integers(min_value=1, max_value=5),
-        draft_density=st.sampled_from([0.15, 0.35]),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_stats_ledger_and_parity(self, seed, prompt_len, max_new, k, draft_density):
-        engine = _spec_engine()
-        decoder = SpeculativeDecoder.from_engine(engine, draft_density=draft_density, k=k)
-        prompt = np.random.default_rng(seed).integers(0, 64, size=prompt_len)
-
-        out = decoder.generate(prompt, max_new)
-        stats = decoder.stats
-
-        # Output length never depends on k, and the tokens match plain greedy.
-        assert len(out) == prompt_len + max_new
-        np.testing.assert_array_equal(out, engine.generate(prompt, max_new, temperature=0.0))
-
-        # Accepted prefix is at most k per round.
-        assert stats.accepted_tokens <= stats.rounds * k
-
-        # Full-draft acceptance never skips the bonus token: every round
-        # emits its accepted prefix plus exactly one correction/bonus, so the
-        # remainder (plain steps: prefill token + budget-tail fallbacks) is
-        # non-negative — a skipped bonus would push it negative.
-        plain_steps = stats.emitted_tokens - stats.accepted_tokens - stats.rounds
-        assert plain_steps >= 1  # prefill always emits the first token
-        assert stats.bonus_tokens <= stats.rounds
-
-        # Every token of the budget is accounted for — no more, no fewer.
-        assert stats.emitted_tokens == max_new
-        assert 0.0 <= stats.acceptance_rate <= 1.0
-
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        k=st.integers(min_value=1, max_value=4),
-    )
-    @settings(max_examples=10, deadline=None)
-    def test_batched_ledger_matches_budgets(self, seed, k):
-        engine = _spec_engine()
-        decoder = SpeculativeDecoder.from_engine(engine, draft_density=0.35, k=k)
-        rng = np.random.default_rng(seed)
-        prompts = [rng.integers(0, 64, size=int(n)) for n in rng.integers(2, 10, size=3)]
-        max_new = int(rng.integers(2, 9))
-
-        out = decoder.generate_batch(prompts, max_new)
-        stats = decoder.stats
-
-        assert out.shape == (3, max(len(p) for p in prompts) + max_new)
-        # Batched stats count decode-round production: the admit prefill token
-        # is delivered by the driver (1 per sequence, uncounted) and the last
-        # round may overshoot a sequence's budget by at most k before the
-        # driver trims, so production brackets the budget from both sides.
-        assert 3 * (max_new - 1) <= stats.emitted_tokens <= 3 * (max_new - 1 + k)
-        assert stats.accepted_tokens <= stats.rounds * k
-        # Spec rounds emit accepted + exactly one correction/bonus; plain
-        # fallback rounds emit one token without counting a round.
-        assert stats.emitted_tokens - stats.accepted_tokens - stats.rounds >= 0
 
 
 class TestQuantizerProperties:

@@ -211,16 +211,18 @@ class TestKVCacheSlots:
         with pytest.raises(ValueError):
             cache.slot_view([2])
         view = cache.slot_view([0])
-        with pytest.raises(ValueError, match="slot views expect"):
+        with pytest.raises(ValueError, match="one token"):
             view.append(np.ones((1, 2, 2)), np.ones((1, 2, 2)))
+        with pytest.raises(ValueError, match="one token"):
+            view.append(np.ones((1, 1, 2, 2)), np.ones((1, 1, 2, 2)))
         with pytest.raises(ValueError, match="expected K/V for 1 slots"):
             view.append(np.ones((2, 1, 1, 2)), np.ones((2, 1, 1, 2)))
-        # Multi-token appends (speculative verify) fit as long as the slot
-        # has room; past max_seq_len they overflow.
-        view.append(np.ones((1, 1, 2, 2)), np.ones((1, 1, 2, 2)))
-        assert cache.lengths.tolist() == [2, 0]
+        assert cache.lengths.tolist() == [0, 0]
+        for _ in range(4):
+            view.append(np.ones((1, 1, 1, 2)), np.ones((1, 1, 1, 2)))
+        assert cache.lengths.tolist() == [4, 0]
         with pytest.raises(RuntimeError, match="overflow"):
-            view.append(np.ones((1, 1, 3, 2)), np.ones((1, 1, 3, 2)))
+            view.append(np.ones((1, 1, 1, 2)), np.ones((1, 1, 1, 2)))
 
     def test_lockstep_append_keeps_lengths_in_sync(self):
         cache = KVCache(2, 4, 8, batch_size=2)

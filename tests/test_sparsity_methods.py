@@ -8,7 +8,7 @@ from repro.sparsity.cats import CATS
 from repro.sparsity.gate_pruning import GatePruning, UpPruning
 from repro.sparsity.glu_pruning import GLUPruning
 from repro.sparsity.predictive import PredictiveGLUPruning
-from repro.sparsity.registry import available_methods, build_method
+from repro.sparsity.registry import available_methods, create_method
 
 
 @pytest.fixture()
@@ -198,16 +198,16 @@ class TestRegistry:
 
     def test_build_unknown(self):
         with pytest.raises(KeyError):
-            build_method("magic")
+            create_method("magic")
 
     def test_build_passes_density(self):
-        method = build_method("dip", target_density=0.4)
+        method = create_method("dip", target_density=0.4)
         assert method.target_density == 0.4
 
     @pytest.mark.parametrize("name", ["glu", "glu-oracle", "gate", "up", "cats", "dip", "dip-ca"])
     def test_functional_output_differs_from_dense_but_close(self, name, trained_tiny_model, mlp, x, calibration_sequences):
         """Every sparsification approximates (not reproduces, not destroys) the dense output."""
-        method = build_method(name, target_density=0.75)
+        method = create_method(name, target_density=0.75)
         if method.requires_calibration:
             method.calibrate(trained_tiny_model, calibration_sequences[:2])
         out = method.sparse_forward(mlp, 0, x)

@@ -2,8 +2,8 @@
 
 The inference hot path dispatches every weight-matrix product through the
 active :class:`repro.backend.ComputeBackend` (``linear`` / ``matmul`` /
-``masked_mlp``), which is what lets gather-GEMM, threaded and int8 kernels
-swap in without touching layer code — and what the backend parity suite
+``masked_mlp``), which is what lets the gather-GEMM kernels swap in
+without touching layer code — and what the backend parity suite
 actually covers.  A raw ``x @ self.weight.data`` (or ``np.matmul``/``np.dot``
 on a weight array) buried in a layer silently bypasses the seam: it stays
 dense-numpy under every backend and escapes parity testing.  This rule flags
