@@ -3,6 +3,8 @@
 * :class:`~repro.engine.inference.SparseInferenceEngine` runs a trained
   (simulation-scale) model with any sparsity method active, producing logits
   for accuracy metrics and recording the per-token masks.
+* :class:`~repro.engine.inference.ContinuousDecoder` is the one request-level
+  decode driver; serving and the fleet workers run on it.
 * :mod:`repro.engine.throughput` converts a method + paper-scale model
   geometry + device into tokens/second via the HW simulator, and provides the
   coupled accuracy-vs-throughput sweeps used by Table 2 and Figure 11.
@@ -10,6 +12,8 @@
 
 from repro.engine.inference import (
     ContinuousBatch,
+    ContinuousDecoder,
+    DecodeRequest,
     MaskRecorder,
     SparseInferenceEngine,
     iter_length_buckets,
@@ -25,6 +29,8 @@ from repro.engine.throughput import (
 __all__ = [
     "SparseInferenceEngine",
     "ContinuousBatch",
+    "ContinuousDecoder",
+    "DecodeRequest",
     "serve_continuous_greedy",
     "MaskRecorder",
     "iter_length_buckets",

@@ -8,19 +8,27 @@ free, without knowing about the batch dimension.  Flattening is C-ordered
 (sequence 0's tokens first), which preserves the per-layer token order of the
 old sequence-by-sequence loop; even the stateful cache-aware method therefore
 produces identical masks batched and sequential.
+
+Request-level decoding has one driver, :class:`ContinuousDecoder`, over the
+slot-wise :class:`ContinuousBatch`; the serving scheduler, the fleet decode
+worker and :func:`serve_continuous_greedy` are thin shells over it.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Generic, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
 from repro.backend import BackendLike, use_backend
 from repro.nn.prefix_cache import PrefixCache, PrefixMatch
-from repro.nn.transformer import CausalLM, TransformerBlock, left_pad_ragged, MASKED_BIAS
+from repro.nn.transformer import CausalLM, TransformerBlock, _sample_token, left_pad_ragged, MASKED_BIAS
 from repro.sparsity.base import MLPMasks, SparsityMethod, masks_mlp_density
+from repro.utils.logging import get_logger
 from repro.utils.numerics import logsumexp
+from repro.utils.rng import SeedLike, new_rng
+
+logger = get_logger("engine.inference")
 
 
 def _as_sequence_list(sequences) -> List[np.ndarray]:
@@ -195,11 +203,6 @@ class SparseInferenceEngine:
         if batched:
             out = out.reshape(batch, seq, d_model)
         return out
-
-    @property
-    def mlp_override(self):
-        """The bound MLP-replacement hook (for external decode drivers)."""
-        return self._mlp_override
 
     # ------------------------------------------------------------------- API
     def reset(self) -> None:
@@ -381,8 +384,8 @@ class ContinuousBatch:
     exception: their masks depend on token order, so :meth:`from_engine`
     rejects them above ``max_batch_size=1``.)
 
-    This class is synchronous and deterministic — the asyncio request
-    front-end over it lives in :mod:`repro.serving.scheduler`.
+    This class knows slots and tokens, not requests: :class:`ContinuousDecoder`
+    drives it request by request.
 
     With a :class:`~repro.nn.prefix_cache.PrefixCache` attached, :meth:`admit`
     consults it per prompt (longest-match lookup over whole blocks), seeds
@@ -390,11 +393,6 @@ class ContinuousBatch:
     publishes each newly prefilled prompt back to the cache.
     ``prefill_tokens_total`` / ``prefill_tokens_forwarded`` count prompt
     tokens admitted vs. actually forwarded, so callers can report savings.
-
-    Slots may carry a ``request_id`` and an absolute ``deadline`` (caller's
-    clock, e.g. ``time.perf_counter()``): :meth:`cancel` frees a slot by
-    request id, :meth:`expired` lists slots past their deadline — the
-    lifecycle hooks the serving scheduler enforces timeouts with.
     """
 
     def __init__(
@@ -420,11 +418,13 @@ class ContinuousBatch:
         self.prefix_cache = prefix_cache
         self.caches = model.new_kv_caches(self.max_seq_len, batch_size=max_batch_size)
         self.occupied = np.zeros(max_batch_size, dtype=bool)
-        self.slot_request_ids: dict = {}  # slot -> request id
-        self.slot_deadlines: dict = {}  # slot -> absolute deadline
-        self.slot_prefill: dict = {}  # slot -> (prompt_tokens, forwarded_tokens)
+        #: slot -> (prompt_tokens, forwarded_tokens) of its latest admission.
+        self.slot_prefill: dict = {}
         self.prefill_tokens_total = 0
         self.prefill_tokens_forwarded = 0
+        #: Run before every admission: :meth:`from_engine` sets it to
+        #: ``engine.reset`` for cache-state methods.
+        self.reset_method: Optional[Callable[[], None]] = None
 
     @classmethod
     def from_engine(cls, engine: SparseInferenceEngine, **kwargs) -> "ContinuousBatch":
@@ -435,7 +435,8 @@ class ContinuousBatch:
         their masks, so they are only accepted at ``max_batch_size=1``
         (which is how the serving scheduler degrades for them) — and a
         prefix cache is refused outright, because skipping the prefix
-        forward would change the method's cache-state evolution.
+        forward would change the method's cache-state evolution.  For them
+        the batch also records ``engine.reset`` as its ``reset_method``.
         """
         if engine.method.requires_cache_state:
             if kwargs.get("max_batch_size", 8) > 1:
@@ -450,7 +451,10 @@ class ContinuousBatch:
                     "skip prefix tokens and change the method's masks"
                 )
         kwargs.setdefault("backend", engine.backend)
-        return cls(engine.model, mlp_override=engine.mlp_override, **kwargs)
+        batch = cls(engine.model, mlp_override=engine._mlp_override, **kwargs)
+        if engine.method.requires_cache_state:
+            batch.reset_method = engine.reset
+        return batch
 
     # ------------------------------------------------------------- slot state
     def free_slots(self) -> List[int]:
@@ -462,16 +466,10 @@ class ContinuousBatch:
         """Number of occupied slots."""
         return int(self.occupied.sum())
 
-    def slot_length(self, slot: int) -> int:
-        """Tokens currently cached in ``slot`` (prompt + decoded)."""
-        return int(self.caches[0].lengths[slot])
-
     # ------------------------------------------------------------- operations
     def admit(
         self,
         prompts: Sequence[np.ndarray],
-        request_ids: Optional[Sequence[str]] = None,
-        deadlines: Optional[Sequence[Optional[float]]] = None,
         cache_prefix: Optional[Sequence[bool]] = None,
     ) -> Tuple[List[int], np.ndarray]:
         """Prefill ragged prompts into free slots.
@@ -487,9 +485,6 @@ class ContinuousBatch:
         published back to the cache (whole blocks only) so later admissions
         can share its head.  ``cache_prefix[i]=False`` opts prompt ``i`` out
         of both lookup and publication.
-
-        ``request_ids``/``deadlines`` attach per-slot lifecycle metadata for
-        :meth:`cancel` and :meth:`expired`.
         """
         prompts = [np.asarray(p, dtype=np.int64).reshape(-1) for p in prompts]
         n = len(prompts)
@@ -497,15 +492,9 @@ class ContinuousBatch:
         if n > len(free):
             raise ValueError(f"cannot admit {n} prompts into {len(free)} free slots")
         for prompt in prompts:
-            if len(prompt) >= self.max_seq_len:
-                raise ValueError(
-                    f"prompt of {len(prompt)} tokens leaves no decode room in "
-                    f"max_seq_len={self.max_seq_len}"
-                )
-        for name, values in (("request_ids", request_ids), ("deadlines", deadlines),
-                             ("cache_prefix", cache_prefix)):
-            if values is not None and len(values) != n:
-                raise ValueError(f"{name} must have one entry per prompt")
+            check_budget(len(prompt), 1, self.max_seq_len)
+        if cache_prefix is not None and len(cache_prefix) != n:
+            raise ValueError("cache_prefix must have one entry per prompt")
         slots = free[:n]
 
         def wants_cache(i: int) -> bool:
@@ -615,12 +604,7 @@ class ContinuousBatch:
             for match in matches:
                 if match is not None:
                     self.prefix_cache.release(match)
-        for i, slot in enumerate(slots):
-            self.occupied[slot] = True
-            if request_ids is not None and request_ids[i]:
-                self.slot_request_ids[slot] = request_ids[i]
-            if deadlines is not None and deadlines[i] is not None:
-                self.slot_deadlines[slot] = float(deadlines[i])
+        self.occupied[slots] = True
         return slots, logits_out
 
     def step(self, slots: Sequence[int], tokens: Sequence[int]) -> np.ndarray:
@@ -658,46 +642,176 @@ class ContinuousBatch:
         for cache in self.caches:
             cache.evict_slot(slot)
         self.occupied[slot] = False
-        self.slot_request_ids.pop(slot, None)
-        self.slot_deadlines.pop(slot, None)
-        self.slot_prefill.pop(slot, None)
 
-    def cancel(self, request_id: str) -> Optional[int]:
-        """Evict the slot serving ``request_id``; returns the freed slot.
 
-        Returns ``None`` when no occupied slot carries that request id (the
-        request already finished, was never admitted with an id, or the id is
-        unknown) — cancellation of a gone request is not an error.
-        """
-        for slot, rid in list(self.slot_request_ids.items()):
-            if rid == request_id:
-                self.evict(slot)
-                return slot
+#: Admission policies of :class:`ContinuousDecoder`: first-come-first-served,
+#: or shortest prompt first (minimises padded prefill width when many ragged
+#: prompts are queued).
+ADMISSION_POLICIES = ("fcfs", "shortest")
+
+
+def check_budget(prompt_len: int, max_new_tokens: int, max_seq_len: int) -> None:
+    """Raise ``ValueError`` unless a prompt and its token budget fit one slot.
+
+    A slot's KV cache fills to ``prompt_len + max_new_tokens - 1`` (the final
+    sampled token is never fed back), so anything larger is refused up front
+    instead of overflowing mid-decode.
+    """
+    if max_new_tokens <= 0:
+        raise ValueError("max_new_tokens must be positive")
+    room = max_seq_len - prompt_len
+    if room <= 0:
+        raise ValueError(
+            f"prompt of {prompt_len} tokens leaves no decode room in max_seq_len={max_seq_len}"
+        )
+    if max_new_tokens - 1 > room:
+        raise ValueError(
+            f"prompt of {prompt_len} tokens + max_new_tokens={max_new_tokens} exceeds "
+            f"max_seq_len={max_seq_len}; at most {room + 1} new tokens fit"
+        )
+
+
+class DecodeRequest:
+    """One request as :class:`ContinuousDecoder` serves it.
+
+    ``key`` is what :meth:`ContinuousDecoder.find` matches (keys may repeat);
+    ``deadline`` is absolute, on the caller's clock.  The driver fills in
+    ``tokens`` (drawn from the request's own ``rng``, so never dependent on
+    batch neighbours), ``slot`` (the KV slot it was admitted to),
+    ``finish_reason`` (``None`` while live) and ``error``.  Callers subclass
+    it; the driver hands back their object.
+    """
+
+    __slots__ = ("key", "prompt", "max_new_tokens", "temperature", "rng", "deadline",
+                 "cache_prefix", "tokens", "slot", "finish_reason", "error")
+
+    def __init__(
+        self,
+        key: str,
+        prompt: Sequence[int],
+        max_new_tokens: int,
+        temperature: float = 0.0,
+        seed: SeedLike = None,
+        deadline: Optional[float] = None,
+        cache_prefix: bool = True,
+    ) -> None:
+        self.key = key
+        self.prompt = np.asarray(prompt, dtype=np.int64).reshape(-1)
+        self.max_new_tokens = int(max_new_tokens)
+        self.temperature = float(temperature)
+        self.rng = new_rng(seed)
+        self.deadline = deadline
+        self.cache_prefix = cache_prefix
+        self.tokens: List[int] = []
+        self.slot: Optional[int] = None
+        self.finish_reason: Optional[str] = None
+        self.error: Optional[Exception] = None
+
+
+RequestT = TypeVar("RequestT", bound=DecodeRequest)
+
+
+class ContinuousDecoder(Generic[RequestT]):
+    """The one driver that turns queued requests into tokens.
+
+    Synchronous and deterministic: callers :meth:`submit` requests, then
+    alternate :meth:`admit` (prefill queued requests into free slots, in
+    ``admission`` order) and :meth:`step` (one token for every active
+    request).  Both return the requests they served: each holds one new
+    token, or — if that forward raised — ``finish_reason="error"`` and
+    ``error``; other requests are unaffected.  A spent budget finishes a
+    request with ``"length"`` and frees its slot at once; :meth:`overdue`,
+    :meth:`find` and :meth:`finish` serve deadlines and cancellation.  The
+    batch's ``reset_method`` runs before every admission, so a DIP-CA request
+    decodes exactly as ``engine.reset(); engine.generate(prompt)`` would.
+    """
+
+    def __init__(self, batch: ContinuousBatch, admission: str = "fcfs") -> None:
+        if admission not in ADMISSION_POLICIES:
+            raise ValueError(f"unknown admission policy '{admission}'; use {ADMISSION_POLICIES}")
+        self.batch = batch
+        self.admission = admission
+        self.waiting: List[RequestT] = []
+        self.active: Dict[int, RequestT] = {}  # slot -> request
+
+    @property
+    def idle(self) -> bool:
+        """Nothing queued and nothing decoding."""
+        return not self.waiting and not self.active
+
+    def submit(self, request: RequestT) -> None:
+        """Queue ``request``; ``ValueError`` if its budget cannot fit a slot."""
+        check_budget(len(request.prompt), request.max_new_tokens, self.batch.max_seq_len)
+        self.waiting.append(request)
+
+    def find(self, key: str) -> Optional[RequestT]:
+        """The first queued or active request with ``key``, else ``None``."""
+        for request in self.waiting + list(self.active.values()):
+            if request.key == key:
+                return request
         return None
 
-    def expired(self, now: float) -> List[Tuple[int, Optional[str]]]:
-        """Occupied ``(slot, request_id)`` pairs whose deadline is ≤ ``now``.
+    def overdue(self, now: float) -> List[RequestT]:
+        """Queued and active requests whose deadline is ≤ ``now``."""
+        live = self.waiting + [self.active[slot] for slot in sorted(self.active)]
+        return [r for r in live if r.deadline is not None and now >= r.deadline]
 
-        Deadlines are absolute values on whatever clock the caller passed to
-        :meth:`admit`.  The slots are *not* evicted — the caller decides (and
-        typically wants to retire its own request bookkeeping first).
-        """
-        return [
-            (slot, self.slot_request_ids.get(slot))
-            for slot, deadline in sorted(self.slot_deadlines.items())
-            if now >= deadline
-        ]
+    def finish(self, request: RequestT, reason: str) -> None:
+        """Retire a queued or active request with ``reason``, freeing its slot."""
+        request.finish_reason = reason
+        if request.slot is not None and self.active.get(request.slot) is request:
+            self.batch.evict(request.slot)
+            del self.active[request.slot]
+        elif request in self.waiting:
+            self.waiting.remove(request)
 
-    def reset(self) -> None:
-        """Evict everything (e.g. between benchmark runs)."""
-        for cache in self.caches:
-            cache.reset()
-        self.occupied[:] = False
-        self.slot_request_ids.clear()
-        self.slot_deadlines.clear()
-        self.slot_prefill.clear()
-        self.prefill_tokens_total = 0
-        self.prefill_tokens_forwarded = 0
+    def admit(self) -> List[RequestT]:
+        """Prefill queued requests into the free slots and sample their first token."""
+        n_free = len(self.batch.free_slots())
+        if not self.waiting or not n_free:
+            return []
+        if self.admission == "shortest":
+            self.waiting.sort(key=lambda r: len(r.prompt))
+        taken, self.waiting = self.waiting[:n_free], self.waiting[n_free:]
+        if self.batch.reset_method is not None:
+            self.batch.reset_method()
+        try:
+            slots, logits = self.batch.admit(
+                [r.prompt for r in taken], cache_prefix=[r.cache_prefix for r in taken]
+            )
+        except Exception as exc:
+            logger.exception("admission failed; failing %d request(s)", len(taken))
+            return self._fail(taken, exc)
+        for request, slot in zip(taken, slots):
+            request.slot = slot
+            self.active[slot] = request
+        return self._sample(taken, logits)
+
+    def step(self) -> List[RequestT]:
+        """Decode one token for every active request."""
+        if not self.active:
+            return []
+        slots = sorted(self.active)
+        live = [self.active[slot] for slot in slots]
+        try:
+            logits = self.batch.step(slots, [r.tokens[-1] for r in live])
+        except Exception as exc:
+            logger.exception("decode step failed; failing %d active request(s)", len(live))
+            return self._fail(live, exc)
+        return self._sample(live, logits)
+
+    def _sample(self, requests: List[RequestT], logits: np.ndarray) -> List[RequestT]:
+        for row, request in enumerate(requests):
+            request.tokens.append(_sample_token(logits[row], request.temperature, request.rng))
+            if len(request.tokens) >= request.max_new_tokens:
+                self.finish(request, "length")
+        return requests
+
+    def _fail(self, requests: List[RequestT], error: Exception) -> List[RequestT]:
+        for request in requests:
+            request.error = error
+            self.finish(request, "error")
+        return requests
 
 
 def serve_continuous_greedy(
@@ -706,57 +820,24 @@ def serve_continuous_greedy(
     max_new_tokens: Sequence[int],
     admission: str = "fcfs",
 ) -> List[np.ndarray]:
-    """Drive a :class:`ContinuousBatch` over a request list without asyncio.
+    """Greedy-decode a request list through a :class:`ContinuousDecoder`.
 
-    Greedy-decodes every prompt for its own ``max_new_tokens[i]`` budget,
-    admitting queued prompts as slots free up (``admission``: ``"fcfs"`` or
-    ``"shortest"``, which admits shorter prompts first).  Returns the full
-    (prompt + continuation) sequences in input order — token-for-token
-    identical to one-at-a-time greedy ``generate``.  Used by benchmarks and
-    parity tests; the asyncio scheduler exposes the same core to servers.
+    Every prompt decodes for its own ``max_new_tokens[i]`` budget, admitted
+    as slots free up (``admission``: see :data:`ADMISSION_POLICIES`).
+    Returns the full (prompt + continuation) sequences in input order —
+    token-for-token identical to one-at-a-time greedy ``generate`` (after
+    ``engine.reset()`` for cache-state methods).  Used by benchmarks and
+    parity tests; the asyncio scheduler exposes the same driver to servers.
     """
-    if admission not in ("fcfs", "shortest"):
-        raise ValueError("admission must be 'fcfs' or 'shortest'")
-    prompts = [np.asarray(p, dtype=np.int64).reshape(-1) for p in prompts]
     budgets = list(max_new_tokens)
     if len(budgets) != len(prompts):
         raise ValueError("need one max_new_tokens per prompt")
-    if min(budgets, default=1) <= 0:
-        raise ValueError("max_new_tokens must be positive")
-    waiting = list(range(len(prompts)))
-    if admission == "shortest":
-        waiting.sort(key=lambda i: len(prompts[i]))
-    results: List[Optional[np.ndarray]] = [None] * len(prompts)
-    generated: dict = {}
-    active: dict = {}  # slot -> request index
-    pending: dict = {}  # request index -> last sampled (unfed) token
-
-    def retire_if_done(index: int, slot: int) -> None:
-        if len(generated[index]) >= budgets[index]:
-            results[index] = np.concatenate([prompts[index], np.asarray(generated[index], dtype=np.int64)])
-            batch.evict(slot)
-            del active[slot]
-            pending.pop(index, None)
-
-    while waiting or active:
-        n_free = len(batch.free_slots())
-        if waiting and n_free:
-            admitted, waiting = waiting[:n_free], waiting[n_free:]
-            slots, logits = batch.admit([prompts[i] for i in admitted])
-            for row, (index, slot) in enumerate(zip(admitted, slots)):
-                active[slot] = index
-                token = int(np.argmax(logits[row]))
-                generated[index] = [token]
-                pending[index] = token
-                retire_if_done(index, slot)
-        if not active:
-            continue
-        slots = sorted(active)
-        logits = batch.step(slots, [pending[active[s]] for s in slots])
-        for row, slot in enumerate(slots):
-            index = active[slot]
-            token = int(np.argmax(logits[row]))
-            generated[index].append(token)
-            pending[index] = token
-            retire_if_done(index, slot)
-    return results
+    decoder: ContinuousDecoder[DecodeRequest] = ContinuousDecoder(batch, admission)
+    requests = [DecodeRequest(str(i), p, b) for i, (p, b) in enumerate(zip(prompts, budgets))]
+    for request in requests:
+        decoder.submit(request)
+    while not decoder.idle:
+        for request in decoder.admit() + decoder.step():
+            if request.error is not None:
+                raise request.error
+    return [np.concatenate([r.prompt, np.asarray(r.tokens, dtype=np.int64)]) for r in requests]

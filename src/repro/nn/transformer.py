@@ -321,63 +321,31 @@ class CausalLM(Module):
         different order than a sequential loop would.
         """
         rng = new_rng(rng)
-        if not isinstance(prompts, np.ndarray):
-            flat = list(prompts)
-            if flat and all(np.ndim(p) == 0 for p in flat):
+        if isinstance(prompts, np.ndarray):
+            sequences = list(prompts[None] if prompts.ndim == 1 else prompts)
+        else:
+            sequences = list(prompts)
+            if sequences and all(np.ndim(p) == 0 for p in sequences):
                 # A flat token list is one prompt (the historical contract),
                 # not a batch of single-token prompts.
-                prompts = np.asarray(flat, dtype=np.int64)[None]
-            else:
-                sequences = [np.asarray(p, dtype=np.int64).reshape(-1) for p in flat]
-                if len({len(p) for p in sequences}) > 1:
-                    return self._generate_batch_ragged(
-                        sequences, max_new_tokens, temperature, rng, mlp_override, pad_id
-                    )
-                prompts = np.stack(sequences) if sequences else np.zeros((0, 0), dtype=np.int64)
-        prompts = np.asarray(prompts, dtype=np.int64)
-        if prompts.ndim == 1:
-            prompts = prompts[None]
-        batch, prompt_len = prompts.shape
-        caches = self.new_kv_caches(max_seq_len=prompt_len + max_new_tokens, batch_size=batch)
-        generated = np.empty((batch, prompt_len + max_new_tokens), dtype=np.int64)
-        generated[:, :prompt_len] = prompts
-        with no_grad():
-            logits = self.forward_array(
-                prompts, kv_caches=caches, mlp_override=mlp_override, last_only=True
-            )
-            for step in range(max_new_tokens):
-                last = logits[:, -1, :]
-                if temperature <= 0:
-                    next_ids = np.argmax(last, axis=-1)
-                else:
-                    next_ids = np.asarray([_sample_token(row, temperature, rng) for row in last])
-                generated[:, prompt_len + step] = next_ids
-                if step + 1 < max_new_tokens:
-                    logits = self.forward_array(
-                        generated[:, prompt_len + step : prompt_len + step + 1],
-                        kv_caches=caches,
-                        mlp_override=mlp_override,
-                    )
-        return generated
-
-    def _generate_batch_ragged(
-        self, sequences, max_new_tokens, temperature, rng, mlp_override, pad_id
-    ) -> np.ndarray:
-        """Ragged-prompt decode: left-padded prefill, then lock-step sampling."""
+                sequences = [sequences]
         padded, position_ids, key_bias, lengths = left_pad_ragged(sequences, pad_id)
         batch, longest = padded.shape
+        # Equal-length batches pass no mask or positions: they would change
+        # nothing and only add work to every step.
+        ragged = int(lengths.min()) < longest
+        # Pad keys stay masked for the whole decode; generated keys are visible.
+        full_bias = np.concatenate([key_bias, np.zeros((batch, max_new_tokens))], axis=1)
         caches = self.new_kv_caches(max_seq_len=longest + max_new_tokens, batch_size=batch)
         generated = np.empty((batch, longest + max_new_tokens), dtype=np.int64)
         generated[:, :longest] = padded
-        # Pad keys stay masked for the whole decode; generated keys are visible.
-        full_bias = np.concatenate([key_bias, np.zeros((batch, max_new_tokens))], axis=1)
         with no_grad():
             logits = self.forward_array(
                 padded,
                 kv_caches=caches,
                 mlp_override=mlp_override,
-                attention_mask=key_bias,
-                position_ids=position_ids,
+                attention_mask=key_bias if ragged else None,
+                position_ids=position_ids if ragged else None,
                 last_only=True,
             )
             for step in range(max_new_tokens):
@@ -392,8 +360,8 @@ class CausalLM(Module):
                         generated[:, longest + step : longest + step + 1],
                         kv_caches=caches,
                         mlp_override=mlp_override,
-                        attention_mask=full_bias[:, : longest + step + 1],
-                        position_ids=(lengths + step)[:, None],
+                        attention_mask=full_bias[:, : longest + step + 1] if ragged else None,
+                        position_ids=(lengths + step)[:, None] if ragged else None,
                     )
         return generated
 

@@ -7,10 +7,10 @@ request-driven service:
   :class:`GenerationResult` wire types (JSON round-trip) and
   :func:`run_experiment_payload` for full ``ExperimentSpec`` payloads.
 * :mod:`repro.serving.scheduler` — :class:`ContinuousBatchingScheduler`, an
-  asyncio event loop over the slot-wise
-  :class:`~repro.engine.inference.ContinuousBatch` decode core: sequences
-  retire the moment they finish and queued ragged prompts are admitted into
-  the freed KV-cache slots.  Hardened with per-request lifecycle control —
+  asyncio event loop over the engine's one decode driver,
+  :class:`~repro.engine.inference.ContinuousDecoder`: sequences retire the
+  moment they finish and queued ragged prompts are admitted into the freed
+  KV-cache slots.  Hardened with per-request lifecycle control —
   ``timeout_s`` deadlines (queued or mid-decode), :meth:`cancel`, dropped
   streams cancelling server-side — and a
   :class:`~repro.nn.prefix_cache.PrefixCache` so requests sharing a prompt
@@ -22,8 +22,9 @@ request-driven service:
   ``/stats``, ``/metrics`` in Prometheus or JSON form) plus
   :class:`BackgroundServer` for tests and demos.
 * :mod:`repro.serving.fleet` — the multi-process serving fleet:
-  :class:`FleetManager` launches N decode workers plus a separate experiment
-  worker class over pluggable mailbox transports (in-proc queues for
+  :class:`FleetManager` launches N decode workers (each hosting the same
+  decode driver at width 1) plus a separate experiment worker class over
+  pluggable mailbox transports (in-proc queues for
   deterministic tests, ``multiprocessing`` pipes for real isolation), with
   per-worker heartbeat/health, automatic restart, in-flight request
   re-dispatch, and graceful drain; :class:`FleetServer` exposes the same

@@ -11,9 +11,9 @@ router + worker-pool architecture:
   ``multiprocessing`` pipes (real process isolation), plus worker launch
   and kill handles.
 * :mod:`~repro.serving.fleet.worker` — module-level worker entrypoints:
-  decode workers own a calibrated session + width-1 continuous batch and
-  stream tokens; experiment workers serve ``/experiment`` payloads so heavy
-  jobs can never block decode.
+  decode workers own a calibrated session and host the engine's decode
+  driver at width 1, streaming tokens; experiment workers serve
+  ``/experiment`` payloads so heavy jobs can never block decode.
 * :mod:`~repro.serving.fleet.manager` — :class:`FleetManager`: routing
   (least-loaded or prefix-affinity), heartbeat supervision, automatic
   restart with in-flight request re-dispatch (greedy/seeded decoding is

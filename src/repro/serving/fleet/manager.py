@@ -35,6 +35,7 @@ import zlib
 from collections import deque
 from typing import Any, Deque, Dict, Iterator, List, Optional, Set, Union
 
+from repro.engine.inference import check_budget
 from repro.obs import MetricsRegistry, monotonic
 from repro.obs.metrics import get_registry
 from repro.serving.fleet.config import (
@@ -538,7 +539,11 @@ class FleetManager:
 
     # ------------------------------------------------------------ public API
     def submit(self, request: GenerationRequest, *, fault: Optional[str] = None) -> FleetStream:
-        """Route a request to a decode worker; returns a blocking stream."""
+        """Route a request to a decode worker; returns a blocking stream.
+
+        Raises :class:`RequestError` when the prompt and its budget cannot
+        fit a worker's KV slot.
+        """
         if fault is not None and not self.config.allow_fault_injection:
             raise ValueError("fault injection requires FleetConfig.allow_fault_injection=True")
         with self._lock:
@@ -550,11 +555,13 @@ class FleetManager:
                 )
             max_seq_len = max((s.max_seq_len for s in self._workers.values()
                                if s.role == "decode"), default=0)
-            if max_seq_len and len(request.prompt) >= max_seq_len:
-                raise RequestError(
-                    f"prompt of {len(request.prompt)} tokens leaves no decode room in "
-                    f"max_seq_len={max_seq_len}"
-                )
+            if max_seq_len:
+                # The workers' own budget rule, applied before dispatch so an
+                # over-budget request is refused instead of failing mid-stream.
+                try:
+                    check_budget(len(request.prompt), request.max_new_tokens, max_seq_len)
+                except ValueError as exc:
+                    raise RequestError(str(exc)) from None
             entry = _Entry(request, fault)
             self._entries[request.request_id] = entry
         self._c_requests.inc()

@@ -6,33 +6,31 @@ config_json)`` and speak only JSON messages:
 
 * :func:`decode_worker_main` — owns a calibrated
   :class:`~repro.pipeline.session.SparseSession` (seeded via
-  ``share_calibration()``) and a width-1
-  :class:`~repro.engine.inference.ContinuousBatch`; serves ``generate``
-  messages token-by-token (``token`` frames, then a terminal ``result``
-  carrying a :class:`~repro.serving.requests.GenerationResult` dict).
+  ``share_calibration()``) and hosts the engine's decode driver,
+  :class:`~repro.engine.inference.ContinuousDecoder`, at width 1; queues
+  ``generate`` messages into it and streams each request token-by-token
+  (``token`` frames, then a terminal ``result`` carrying a
+  :class:`~repro.serving.requests.GenerationResult` dict).  A request's
+  ``timeout_s`` counts from the worker's receipt of its ``generate`` frame.
 * :func:`experiment_worker_main` — owns its own session and serves
   ``experiment`` messages through
   :func:`~repro.serving.requests.run_experiment_payload`, so experiments run
   on a separate worker class and can never block decode.
 
 Workers push a ``heartbeat`` frame (with a stats snapshot) every
-``heartbeat_interval_s`` from a side thread, poll for ``cancel`` frames
-between tokens, and honor a gated fault-injection hook (``fault`` key on work
-messages, only when the config allows it) so CI can kill a worker
-mid-request deterministically.
+``heartbeat_interval_s`` from a side thread, read the mailbox between decode
+passes (blocking on it only while the driver is idle), and honor a gated
+fault-injection hook (``fault`` key on work messages, only when the config
+allows it) so CI can kill a worker mid-request deterministically.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Set
+from typing import Dict, Optional
 
-import numpy as np
-
-from repro.engine.inference import ContinuousBatch
-from repro.nn.transformer import _sample_token
+from repro.engine.inference import ContinuousBatch, ContinuousDecoder, DecodeRequest
 from repro.obs import monotonic
 from repro.serving.fleet.config import WorkerConfig
 from repro.serving.fleet.exchange import Mailbox, TransportClosed
@@ -43,13 +41,16 @@ from repro.serving.requests import (
     run_experiment_payload,
 )
 from repro.utils.logging import get_logger
-from repro.utils.rng import new_rng
 
 logger = get_logger("serving.fleet.worker")
 
 FAULT_BEFORE_PREFILL = "before-prefill"
 FAULT_BEFORE_RUN = "before-run"
 _FAULT_AFTER_TOKEN = "after-token-"
+
+#: KV slots a decode worker decodes concurrently.  Fleet workers do not
+#: batch yet; the driver they host runs at this width.
+DECODE_WIDTH = 1
 
 
 class _WorkerStats:
@@ -112,91 +113,76 @@ def _maybe_crash(fault: Optional[str], point: str, mailbox: Mailbox) -> None:
         mailbox.hard_exit()
 
 
-def _drain_control(mailbox: Mailbox, backlog: Deque[Dict[str, Any]],
-                   cancelled: Set[str]) -> None:
-    """Pull everything waiting on the mailbox without blocking.
+class _Work(DecodeRequest):
+    """One ``generate`` message as the worker's driver serves it."""
 
-    ``cancel`` frames are folded into ``cancelled``; anything else queues in
-    ``backlog`` to be served after the current request.
-    """
-    while True:
-        message = mailbox.recv_json(timeout=0)
-        if message is None:
-            return
-        if message.get("type") == "cancel":
-            cancelled.add(str(message.get("request_id", "")))
-        else:
-            backlog.append(message)
+    __slots__ = ("request", "fault", "received_at", "admitted_at")
 
-
-def _serve_generate(
-    batch: ContinuousBatch,
-    mailbox: Mailbox,
-    message: Dict[str, Any],
-    config: WorkerConfig,
-    stats: _WorkerStats,
-    backlog: Deque[Dict[str, Any]],
-    cancelled: Set[str],
-) -> None:
-    request = GenerationRequest.from_dict(message["request"])
-    fault = str(message["fault"]) if config.allow_fault_injection and message.get("fault") else None
-    request_id = request.request_id
-    if request_id in cancelled:
-        cancelled.discard(request_id)
-        result = GenerationResult(request_id=request_id, prompt=request.prompt, tokens=(),
-                                  finish_reason="cancelled")
-        mailbox.send_json({"type": "result", "request_id": request_id, "result": result.to_dict()})
-        return
-    started = monotonic()
-    deadline = started + request.timeout_s if request.timeout_s is not None else None
-    _maybe_crash(fault, FAULT_BEFORE_PREFILL, mailbox)
-    slot: Optional[int] = None
-    try:
-        slots, logits = batch.admit([request.prompt_array()], request_ids=[request_id])
-        slot = slots[0]
-        rng = new_rng(request.seed)
-        tokens: List[int] = []
-        finish_reason = "length"
-        token = _sample_token(logits[0], request.temperature, rng)
-        while True:
-            tokens.append(int(token))
-            mailbox.send_json({
-                "type": "token", "request_id": request_id,
-                "index": len(tokens) - 1, "token": int(token),
-            })
-            if mailbox.aborted:
-                raise TransportClosed("worker killed")
-            _maybe_crash(fault, f"{_FAULT_AFTER_TOKEN}{len(tokens) - 1}", mailbox)
-            if len(tokens) >= request.max_new_tokens:
-                break
-            if deadline is not None and monotonic() > deadline:
-                finish_reason = "timeout"
-                break
-            _drain_control(mailbox, backlog, cancelled)
-            if request_id in cancelled:
-                cancelled.discard(request_id)
-                finish_reason = "cancelled"
-                break
-            logits_step = batch.step([slot], [int(token)])
-            token = _sample_token(logits_step[0], request.temperature, rng)
-        busy = monotonic() - started
-        stats.record(requests=1, tokens=len(tokens), busy=busy)
-        result = GenerationResult(
-            request_id=request_id, prompt=request.prompt, tokens=tuple(tokens),
-            finish_reason=finish_reason, decode_seconds=busy,
+    def __init__(self, request: GenerationRequest, fault: Optional[str]) -> None:
+        received_at = monotonic()
+        super().__init__(
+            request.request_id,
+            request.prompt,
+            request.max_new_tokens,
+            temperature=request.temperature,
+            seed=request.seed,
+            deadline=received_at + request.timeout_s if request.timeout_s is not None else None,
+            cache_prefix=request.cache_prefix,
         )
-        mailbox.send_json({"type": "result", "request_id": request_id, "result": result.to_dict()})
-    except TransportClosed:
-        raise
-    except Exception as exc:
-        kind = "request" if isinstance(exc, (RequestError, ValueError)) else "internal"
+        self.request = request
+        self.fault = fault
+        self.received_at = received_at
+        self.admitted_at: Optional[float] = None
+
+
+def _send_result(mailbox: Mailbox, work: _Work, stats: _WorkerStats) -> None:
+    assert work.finish_reason is not None  # only finished work has a result
+    now = monotonic()
+    started = work.admitted_at if work.admitted_at is not None else now
+    stats.record(requests=1, tokens=len(work.tokens))
+    result = GenerationResult(
+        request_id=work.key, prompt=work.request.prompt, tokens=tuple(work.tokens),
+        finish_reason=work.finish_reason, queued_seconds=started - work.received_at,
+        decode_seconds=now - started,
+    )
+    mailbox.send_json({"type": "result", "request_id": work.key, "result": result.to_dict()})
+
+
+def _send_served(mailbox: Mailbox, work: _Work, stats: _WorkerStats) -> None:
+    """Send the token the driver just sampled for ``work``, or its failure."""
+    if work.error is not None:
+        kind = "request" if isinstance(work.error, ValueError) else "internal"
         mailbox.send_json({
-            "type": "error", "request_id": request_id,
-            "error": f"{type(exc).__name__}: {exc}", "kind": kind,
+            "type": "error", "request_id": work.key,
+            "error": f"{type(work.error).__name__}: {work.error}", "kind": kind,
         })
-    finally:
-        if slot is not None and batch.occupied[slot]:
-            batch.evict(slot)
+        return
+    index = len(work.tokens) - 1
+    mailbox.send_json({
+        "type": "token", "request_id": work.key, "index": index, "token": work.tokens[-1],
+    })
+    if mailbox.aborted:
+        raise TransportClosed("worker killed")
+    _maybe_crash(work.fault, f"{_FAULT_AFTER_TOKEN}{index}", mailbox)
+    if work.finish_reason is not None:
+        _send_result(mailbox, work, stats)
+
+
+def _decode_pass(decoder: ContinuousDecoder[_Work], mailbox: Mailbox, stats: _WorkerStats) -> None:
+    """Retire overdue work, then one admission and one decode step."""
+    for work in decoder.overdue(monotonic()):
+        decoder.finish(work, "timeout")
+        _send_result(mailbox, work, stats)
+    if decoder.waiting and not decoder.active:
+        # At width 1 a free slot means the head of the FCFS queue is next.
+        _maybe_crash(decoder.waiting[0].fault, FAULT_BEFORE_PREFILL, mailbox)
+    started = monotonic()
+    for work in decoder.admit():
+        work.admitted_at = started
+        _send_served(mailbox, work, stats)
+    for work in decoder.step():
+        _send_served(mailbox, work, stats)
+    stats.record(busy=monotonic() - started)
 
 
 def decode_worker_main(mailbox: Mailbox, config_json: str) -> None:
@@ -209,37 +195,43 @@ def decode_worker_main(mailbox: Mailbox, config_json: str) -> None:
     session = base.share_calibration()
     session.calibrate()
     assert session.engine is not None  # built with a model above
-    batch = ContinuousBatch.from_engine(
-        session.engine, max_batch_size=1, max_seq_len=config.spec.max_seq_len
-    )
+    decoder: ContinuousDecoder[_Work] = ContinuousDecoder(ContinuousBatch.from_engine(
+        session.engine, max_batch_size=DECODE_WIDTH, max_seq_len=config.spec.max_seq_len
+    ))
     stats = _WorkerStats()
     heartbeat = _HeartbeatSender(mailbox, config, stats)
     heartbeat.start()
-    backlog: Deque[Dict[str, Any]] = deque()
-    cancelled: Set[str] = set()
     try:
         mailbox.send_json({
             "type": "ready", "worker_id": config.worker_id, "role": "decode",
-            "pid": os.getpid(), "max_seq_len": int(batch.max_seq_len),
+            "pid": os.getpid(), "max_seq_len": int(decoder.batch.max_seq_len),
         })
         while True:
-            message = backlog.popleft() if backlog else mailbox.recv_json(timeout=None)
-            if message is None:
-                continue
+            # Block on the mailbox only while there is nothing to decode.
+            message = mailbox.recv_json(timeout=None if decoder.idle else 0)
             if mailbox.aborted:
                 return
+            if message is None:
+                _decode_pass(decoder, mailbox, stats)
+                continue
             mtype = message.get("type")
             if mtype == "stop":
                 mailbox.send_json({"type": "stopped", "worker_id": config.worker_id})
                 return
             if mtype == "generate":
-                # Per-request reset: output must never depend on prior worker
-                # usage, matching SparseSession.generate's contract (this is
-                # what makes crash re-dispatch reproduce identical tokens).
-                session.reset()
-                _serve_generate(batch, mailbox, message, config, stats, backlog, cancelled)
+                fault = (str(message["fault"])
+                         if config.allow_fault_injection and message.get("fault") else None)
+                work = _Work(GenerationRequest.from_dict(message["request"]), fault)
+                try:
+                    decoder.submit(work)
+                except ValueError as exc:
+                    work.error = exc
+                    _send_served(mailbox, work, stats)
             elif mtype == "cancel":
-                cancelled.add(str(message.get("request_id", "")))
+                found = decoder.find(str(message.get("request_id", "")))
+                if found is not None:
+                    decoder.finish(found, "cancelled")
+                    _send_result(mailbox, found, stats)
             elif mtype == "ping":
                 mailbox.send_json({"type": "heartbeat", "worker_id": config.worker_id,
                                    "stats": stats.snapshot()})

@@ -63,7 +63,8 @@ class GenerationRequest:
     ``temperature == 0``, which is also the bit-reproducible mode).
 
     Lifecycle knobs: ``timeout_s`` is a wall-clock budget measured from
-    submission — a request past its deadline is retired (queued or
+    submission to the scheduler, or from a fleet decode worker's receipt of
+    the request — a request past its deadline is retired (queued or
     mid-decode, freeing its KV slot immediately) with
     ``finish_reason="timeout"`` and whatever tokens it produced.
     ``cache_prefix=False`` opts this request out of the scheduler's prefix
@@ -106,9 +107,6 @@ class GenerationRequest:
             _check(timeout_s > 0.0, "request.timeout_s must be positive (or null for no deadline)")
             object.__setattr__(self, "timeout_s", timeout_s)
         object.__setattr__(self, "cache_prefix", bool(self.cache_prefix))
-
-    def prompt_array(self) -> np.ndarray:
-        return np.asarray(self.prompt, dtype=np.int64)
 
     # ------------------------------------------------------------- round trip
     def to_dict(self) -> Dict[str, Any]:

@@ -1,11 +1,15 @@
-"""Asyncio continuous-batching scheduler over the slot-wise decode core.
+"""Asyncio continuous-batching scheduler over the engine's decode driver.
 
 :class:`ContinuousBatchingScheduler` accepts :class:`GenerationRequest`\\ s at
-any time, keeps a live batch of sequences decoding in lock-step through a
+any time and hands them to a
+:class:`~repro.engine.inference.ContinuousDecoder`, which keeps a live batch
+of sequences decoding in lock-step through a
 :class:`~repro.engine.inference.ContinuousBatch`, retires each sequence the
 moment it finishes, and admits queued prompts into the freed KV-cache slots —
 ragged prompt lengths are handled by the left-padded prefill, so admission
-never waits for equal-length batches.
+never waits for equal-length batches.  The driver owns admission order,
+sampling, budgets, deadlines and cancellation; this module adds intake and
+back-pressure, streams, traces and metrics on top.
 
 Determinism contract: with greedy decoding (``temperature == 0``) every
 request's tokens are identical to a one-at-a-time
@@ -42,25 +46,22 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import time
-from typing import AsyncIterator, Dict, List, Optional
-
-import numpy as np
+from typing import AsyncIterator, Dict, Optional
 
 from repro.backend import resolve_backend
-from repro.engine.inference import ContinuousBatch
+from repro.engine.inference import (
+    ADMISSION_POLICIES,
+    ContinuousBatch,
+    ContinuousDecoder,
+    DecodeRequest,
+)
 from repro.nn.prefix_cache import PrefixCache
-from repro.nn.transformer import _sample_token
 from repro.obs import MetricsRegistry, Trace, TraceSink, monotonic
 from repro.pipeline.session import SparseSession
 from repro.serving.requests import GenerationRequest, GenerationResult, RequestError
 from repro.utils.logging import get_logger
-from repro.utils.rng import new_rng
 
 logger = get_logger("serving.scheduler")
-
-#: Admission policies: first-come-first-served, or shortest prompt first
-#: (minimises padded prefill width when many ragged prompts are queued).
-ADMISSION_POLICIES = ("fcfs", "shortest")
 
 _DONE = object()  # stream sentinel
 
@@ -104,42 +105,36 @@ class SchedulerConfig:
             raise ValueError("prefix_block_size must be positive")
 
 
-class _Entry:
+class _Entry(DecodeRequest):
     """Scheduler-side state of one in-flight request."""
 
-    __slots__ = ("request", "rng", "tokens", "stream", "slot", "last_token", "error",
-                 "submitted_at", "started_at", "finished_at", "deadline", "finish_reason",
-                 "trace")
+    __slots__ = ("request", "stream", "submitted_at", "started_at", "finished_at", "trace")
 
     def __init__(self, request: GenerationRequest, trace_requests: bool = True) -> None:
+        submitted_at = monotonic()
+        super().__init__(
+            request.request_id,
+            request.prompt,
+            request.max_new_tokens,
+            temperature=request.temperature,
+            seed=request.seed,
+            deadline=submitted_at + request.timeout_s if request.timeout_s is not None else None,
+            cache_prefix=request.cache_prefix,
+        )
         self.request = request
-        self.rng = new_rng(request.seed)
-        self.tokens: List[int] = []
         self.stream: asyncio.Queue[object] = asyncio.Queue()
-        self.slot: Optional[int] = None
-        # The token fed back at the next decode step; always written by the
-        # admission-time _emit before any _step reads it.
-        self.last_token: int = -1
-        self.error: Optional[BaseException] = None
-        self.submitted_at = monotonic()
+        self.submitted_at = submitted_at
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
-        self.deadline: Optional[float] = (
-            self.submitted_at + request.timeout_s if request.timeout_s is not None else None
-        )
-        self.finish_reason = "length"
         self.trace: Optional[Trace] = (
-            Trace(request.request_id, now=self.submitted_at) if trace_requests else None
+            Trace(request.request_id, now=submitted_at) if trace_requests else None
         )
-
-    @property
-    def remaining(self) -> int:
-        return self.request.max_new_tokens - len(self.tokens)
 
     def result(self) -> GenerationResult:
         # A request retired while still queued (timeout/cancel before
         # admission) spent its whole life waiting: attribute that to
         # queued_seconds, not decode_seconds.
+        assert self.finish_reason is not None  # results exist only once retired
         end = self.finished_at if self.finished_at is not None else self.submitted_at
         if self.started_at is None:
             queued, decode = end - self.submitted_at, 0.0
@@ -176,8 +171,8 @@ class TokenStream:
         return self._entry.request.request_id
 
     @property
-    def finish_reason(self) -> str:
-        """Why the stream ended (meaningful once iteration completes)."""
+    def finish_reason(self) -> Optional[str]:
+        """Why the request finished (``None`` while it is live)."""
         return self._entry.finish_reason
 
     def __aiter__(self) -> AsyncIterator[int]:
@@ -203,7 +198,7 @@ class ContinuousBatchingScheduler:
     masks depend on a cache state (``requires_cache_state``, i.e. DIP-CA)
     define token order as part of the method, so the scheduler degrades to a
     batch width of 1 for them (requests are still queued and streamed
-    asynchronously) and resets the method before each admission.
+    asynchronously) and the driver resets the method before each admission.
 
     Use as an async context manager, or call :meth:`start` / :meth:`stop`::
 
@@ -233,17 +228,16 @@ class ContinuousBatchingScheduler:
             self.prefix_cache = PrefixCache(
                 self.config.prefix_cache_bytes, self.config.prefix_block_size
             )
-        self.batch = ContinuousBatch(
-            session.engine.model,
-            mlp_override=session.engine.mlp_override,
+        self.batch = ContinuousBatch.from_engine(
+            session.engine,
             max_batch_size=width,
             max_seq_len=self.config.max_seq_len,
             pad_id=self.config.pad_id,
             prefix_cache=self.prefix_cache,
-            backend=session.backend,
         )
-        self._waiting: List[_Entry] = []
-        self._active: Dict[int, _Entry] = {}  # slot -> entry
+        self.decoder: ContinuousDecoder[_Entry] = ContinuousDecoder(
+            self.batch, self.config.admission
+        )
         self._wake = asyncio.Event()
         self._task: Optional[asyncio.Task[None]] = None
         self._stopping = False
@@ -303,23 +297,8 @@ class ContinuousBatchingScheduler:
             raise RuntimeError("scheduler is not running; use 'async with' or await start()")
         if self._stopping:
             raise RuntimeError("scheduler is stopping; no new requests accepted")
-        if len(self._waiting) >= self.config.max_queue:
+        if len(self.decoder.waiting) >= self.config.max_queue:
             raise RequestError(f"queue full ({self.config.max_queue} requests waiting)")
-        prompt_room = self.batch.max_seq_len - len(request.prompt)
-        if prompt_room <= 0:
-            raise RequestError(
-                f"prompt of {len(request.prompt)} tokens leaves no decode room in "
-                f"max_seq_len={self.batch.max_seq_len}"
-            )
-        # The KV cache fills to prompt_len + max_new_tokens - 1 (the final
-        # sampled token is never fed back); reject anything that cannot fit
-        # instead of letting the decode loop overflow mid-flight.
-        if request.max_new_tokens - 1 > prompt_room:
-            raise RequestError(
-                f"prompt of {len(request.prompt)} tokens + max_new_tokens="
-                f"{request.max_new_tokens} exceeds max_seq_len={self.batch.max_seq_len}; "
-                f"at most {prompt_room + 1} new tokens fit"
-            )
         self._request_counter += 1
         updates: Dict[str, object] = {}
         if not request.request_id:
@@ -329,7 +308,10 @@ class ContinuousBatchingScheduler:
         if updates:
             request = dataclasses.replace(request, **updates)
         entry = _Entry(request, trace_requests=self.config.trace_requests)
-        self._waiting.append(entry)
+        try:
+            self.decoder.submit(entry)
+        except ValueError as exc:
+            raise RequestError(str(exc)) from None
         self._c_submitted.inc()
         self._wake.set()
         return entry
@@ -375,26 +357,24 @@ class ContinuousBatchingScheduler:
         request is a no-op, not an error (the HTTP server calls this whenever
         a streaming client disconnects, finished or not).
         """
-        for index, entry in enumerate(self._waiting):
-            if entry.request.request_id == request_id:
-                del self._waiting[index]
-                self._c_cancelled.inc()
-                self._retire(entry, "cancelled")
-                return True
-        for entry in list(self._active.values()):
-            if entry.request.request_id == request_id:
-                self._c_cancelled.inc()
-                self._retire(entry, "cancelled")
-                return True
-        return False
+        entry = self.decoder.find(request_id)
+        if entry is None:
+            return False
+        self.decoder.finish(entry, "cancelled")
+        self._retire(entry)
+        return True
 
-    def _retire(self, entry: _Entry, reason: str) -> None:
-        """Finish ``entry`` with ``reason``, freeing its slot if it has one."""
-        entry.finish_reason = reason
+    def _retire(self, entry: _Entry) -> None:
+        """Count, trace and close the stream of a request the driver finished."""
+        reason = entry.finish_reason
+        assert reason is not None  # only finished requests retire
+        {
+            "length": self._c_completed,
+            "error": self._c_failed,
+            "timeout": self._c_timed_out,
+            "cancelled": self._c_cancelled,
+        }[reason].inc()
         entry.finished_at = monotonic()
-        if entry.slot is not None and entry.slot in self._active:
-            self.batch.evict(entry.slot)
-            del self._active[entry.slot]
         if entry.trace is not None:
             if entry.error is not None:
                 entry.trace.annotate("error", str(entry.error))
@@ -405,29 +385,17 @@ class ContinuousBatchingScheduler:
 
     def _expire_deadlines(self) -> None:
         """Retire every queued or active request whose deadline has passed."""
-        now = monotonic()
-        overdue = [e for e in self._waiting if e.deadline is not None and now >= e.deadline]
-        if overdue:
-            self._waiting = [e for e in self._waiting if e not in overdue]
-            for entry in overdue:
-                self._c_timed_out.inc()
-                self._retire(entry, "timeout")
-        for slot, request_id in self.batch.expired(now):
-            entry = self._active.get(slot)
-            if entry is None:  # pragma: no cover - defensive (metadata drift)
-                self.batch.evict(slot)
-                continue
-            logger.info("request %s timed out after %d token(s); freeing slot %d",
-                        request_id, len(entry.tokens), slot)
-            self._c_timed_out.inc()
-            self._retire(entry, "timeout")
+        for entry in self.decoder.overdue(monotonic()):
+            logger.info("request %s timed out after %d token(s)", entry.key, len(entry.tokens))
+            self.decoder.finish(entry, "timeout")
+            self._retire(entry)
 
     # ------------------------------------------------------------------- stats
     def _collect_gauges(self) -> None:
         """Mirror externally-owned state into registry gauges (collector hook)."""
         reg = self.registry
-        reg.gauge("serving_queue_depth").set(len(self._waiting))
-        reg.gauge("serving_active_requests").set(len(self._active))
+        reg.gauge("serving_queue_depth").set(len(self.decoder.waiting))
+        reg.gauge("serving_active_requests").set(len(self.decoder.active))
         reg.gauge("serving_batch_occupancy").set(self.batch.occupancy / self.batch.max_batch_size)
         reg.gauge("prefix_cache_enabled").set(1 if self.prefix_cache is not None else 0)
         reg.gauge("prefill_tokens_total").set(self.batch.prefill_tokens_total)
@@ -470,8 +438,8 @@ class ContinuousBatchingScheduler:
         )
         backend = resolve_backend(self.session.backend)
         payload: Dict[str, object] = {
-            "queue_depth": len(self._waiting),
-            "active_requests": len(self._active),
+            "queue_depth": len(self.decoder.waiting),
+            "active_requests": len(self.decoder.active),
             "max_batch_size": self.batch.max_batch_size,
             "batch_occupancy": self.batch.occupancy / self.batch.max_batch_size,
             "mean_step_batch": (self._c_step_slots.value / steps) if steps else 0.0,
@@ -496,88 +464,33 @@ class ContinuousBatchingScheduler:
         return payload
 
     # -------------------------------------------------------------- decode loop
-    def _take_admissible(self, n_free: int) -> List[_Entry]:
-        if self.config.admission == "shortest":
-            self._waiting.sort(key=lambda e: len(e.request.prompt))
-        taken, self._waiting = self._waiting[:n_free], self._waiting[n_free:]
-        return taken
-
-    def _emit(self, entry: _Entry, logits_row: np.ndarray) -> None:
-        """Sample one token for ``entry``, stream it, retire when done."""
-        token = _sample_token(logits_row, entry.request.temperature, entry.rng)
-        entry.tokens.append(token)
-        entry.last_token = token
-        entry.stream.put_nowait(token)
-        self._c_tokens.inc()
+    def _start(self, entry: _Entry, admitted_at: float, prefilled_at: float) -> None:
+        """Trace the admission of an entry the driver just prefilled."""
         if entry.trace is not None:
-            entry.trace.mark_token()
-            times = entry.trace.token_times
-            if len(times) == 1:
-                self._h_ttft.observe(times[0] - entry.trace.created_s)
-            else:
-                self._h_itl.observe(times[-1] - times[-2])
-        if entry.remaining <= 0:
-            self._c_completed.inc()
-            self._retire(entry, "length")
-
-    def _fail_entries(self, entries: List[_Entry], error: BaseException) -> None:
-        """Retire entries with an error so their awaiters never hang."""
-        for entry in entries:
-            entry.error = error
-            self._c_failed.inc()
-            self._retire(entry, "error")
-
-    def _admit(self) -> None:
-        n_free = len(self.batch.free_slots())
-        if not self._waiting or not n_free:
+            entry.trace.mark_admitted(admitted_at)
+        if entry.error is not None:
             return
-        entries = self._take_admissible(n_free)
-        if self._sequential_method:
-            self.session.method.reset()
-        now = monotonic()
-        for entry in entries:
+        entry.started_at = admitted_at
+        if entry.trace is not None:
+            assert entry.slot is not None  # admitted without error
+            prompt_tokens, forwarded = self.batch.slot_prefill[entry.slot]
+            entry.trace.mark_prefilled(prompt_tokens, forwarded, now=prefilled_at)
+            self._h_queue.observe(admitted_at - entry.submitted_at)
+
+    def _emit(self, entry: _Entry) -> None:
+        """Stream the token the driver just sampled; retire the entry once finished."""
+        if entry.error is None:
+            entry.stream.put_nowait(entry.tokens[-1])
+            self._c_tokens.inc()
             if entry.trace is not None:
-                entry.trace.mark_admitted(now)
-        try:
-            slots, logits = self.batch.admit(
-                [e.request.prompt_array() for e in entries],
-                request_ids=[e.request.request_id for e in entries],
-                deadlines=[e.deadline for e in entries],
-                cache_prefix=[e.request.cache_prefix for e in entries],
-            )
-        except Exception as exc:
-            logger.exception("admission failed; failing %d request(s)", len(entries))
-            self._fail_entries(entries, exc)
-            return
-        prefilled = monotonic()
-        for row, (entry, slot) in enumerate(zip(entries, slots)):
-            entry.slot = slot
-            entry.started_at = now
-            self._active[slot] = entry
-            if entry.trace is not None:
-                prompt_tokens, forwarded = self.batch.slot_prefill.get(
-                    slot, (len(entry.request.prompt), len(entry.request.prompt))
-                )
-                entry.trace.mark_prefilled(prompt_tokens, forwarded, now=prefilled)
-                self._h_queue.observe(now - entry.submitted_at)
-            self._emit(entry, logits[row])
-
-    def _step(self) -> None:
-        if not self._active:
-            return
-        slots = sorted(self._active)
-        try:
-            logits = self.batch.step(slots, [self._active[s].last_token for s in slots])
-        except Exception as exc:
-            # Fail the whole live batch rather than the decode loop: waiting
-            # requests are untouched and keep being served.
-            logger.exception("decode step failed; failing %d active request(s)", len(slots))
-            self._fail_entries([self._active[s] for s in slots], exc)
-            return
-        self._c_steps.inc()
-        self._c_step_slots.inc(len(slots))
-        for row, slot in enumerate(slots):
-            self._emit(self._active[slot], logits[row])
+                entry.trace.mark_token()
+                times = entry.trace.token_times
+                if len(times) == 1:
+                    self._h_ttft.observe(times[0] - entry.trace.created_s)
+                else:
+                    self._h_itl.observe(times[-1] - times[-2])
+        if entry.finish_reason is not None:
+            self._retire(entry)
 
     async def _run(self) -> None:
         logger.info(
@@ -585,7 +498,7 @@ class ContinuousBatchingScheduler:
             self.batch.max_batch_size, self.config.admission, self.session.method.name,
         )
         while True:
-            if not self._waiting and not self._active:
+            if self.decoder.idle:
                 if self._stopping:
                     break
                 self._wake.clear()
@@ -600,10 +513,19 @@ class ContinuousBatchingScheduler:
             # Offloading each step would add an executor hop per token and
             # serialise against the session pool anyway.
             admit_started = monotonic()
-            self._admit()  # reprolint: disable=RL001 -- deliberate lock-step admission into the decode batch
+            admitted = self.decoder.admit()  # reprolint: disable=RL001 -- deliberate lock-step admission into the decode batch
+            prefilled = monotonic()
+            for entry in admitted:
+                self._start(entry, admit_started, prefilled)
+                self._emit(entry)
             step_started = monotonic()
             self._c_admit_seconds.inc(step_started - admit_started)
-            self._step()  # reprolint: disable=RL001 -- deliberate lock-step decode step; yields via sleep(0) below
+            stepped = self.decoder.step()  # reprolint: disable=RL001 -- deliberate lock-step decode step; yields via sleep(0) below
+            if stepped and stepped[0].error is None:  # a failed step served no one
+                self._c_steps.inc()
+                self._c_step_slots.inc(len(stepped))
+            for entry in stepped:
+                self._emit(entry)
             self._c_step_seconds.inc(monotonic() - step_started)
             # Yield so clients can consume streams and new submissions land.
             await asyncio.sleep(0)

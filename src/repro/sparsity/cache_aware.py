@@ -166,10 +166,6 @@ class CacheAwareDIP(DynamicInputPruning):
             cache.reset()
         self.stats = CacheHitStats()
 
-    def reset_cache(self) -> None:
-        """Backwards-compatible alias for :meth:`reset`."""
-        self.reset()
-
     # ------------------------------------------------------------------ masks
     def compute_masks(self, mlp: SwiGLUMLP, layer_index: int, x: np.ndarray) -> MLPMasks:
         """Sequential, cache-dependent mask computation (Algorithm 1).

@@ -173,6 +173,9 @@ class TestInprocFleet:
         with make_fleet(decode_workers=1) as fleet:
             with pytest.raises(RequestError, match="no decode room"):
                 fleet.submit(GenerationRequest(prompt=(1,) * 5000, max_new_tokens=4))
+            # The scheduler's budget rule: the KV cache must hold the budget too.
+            with pytest.raises(RequestError, match="at most 93 new tokens fit"):
+                fleet.submit(GenerationRequest(prompt=PROMPT, max_new_tokens=96))
             assert fleet.stats()["requests_failed"] == 0.0
 
     def test_least_loaded_spreads_concurrent_requests(self, reference_session):
@@ -313,6 +316,19 @@ class TestDrainAndCancel:
             result = stream.result(5)
             assert result.finish_reason == "cancelled"
             assert result.tokens == ()
+
+    def test_timeout_counts_from_worker_receipt(self):
+        """Time queued on a worker behind another request counts against
+        ``timeout_s``: the request expires in the worker's queue."""
+        with make_fleet(decode_workers=1) as fleet:
+            first = fleet.submit(GenerationRequest(prompt=PROMPT, max_new_tokens=90))
+            second = fleet.submit(
+                GenerationRequest(prompt=PROMPT, max_new_tokens=4, timeout_s=scaled(0.005))
+            )
+            result = second.result(60)
+            assert result.finish_reason == "timeout"
+            assert result.tokens == ()
+            assert first.result(60).finish_reason == "length"
 
     def test_cancel_inflight_request_terminates_stream(self):
         with make_fleet(decode_workers=1) as fleet:
@@ -476,11 +492,13 @@ class TestFleetServer:
         config = FleetConfig(decode_workers=1, experiment_workers=0, transport="inproc")
         with BackgroundServer(server_factory=FleetServer, fleet=config,
                               registry=MetricsRegistry()) as bg:
-            request = urllib.request.Request(bg.url + "/generate", data=b'{"prompt": []}',
-                                             headers={"Content-Type": "application/json"})
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                urllib.request.urlopen(request)
-            assert excinfo.value.code == 400
+            over_budget = json.dumps({"prompt": list(PROMPT), "max_new_tokens": 96})
+            for body in (b'{"prompt": []}', over_budget.encode()):
+                request = urllib.request.Request(bg.url + "/generate", data=body,
+                                                 headers={"Content-Type": "application/json"})
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    urllib.request.urlopen(request)
+                assert excinfo.value.code == 400
 
 
 # ------------------------------------------------------------- mailbox layer

@@ -12,7 +12,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine.inference import ContinuousBatch, SparseInferenceEngine, serve_continuous_greedy
+from repro.engine.inference import (
+    ContinuousBatch,
+    ContinuousDecoder,
+    DecodeRequest,
+    SparseInferenceEngine,
+    serve_continuous_greedy,
+)
 from repro.nn.attention import KVCache
 from repro.nn.prefix_cache import PrefixCache
 from repro.sparsity.cache_aware import CacheAwareDIP
@@ -236,33 +242,51 @@ class TestContinuousBatchPrefixCaching:
 
     def test_admit_metadata_validation(self, trained_tiny_model):
         batch = ContinuousBatch(trained_tiny_model, max_batch_size=2, max_seq_len=32)
-        with pytest.raises(ValueError, match="request_ids"):
-            batch.admit([np.arange(1, 4)], request_ids=["a", "b"])
-        with pytest.raises(ValueError, match="deadlines"):
-            batch.admit([np.arange(1, 4)], deadlines=[1.0, 2.0])
+        with pytest.raises(ValueError, match="cache_prefix"):
+            batch.admit([np.arange(1, 4)], cache_prefix=[True, False])
+        with pytest.raises(ValueError, match="admission policy"):
+            ContinuousDecoder(batch, admission="lifo")
+        decoder = ContinuousDecoder(batch)
+        with pytest.raises(ValueError, match="at most 30 new tokens fit"):
+            decoder.submit(DecodeRequest("a", np.arange(1, 4), max_new_tokens=31))
+        with pytest.raises(ValueError, match="positive"):
+            decoder.submit(DecodeRequest("a", np.arange(1, 4), max_new_tokens=0))
+        assert decoder.idle  # a rejected request never queues
 
 
 class TestSlotLifecycleMetadata:
+    """Request lifecycle on the decode driver: cancellation and deadlines."""
+
     def test_cancel_by_request_id_frees_slot(self, trained_tiny_model):
         batch = ContinuousBatch(trained_tiny_model, max_batch_size=2, max_seq_len=32)
-        slots, _ = batch.admit([np.arange(1, 4), np.arange(1, 6)], request_ids=["a", "b"])
+        decoder = ContinuousDecoder(batch)
+        for key, prompt in (("a", np.arange(1, 4)), ("b", np.arange(1, 6))):
+            decoder.submit(DecodeRequest(key, prompt, max_new_tokens=4))
+        a, b = decoder.admit()
         assert batch.occupancy == 2
-        assert batch.cancel("a") == slots[0]
-        assert batch.occupancy == 1 and slots[0] in batch.free_slots()
-        assert batch.cancel("a") is None  # already gone: not an error
-        assert batch.cancel("unknown") is None
+        assert decoder.find("a") is a
+        decoder.finish(a, "cancelled")
+        assert a.finish_reason == "cancelled"
+        assert batch.occupancy == 1 and a.slot in batch.free_slots()
+        assert decoder.find("a") is None  # already gone: not an error
+        assert decoder.find("unknown") is None
+        assert decoder.step() == [b]  # the survivor keeps decoding
 
     def test_expired_lists_slots_past_deadline(self, trained_tiny_model):
-        batch = ContinuousBatch(trained_tiny_model, max_batch_size=3, max_seq_len=32)
-        batch.admit(
-            [np.arange(1, 4), np.arange(1, 5), np.arange(1, 6)],
-            request_ids=["a", "b", "c"],
-            deadlines=[10.0, 20.0, None],
-        )
-        assert batch.expired(5.0) == []
-        assert batch.expired(15.0) == [(0, "a")]
-        assert sorted(batch.expired(25.0)) == [(0, "a"), (1, "b")]
-        batch.evict(0)
-        assert batch.expired(25.0) == [(1, "b")]
-        batch.reset()
-        assert batch.expired(25.0) == []
+        batch = ContinuousBatch(trained_tiny_model, max_batch_size=2, max_seq_len=32)
+        decoder = ContinuousDecoder(batch)
+        a, b, c, d = [
+            DecodeRequest(key, np.arange(1, 4 + i), max_new_tokens=4, deadline=deadline)
+            for i, (key, deadline) in enumerate((("a", 10.0), ("b", 20.0), ("c", None), ("d", 15.0)))
+        ]
+        for request in (a, b, c, d):
+            decoder.submit(request)
+        assert decoder.admit() == [a, b]  # c and d stay queued
+        assert decoder.overdue(5.0) == []
+        # Queued requests come first, then active ones by slot.
+        assert decoder.overdue(15.0) == [d, a]
+        assert decoder.overdue(25.0) == [d, a, b]
+        decoder.finish(a, "timeout")
+        decoder.finish(d, "timeout")
+        assert decoder.overdue(25.0) == [b]
+        assert a.slot in batch.free_slots() and decoder.waiting == [c]

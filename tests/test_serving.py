@@ -284,14 +284,22 @@ class TestContinuousBatch:
         for prompt, got in zip(ragged_prompts[:4], served):
             assert np.array_equal(trained_tiny_model.generate(prompt, 5, temperature=0.0), got)
 
-    def test_cache_state_method_rejected_above_width_one(self, trained_tiny_model):
+    def test_cache_state_method_rejected_above_width_one(self, trained_tiny_model, ragged_prompts):
         """Batched continuous decode would change DIP-CA's masks: refuse it."""
         engine = SparseInferenceEngine(trained_tiny_model, CacheAwareDIP(target_density=0.5))
         with pytest.raises(ValueError, match="requires cache state"):
             ContinuousBatch.from_engine(engine, max_batch_size=4, max_seq_len=64)
-        # width 1 decodes tokens in sequential order, which is well-defined
+        # Width 1 decodes tokens in sequential order, which is well-defined:
+        # the method resets before each admission, so every request decodes
+        # exactly as it would alone after a reset (the scheduler's and the
+        # fleet's rule).
         batch = ContinuousBatch.from_engine(engine, max_batch_size=1, max_seq_len=64)
         assert batch.max_batch_size == 1
+        prompts = ragged_prompts[:4]
+        served = serve_continuous_greedy(batch, prompts, [12] * len(prompts))
+        for prompt, got in zip(prompts, served):
+            engine.reset()
+            assert np.array_equal(engine.generate(prompt, 12, temperature=0.0), got)
 
     def test_flat_token_list_is_one_prompt(self, trained_tiny_model):
         """Regression: a flat list must mean one prompt, not N 1-token prompts."""
@@ -371,30 +379,31 @@ class TestScheduler:
         assert self._run(serve()).n_generated == 7
 
     def test_decode_failure_fails_batch_not_scheduler(self, tiny_session):
-        """A raising decode step fails its requests; the loop keeps serving."""
+        """A raising prefill or decode step fails its requests; the loop keeps serving."""
 
         async def serve():
             config = SchedulerConfig(max_batch_size=2, max_seq_len=48)
             async with ContinuousBatchingScheduler(tiny_session.share_calibration(), config) as sched:
-                original_step = sched.batch.step
-                calls = {"n": 0}
+                for name in ("admit", "step"):
+                    original = getattr(sched.batch, name)
+                    calls = {"n": 0}
 
-                def broken_step(slots, tokens):
-                    calls["n"] += 1
-                    if calls["n"] == 1:
-                        raise RuntimeError("injected decode fault")
-                    return original_step(slots, tokens)
+                    def broken(*args, original=original, calls=calls, **kwargs):
+                        calls["n"] += 1
+                        if calls["n"] == 1:
+                            raise RuntimeError("injected decode fault")
+                        return original(*args, **kwargs)
 
-                sched.batch.step = broken_step
-                with pytest.raises(RuntimeError, match="injected decode fault"):
-                    await sched.submit(GenerationRequest(prompt=(1, 2, 3), max_new_tokens=4))
+                    setattr(sched.batch, name, broken)
+                    with pytest.raises(RuntimeError, match="injected decode fault"):
+                        await sched.submit(GenerationRequest(prompt=(1, 2, 3), max_new_tokens=4))
                 # the scheduler survives and serves the next request normally
                 result = await sched.submit(GenerationRequest(prompt=(4, 5, 6), max_new_tokens=3))
                 return result, sched.stats()
 
         result, stats = self._run(serve())
         assert result.n_generated == 3
-        assert stats["requests_failed"] == 1
+        assert stats["requests_failed"] == 2
         assert stats["requests_completed"] == 1
         assert stats["active_requests"] == 0 and stats["batch_occupancy"] == 0.0
 
@@ -996,13 +1005,13 @@ class TestObservability:
         async def serve():
             config = SchedulerConfig(max_batch_size=1, max_seq_len=64)
             async with ContinuousBatchingScheduler(tiny_session.share_calibration(), config) as sched:
-                original = sched.batch.expired
+                original = sched.decoder.overdue
 
-                def slow_expired(now):
+                def slow_overdue(now):
                     time.sleep(sweep)  # simulate an expensive expiry sweep
                     return original(now)
 
-                sched.batch.expired = slow_expired
+                sched.decoder.overdue = slow_overdue
                 result = await sched.submit(GenerationRequest(prompt=(1, 2, 3), max_new_tokens=8))
                 return result, sched.stats()
 

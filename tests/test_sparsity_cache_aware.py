@@ -153,7 +153,7 @@ class TestCacheAwareDIP:
         x = np.random.default_rng(3).normal(size=(3, trained_tiny_model.config.d_model))
         method.compute_masks(mlp, 0, x)
         assert method.stats.hits + method.stats.misses > 0
-        method.reset_cache()
+        method.reset()
         assert method.stats.hits == 0 and method.stats.misses == 0
 
     def test_describe_includes_gamma(self):
