@@ -243,7 +243,7 @@ def _fleet_throughput(fleet: FleetManager, prompts, max_new_tokens: int) -> floa
     """Tokens/second for one wave of concurrent requests across the fleet."""
     start = time.perf_counter()
     streams = [
-        fleet.submit(GenerationRequest(prompt=tuple(int(t) for t in p),
+        fleet.stream(GenerationRequest(prompt=tuple(int(t) for t in p),
                                        max_new_tokens=max_new_tokens))
         for p in prompts
     ]

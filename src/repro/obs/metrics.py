@@ -23,9 +23,11 @@ Design points:
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 import threading
+import weakref
 import zlib
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -236,7 +238,8 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: Dict[Tuple[str, _LabelKey], _Metric] = {}
         self._types: Dict[str, str] = {}
-        self._collectors: List[Callable[[], None]] = []
+        #: Each collector behind a zero-arg lookup: weak for bound methods.
+        self._collectors: List[Callable[[], Optional[Callable[[], None]]]] = []
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------ registration
@@ -283,13 +286,29 @@ class MetricsRegistry:
         return metric
 
     def register_collector(self, collector: Callable[[], None]) -> None:
-        """Run ``collector()`` before every snapshot/render (gauge mirroring)."""
-        self._collectors.append(collector)
+        """Run ``collector()`` before every snapshot/render (gauge mirroring).
+
+        A bound method is held weakly and dropped once its object is gone, so
+        registering ``self._collect_gauges`` makes no reference cycle: a
+        finished scheduler (and its KV cache) is freed as soon as its owner
+        lets go of it, not whenever the cyclic garbage collector next runs.
+        """
+        lookup: Callable[[], Optional[Callable[[], None]]]
+        if inspect.ismethod(collector):
+            lookup = weakref.WeakMethod(collector)
+        else:  # any other callable is held strongly
+            lookup = lambda: collector  # noqa: E731
+        with self._lock:
+            self._collectors.append(lookup)
 
     # ----------------------------------------------------------------- queries
     def collect(self) -> None:
-        for collector in self._collectors:
-            collector()
+        with self._lock:
+            found = [(lookup, lookup()) for lookup in self._collectors]
+            self._collectors = [lookup for lookup, collector in found if collector is not None]
+        for _lookup, collector in found:
+            if collector is not None:
+                collector()
 
     def _grouped(self) -> Dict[str, List[_Metric]]:
         with self._lock:

@@ -193,10 +193,10 @@ class SparseSession:
         """Clone the session onto a *deep copy* of the current method.
 
         The copy carries any calibration state the method has already fitted,
-        so a pool of workers can :meth:`calibrate` once on the base session
-        and fan out independent sessions without re-running calibration (and
-        without sharing mutable method state across workers).  See
-        :class:`~repro.serving.pool.SessionPool`.
+        so callers can :meth:`calibrate` once on the base session and fan out
+        independent sessions without re-running calibration (and without
+        sharing mutable method state between them).  The scheduler runs each
+        ``/experiment`` on such a copy, and fleet decode workers decode on one.
         """
         clone = self.with_method(copy.deepcopy(self.method))
         clone._calibrated = self._calibrated

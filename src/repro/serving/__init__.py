@@ -15,20 +15,18 @@ request-driven service:
   streams cancelling server-side — and a
   :class:`~repro.nn.prefix_cache.PrefixCache` so requests sharing a prompt
   head (system prompts) prefill only their unseen suffix.
-* :mod:`repro.serving.pool` — :class:`SessionPool`, calibrate once and fan
-  out per-worker :class:`~repro.pipeline.session.SparseSession` clones.
-* :mod:`repro.serving.server` — a stdlib asyncio HTTP front-end
-  (``/generate`` with incremental token streaming, ``/experiment``,
-  ``/stats``, ``/metrics`` in Prometheus or JSON form) plus
-  :class:`BackgroundServer` for tests and demos.
 * :mod:`repro.serving.fleet` — the multi-process serving fleet:
   :class:`FleetManager` launches N decode workers (each hosting the same
   decode driver at width 1) plus a separate experiment worker class over
   pluggable mailbox transports (in-proc queues for
   deterministic tests, ``multiprocessing`` pipes for real isolation), with
   per-worker heartbeat/health, automatic restart, in-flight request
-  re-dispatch, and graceful drain; :class:`FleetServer` exposes the same
-  four HTTP endpoints routed through the fleet.
+  re-dispatch, and graceful drain.
+* :mod:`repro.serving.server` — :class:`ServingServer`, the one stdlib
+  asyncio HTTP front-end (``/generate`` with incremental token streaming,
+  ``/experiment``, ``/stats``, ``/metrics`` in Prometheus or JSON form) over
+  either service, the scheduler or the fleet, through a small protocol both
+  implement; plus :class:`BackgroundServer` for tests and demos.
 * :mod:`repro.serving.workload` — :class:`WorkloadSpec` synthetic traces
   (Poisson/bursty arrivals, log-normal lengths, shared-prefix tenant fleets)
   expanded deterministically by :func:`generate_workload` and replayed with
@@ -42,10 +40,13 @@ per-request :class:`~repro.obs.tracing.Trace` surfaced as
 
 .. code-block:: python
 
-    from repro.serving import ContinuousBatchingScheduler, GenerationRequest
+    from repro.serving import BackgroundServer, ContinuousBatchingScheduler, GenerationRequest
 
     async with ContinuousBatchingScheduler(session) as scheduler:
         result = await scheduler.submit(GenerationRequest(prompt=(5, 9, 2)))
+
+    with BackgroundServer(ContinuousBatchingScheduler(session)) as background:
+        ...  # HTTP requests against background.url
 """
 
 from repro.serving.requests import (
@@ -60,12 +61,10 @@ from repro.serving.scheduler import (
     SchedulerConfig,
     TokenStream,
 )
-from repro.serving.pool import SessionPool
 from repro.serving.server import BackgroundServer, ServingServer
 from repro.serving.fleet import (
     FleetConfig,
     FleetManager,
-    FleetServer,
     FleetStream,
     WorkerSpec,
 )
@@ -85,14 +84,12 @@ __all__ = [
     "ContinuousBatchingScheduler",
     "FleetConfig",
     "FleetManager",
-    "FleetServer",
     "FleetStream",
     "GenerationRequest",
     "GenerationResult",
     "RequestError",
     "SchedulerConfig",
     "ServingServer",
-    "SessionPool",
     "TokenStream",
     "WorkerSpec",
     "WorkloadRequest",

@@ -19,15 +19,21 @@ router + worker-pool architecture:
   restart with in-flight request re-dispatch (greedy/seeded decoding is
   deterministic, so a retried request reproduces its tokens and duplicates
   are suppressed by index), and graceful drain.
-* :mod:`~repro.serving.fleet.http` — :class:`FleetServer`, the HTTP
-  front-end with per-worker ``/stats`` and ``worker``-labelled ``/metrics``.
+
+The manager implements the service protocol of
+:class:`~repro.serving.server.ServingServer`, so the one HTTP front-end
+serves the fleet too, with per-worker ``/stats`` and ``worker``-labelled
+``/metrics``.
 
 .. code-block:: python
 
-    from repro.serving import FleetConfig, FleetManager, GenerationRequest
+    from repro.serving import BackgroundServer, FleetConfig, FleetManager, GenerationRequest
 
     with FleetManager(FleetConfig(decode_workers=2, transport="pipe")) as fleet:
         result = fleet.generate(GenerationRequest(prompt=(5, 9, 2)))
+
+    with BackgroundServer(FleetManager(FleetConfig())) as background:
+        ...  # HTTP requests against background.url
 """
 
 from repro.serving.fleet.config import (
@@ -41,7 +47,6 @@ from repro.serving.fleet.config import (
     build_worker_session,
 )
 from repro.serving.fleet.exchange import Mailbox, TransportClosed, WorkerHandle, create_transport
-from repro.serving.fleet.http import FleetServer
 from repro.serving.fleet.manager import FleetManager, FleetStream
 
 __all__ = [
@@ -49,7 +54,6 @@ __all__ = [
     "EXPERIMENT_ENTRYPOINT",
     "FleetConfig",
     "FleetManager",
-    "FleetServer",
     "FleetStream",
     "Mailbox",
     "ROUTING_POLICIES",

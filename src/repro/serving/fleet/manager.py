@@ -21,19 +21,21 @@ to the experiment class, and supervises the lot:
   killed if they ignore it.
 
 Per-worker stats arrive on heartbeats and are mirrored into the
-:mod:`repro.obs` registry with a ``worker`` label, which is how the fleet
-HTTP server's ``/metrics`` aggregates the pool.
+:mod:`repro.obs` registry with a ``worker`` label, which is how ``/metrics``
+aggregates the pool when :class:`~repro.serving.server.ServingServer` hosts
+the fleet (the manager implements its service protocol).
 """
 
 from __future__ import annotations
 
+import asyncio
 import itertools
 import queue
 import threading
 import uuid
 import zlib
 from collections import deque
-from typing import Any, Deque, Dict, Iterator, List, Optional, Set, Union
+from typing import Any, AsyncIterator, Deque, Dict, Iterator, List, Optional, Set, Union
 
 from repro.engine.inference import check_budget
 from repro.obs import MetricsRegistry, monotonic
@@ -105,10 +107,12 @@ class _WorkerState:
 
 
 class FleetStream:
-    """Blocking token stream of one fleet request (thread-safe).
+    """Token stream of one fleet request (thread-safe).
 
     Iterating yields tokens as workers produce them — across worker deaths
-    and re-dispatches, without duplicates.  :meth:`result` joins the request.
+    and re-dispatches, without duplicates.  ``for`` blocks the calling
+    thread; ``async for`` pulls each token on the loop's default executor.
+    :meth:`result` joins the request.
     """
 
     def __init__(self, entry: _Entry) -> None:
@@ -123,21 +127,15 @@ class FleetStream:
         return self._entry.result.finish_reason if self._entry.result is not None else None
 
     def __iter__(self) -> Iterator[int]:
-        while True:
-            item = self._entry.queue.get()
-            if item is _DONE:
-                if self._entry.error is not None:
-                    raise RuntimeError(self._entry.error)
-                return
-            yield int(item)
+        while (token := self._token(self._entry.queue.get())) is not None:
+            yield token
 
-    def next_item(self) -> Union[int, None]:
-        """One queue pull: a token, or ``None`` once the stream ended.
+    async def __aiter__(self) -> AsyncIterator[int]:
+        while (token := self._token(await asyncio.to_thread(self._entry.queue.get))) is not None:
+            yield token
 
-        Raises like iteration does; exists so an async caller can bridge the
-        blocking pull through ``run_in_executor`` one item at a time.
-        """
-        item = self._entry.queue.get()
+    def _token(self, item: Any) -> Optional[int]:
+        """A pulled token, or ``None`` once the stream ended; raises if the request failed."""
         if item is _DONE:
             if self._entry.error is not None:
                 raise RuntimeError(self._entry.error)
@@ -538,8 +536,8 @@ class FleetManager:
             self._dispatch(item)
 
     # ------------------------------------------------------------ public API
-    def submit(self, request: GenerationRequest, *, fault: Optional[str] = None) -> FleetStream:
-        """Route a request to a decode worker; returns a blocking stream.
+    def stream(self, request: GenerationRequest, *, fault: Optional[str] = None) -> FleetStream:
+        """Route a request to a decode worker; returns its token stream.
 
         Raises :class:`RequestError` when the prompt and its budget cannot
         fit a worker's KV slot.
@@ -569,8 +567,8 @@ class FleetManager:
         return FleetStream(entry)
 
     def generate(self, request: GenerationRequest, timeout: Optional[float] = None) -> GenerationResult:
-        """Blocking convenience: submit and join one request."""
-        return self.submit(request).result(timeout)
+        """Blocking convenience: stream and join one request."""
+        return self.stream(request).result(timeout)
 
     def cancel(self, request_id: str) -> bool:
         """Cancel an in-flight request; returns whether it was known."""

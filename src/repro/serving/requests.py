@@ -204,7 +204,8 @@ def run_experiment_payload(
 
     ``payload`` is a spec mapping (or its JSON text); ``session`` reuses an
     already-prepared :class:`~repro.pipeline.session.SparseSession` (the
-    server passes a pool worker so no model training happens per request).
+    scheduler passes a calibration-sharing copy of its own, so no model
+    training happens per request).
     When a session is given, the spec's model must name the session's model —
     the rows are computed on the session's model, so a mismatched spec would
     silently return wrong-model results.

@@ -46,7 +46,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import time
-from typing import AsyncIterator, Dict, Optional
+from typing import Any, AsyncIterator, Dict, Mapping, Optional, Union
 
 from repro.backend import resolve_backend
 from repro.engine.inference import (
@@ -58,7 +58,12 @@ from repro.engine.inference import (
 from repro.nn.prefix_cache import PrefixCache
 from repro.obs import MetricsRegistry, Trace, TraceSink, monotonic
 from repro.pipeline.session import SparseSession
-from repro.serving.requests import GenerationRequest, GenerationResult, RequestError
+from repro.serving.requests import (
+    GenerationRequest,
+    GenerationResult,
+    RequestError,
+    run_experiment_payload,
+)
 from repro.utils.logging import get_logger
 
 logger = get_logger("serving.scheduler")
@@ -182,10 +187,27 @@ class TokenStream:
         while True:
             item = await self._entry.stream.get()
             if item is _DONE:
-                ContinuousBatchingScheduler._raise_if_failed(self._entry)
+                self._raise_if_failed()
                 return
             assert isinstance(item, int)  # the queue carries tokens and _DONE
             yield item
+
+    def result(self) -> GenerationResult:
+        """The finished request's :class:`GenerationResult`; drain the stream first.
+
+        Raises ``RuntimeError`` if the request failed server-side (its decode
+        iteration raised) or has not finished yet.
+        """
+        if self._entry.finish_reason is None:
+            raise RuntimeError(f"request {self.request_id} has not finished; drain its stream first")
+        self._raise_if_failed()
+        return self._entry.result()
+
+    def _raise_if_failed(self) -> None:
+        if self._entry.error is not None:
+            raise RuntimeError(
+                f"request {self.request_id} failed: {self._entry.error}"
+            ) from self._entry.error
 
 
 class ContinuousBatchingScheduler:
@@ -292,7 +314,26 @@ class ContinuousBatchingScheduler:
         await self.stop()
 
     # ------------------------------------------------------------------ intake
-    def _enqueue(self, request: GenerationRequest) -> _Entry:
+    async def submit(self, request: GenerationRequest) -> GenerationResult:
+        """Queue a request and await its completed :class:`GenerationResult`.
+
+        Raises ``RuntimeError`` if the request failed server-side (its decode
+        iteration raised); other queued requests are unaffected.
+        """
+        stream = self.stream(request)
+        async for _token in stream:
+            pass
+        return stream.result()
+
+    def stream(self, request: GenerationRequest) -> TokenStream:
+        """Queue a request and return an async iterator over its tokens.
+
+        Queueing (and its validation) happens *eagerly* at the call, not at
+        the first ``__anext__`` — so callers can reject a bad request before
+        committing to a streamed response — and the returned
+        :class:`TokenStream` carries the scheduler-assigned ``request_id``
+        (the HTTP server relies on both).
+        """
         if self._task is None:
             raise RuntimeError("scheduler is not running; use 'async with' or await start()")
         if self._stopping:
@@ -314,38 +355,19 @@ class ContinuousBatchingScheduler:
             raise RequestError(str(exc)) from None
         self._c_submitted.inc()
         self._wake.set()
-        return entry
+        return TokenStream(entry)
 
-    async def submit(self, request: GenerationRequest) -> GenerationResult:
-        """Queue a request and await its completed :class:`GenerationResult`.
+    async def experiment(self, payload: Union[str, Mapping[str, Any]]) -> Dict[str, Any]:
+        """Run an :class:`~repro.pipeline.spec.ExperimentSpec` payload beside decoding.
 
-        Raises ``RuntimeError`` if the request failed server-side (its decode
-        iteration raised); other queued requests are unaffected.
+        The payload runs through :func:`~repro.serving.requests.run_experiment_payload`
+        in a thread, on a fresh :meth:`~repro.pipeline.session.SparseSession.share_calibration`
+        copy of the session.  The copy is taken here, on the loop thread
+        between decode steps, so it never captures a cache-state method
+        mid-step; decoding keeps running while the experiment does.
         """
-        entry = self._enqueue(request)
-        while True:
-            item = await entry.stream.get()
-            if item is _DONE:
-                self._raise_if_failed(entry)
-                return entry.result()
-
-    def stream(self, request: GenerationRequest) -> "TokenStream":
-        """Queue a request and return an async iterator over its tokens.
-
-        Queueing (and its validation) happens *eagerly* at the call, not at
-        the first ``__anext__`` — so callers can reject a bad request before
-        committing to a streamed response — and the returned
-        :class:`TokenStream` carries the scheduler-assigned ``request_id``
-        (the HTTP server relies on both).
-        """
-        return TokenStream(self._enqueue(request))
-
-    @staticmethod
-    def _raise_if_failed(entry: _Entry) -> None:
-        if entry.error is not None:
-            raise RuntimeError(
-                f"request {entry.request.request_id} failed: {entry.error}"
-            ) from entry.error
+        session = self.session.share_calibration()
+        return await asyncio.to_thread(run_experiment_payload, payload, session=session)
 
     # ------------------------------------------------------------ cancellation
     def cancel(self, request_id: str) -> bool:
@@ -455,6 +477,8 @@ class ContinuousBatchingScheduler:
             "busy_seconds": busy,
             "tokens_per_second": (tokens / busy) if busy > 0 else 0.0,
             "sequential_method": self._sequential_method,
+            "method": self.session.method.name,
+            "model": self.session.model_name,
             "backend": backend.name,
             "prefix_cache": prefix,
         }
@@ -510,8 +534,7 @@ class ContinuousBatchingScheduler:
             self._expire_deadlines()
             # The decode loop is deliberately lock-step: one numpy forward per
             # iteration on the loop thread, with an await-point between steps.
-            # Offloading each step would add an executor hop per token and
-            # serialise against the session pool anyway.
+            # Offloading each step would add an executor hop per token.
             admit_started = monotonic()
             admitted = self.decoder.admit()  # reprolint: disable=RL001 -- deliberate lock-step admission into the decode batch
             prefilled = monotonic()

@@ -1,48 +1,97 @@
-"""Stdlib-only JSON/HTTP front-end over the continuous-batching scheduler.
+"""The stdlib-only JSON/HTTP front-end over a serving service.
 
-A small HTTP/1.1 server on ``asyncio`` streams (no third-party web framework,
-matching the repo's no-new-dependencies rule) exposing
+:class:`ServingServer` is a small HTTP/1.1 server on ``asyncio`` streams (no
+third-party web framework, matching the repo's no-new-dependencies rule)
+exposing
 
 * ``POST /generate`` — a :class:`~repro.serving.requests.GenerationRequest`
   payload; streams tokens back incrementally as newline-delimited JSON chunks
-  (``Transfer-Encoding: chunked``), ending with the full
-  :class:`~repro.serving.requests.GenerationResult`.  ``"stream": false`` in
-  the payload returns one final JSON object instead.
+  (``Transfer-Encoding: chunked``), ending with a summary of the whole
+  request.  ``"stream": false`` in the payload returns one final
+  :class:`~repro.serving.requests.GenerationResult` JSON object instead.
 * ``POST /experiment`` — a full :class:`~repro.pipeline.spec.ExperimentSpec`
-  payload, routed through :func:`~repro.pipeline.runner.run_experiment` on a
-  pool worker (in a thread, so decoding keeps running).
-* ``GET /stats`` — scheduler + session-pool metrics (queue depth, batch
-  occupancy, tokens/sec).
-* ``GET /metrics`` — the scheduler's
-  :class:`~repro.obs.metrics.MetricsRegistry` in Prometheus text exposition
-  format (scrape-ready); ``GET /metrics?format=json`` returns the structured
-  snapshot instead.
+  payload, run by the service's ``experiment`` without stalling decode.
+* ``GET /stats`` — the service's ``stats()``, as the service reports them.
+* ``GET /metrics`` — the service's :class:`~repro.obs.metrics.MetricsRegistry`
+  in Prometheus text exposition format (scrape-ready);
+  ``GET /metrics?format=json`` returns the structured snapshot instead.
 
-Construction wires the pieces together: one :class:`SessionPool` sharing the
-base session's calibration, one scheduler worker, and ``pool_size`` workers
-for experiments.
+The front-end serves any :class:`Service`; the single-process
+:class:`~repro.serving.scheduler.ContinuousBatchingScheduler` and the
+multi-process :class:`~repro.serving.fleet.manager.FleetManager` both are
+one.  The protocol:
+
+* ``start()``, ``stop()`` and ``experiment(payload)`` — coroutine functions
+  are awaited; blocking ones run on the loop's default executor.
+* ``stream(request)`` — validates and queues the request at the call, so an
+  over-budget request or a full queue gets a 400 before any chunked head is
+  written.  It returns an async iterator over the request's tokens that
+  carries ``request_id``, ``finish_reason`` and ``result()``, the
+  :class:`~repro.serving.requests.GenerationResult` once drained.
+* ``cancel(request_id)`` — called when a streaming client disconnects.
+* ``stats()`` and ``registry`` — behind ``/stats`` and ``/metrics``.
+
+The front-end owns its service's lifecycle: :meth:`ServingServer.start`
+starts the service and :meth:`ServingServer.stop` stops it.
 """
 
 from __future__ import annotations
 
 import asyncio
+import inspect
 import json
 import threading
 import urllib.parse
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, AsyncIterator, Callable, Dict, List, Mapping, Optional, Protocol, Tuple
 
-from repro.obs import MetricsRegistry, TraceSink
-from repro.pipeline.session import SparseSession
+from repro.obs import MetricsRegistry
 from repro.pipeline.spec import SpecError
-from repro.serving.pool import SessionPool
-from repro.serving.requests import GenerationRequest, RequestError, run_experiment_payload
-from repro.serving.scheduler import ContinuousBatchingScheduler, SchedulerConfig
+from repro.serving.requests import GenerationRequest, GenerationResult, RequestError
 from repro.utils.logging import get_logger
 
 logger = get_logger("serving.server")
 
 _MAX_HEADER_BYTES = 64 * 1024
 _MAX_BODY_BYTES = 16 * 1024 * 1024
+
+
+class TokenSource(Protocol):
+    """The async token stream a :class:`Service` returns from ``stream``."""
+
+    @property
+    def request_id(self) -> str: ...
+
+    @property
+    def finish_reason(self) -> Optional[str]: ...
+
+    def __aiter__(self) -> AsyncIterator[int]: ...
+
+    def result(self) -> GenerationResult: ...
+
+
+class Service(Protocol):
+    """What :class:`ServingServer` serves (see the module docstring)."""
+
+    registry: MetricsRegistry
+
+    def start(self) -> object: ...
+
+    def stop(self) -> object: ...
+
+    def experiment(self, payload: Any) -> object: ...
+
+    def stream(self, request: GenerationRequest) -> TokenSource: ...
+
+    def cancel(self, request_id: str) -> bool: ...
+
+    def stats(self) -> Mapping[str, Any]: ...
+
+
+async def _call(method: Callable[..., Any], *args: Any) -> Any:
+    """Await a coroutine function; run a blocking one on the default executor."""
+    if inspect.iscoroutinefunction(method):
+        return await method(*args)
+    return await asyncio.to_thread(method, *args)
 
 
 class _HTTPError(Exception):
@@ -58,8 +107,8 @@ _STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found", 405: "Method No
 
 async def _read_request(
     reader: asyncio.StreamReader,
-) -> Tuple[str, str, Dict[str, str], Dict[str, str], bytes]:
-    """Parse one HTTP/1.1 request: (method, path, query, headers, body)."""
+) -> Tuple[str, str, Dict[str, str], bytes]:
+    """Parse one HTTP/1.1 request: (method, path, query, body)."""
     try:
         head = await reader.readuntil(b"\r\n\r\n")
     except asyncio.IncompleteReadError as exc:
@@ -79,13 +128,30 @@ async def _read_request(
             continue
         name, _, value = line.partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    raw_length = headers.get("content-length", "0")
+    if not (raw_length.isascii() and raw_length.isdigit()):
+        raise _HTTPError(400, f"Content-Length must be a non-negative integer, got {raw_length!r}")
+    length = int(raw_length)
     if length > _MAX_BODY_BYTES:
         raise _HTTPError(413, "body too large")
-    body = await reader.readexactly(length) if length else b""
+    try:
+        body = await reader.readexactly(length) if length else b""
+    except asyncio.IncompleteReadError as exc:
+        raise _HTTPError(400, "truncated request body") from exc
     path, _, query_string = path.partition("?")
     query = dict(urllib.parse.parse_qsl(query_string))
-    return method, path, query, headers, body
+    return method, path, query, body
+
+
+def _json_object(body: bytes) -> Dict[str, Any]:
+    """The request body as a JSON object (an empty body is ``{}``)."""
+    try:
+        payload = json.loads(body.decode() or "{}")
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise _HTTPError(400, f"request body is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise _HTTPError(400, "request body must be a JSON object")
+    return payload
 
 
 def _response_head(status: int, content_type: str, extra: str = "") -> bytes:
@@ -106,42 +172,33 @@ def _write_chunk(writer: asyncio.StreamWriter, data: bytes) -> None:
 
 
 class ServingServer:
-    """The serving front-end: scheduler + session pool + HTTP endpoints."""
+    """The HTTP endpoints over one :class:`Service`, whose lifecycle it owns."""
 
-    def __init__(
-        self,
-        session: SparseSession,
-        *,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        config: Optional[SchedulerConfig] = None,
-        pool_size: int = 2,
-        registry: Optional[MetricsRegistry] = None,
-        trace_sink: Optional[TraceSink] = None,
-    ) -> None:
-        # The pool calibrates the base session once; the scheduler gets its
-        # own calibration-sharing worker so /experiment never borrows it.
-        self.pool = SessionPool(session, size=pool_size)
-        self.scheduler = ContinuousBatchingScheduler(
-            session.share_calibration(), config, registry=registry, trace_sink=trace_sink
-        )
+    def __init__(self, service: Service, *, host: str = "127.0.0.1", port: int = 0) -> None:
+        self.service = service
         self.host = host
         self.port = port
         self._server: Optional[asyncio.Server] = None
 
     # ---------------------------------------------------------------- lifecycle
     async def start(self) -> None:
-        await self.scheduler.start()
-        self._server = await asyncio.start_server(self._handle, self.host, self.port)
+        """Start the service, then bind the port (``port=0`` picks a free one)."""
+        await _call(self.service.start)
+        try:
+            self._server = await asyncio.start_server(self._handle, self.host, self.port)
+        except OSError:
+            await _call(self.service.stop)
+            raise
         self.port = self._server.sockets[0].getsockname()[1]
-        logger.info("serving on http://%s:%d", self.host, self.port)
+        logger.info("serving %s on http://%s:%d", type(self.service).__name__, self.host, self.port)
 
     async def stop(self) -> None:
+        """Stop accepting connections, then stop the service."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        await self.scheduler.stop()
+        await _call(self.service.stop)
 
     async def serve_forever(self) -> None:
         if self._server is None:
@@ -157,13 +214,14 @@ class ServingServer:
     async def _handle(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         try:
             try:
-                method, path, query, _headers, body = await _read_request(reader)
+                method, path, query, body = await _read_request(reader)
                 if (method, path) == ("POST", "/generate"):
                     await self._handle_generate(writer, body)
                 elif (method, path) == ("POST", "/experiment"):
-                    await self._handle_experiment(writer, body)
+                    result = await _call(self.service.experiment, _json_object(body))
+                    _json_response(writer, 200, result)
                 elif (method, path) == ("GET", "/stats"):
-                    _json_response(writer, 200, self.stats())
+                    _json_response(writer, 200, self.service.stats())
                 elif (method, path) == ("GET", "/metrics"):
                     self._handle_metrics(writer, query)
                 elif path in ("/generate", "/experiment", "/stats", "/metrics"):
@@ -194,32 +252,28 @@ class ServingServer:
 
     # --------------------------------------------------------------- endpoints
     async def _handle_generate(self, writer: asyncio.StreamWriter, body: bytes) -> None:
-        try:
-            payload = json.loads(body.decode() or "{}")
-        except json.JSONDecodeError as exc:
-            raise _HTTPError(400, f"request body is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise _HTTPError(400, "request body must be a JSON object")
-        stream = bool(payload.pop("stream", True))
+        payload = _json_object(body)
+        stream = payload.pop("stream", True)
+        if not isinstance(stream, bool):
+            raise _HTTPError(400, f"'stream' must be true or false, got {stream!r}")
         request = GenerationRequest.from_dict(payload)
+        # Queue (and validate) the request *before* committing to a response,
+        # so queue-full / over-budget errors still go out as a clean 400.
+        token_stream = self.service.stream(request)
         if not stream:
-            result = await self.scheduler.submit(request)
-            _json_response(writer, 200, result.to_dict())
+            async for _token in token_stream:
+                pass
+            _json_response(writer, 200, token_stream.result().to_dict())
             return
-        # Queue (and validate) the request *before* committing to the chunked
-        # head, so queue-full / over-budget errors still go out as a clean 400.
-        token_stream = self.scheduler.stream(request)
         writer.write(_response_head(200, "application/x-ndjson", "Transfer-Encoding: chunked\r\n"))
-        index = 0
-        tokens: list = []
-        final = {"done": True, "request_id": token_stream.request_id,
-                 "prompt": list(request.prompt), "tokens": tokens}
+        tokens: List[int] = []
+        final: Dict[str, Any] = {"done": True, "request_id": token_stream.request_id,
+                                 "prompt": list(request.prompt), "tokens": tokens}
         try:
             async for token in token_stream:
+                _write_chunk(writer, (json.dumps({"index": len(tokens), "token": token}) + "\n").encode())
                 tokens.append(token)
-                _write_chunk(writer, (json.dumps({"index": index, "token": token}) + "\n").encode())
                 await writer.drain()
-                index += 1
             final["finish_reason"] = token_stream.finish_reason
         except RuntimeError as exc:
             # Server-side decode failure after the chunked response started:
@@ -228,68 +282,42 @@ class ServingServer:
                      "error": str(exc), "tokens": tokens}
         except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
             # The client dropped the stream (or the server is shutting the
-            # handler down): stop decoding for it and free its KV slot now.
-            self.scheduler.cancel(token_stream.request_id)
+            # handler down): stop decoding for it and free its slot now.
+            self.service.cancel(token_stream.request_id)
             raise
         _write_chunk(writer, (json.dumps(final, sort_keys=True) + "\n").encode())
         _write_chunk(writer, b"")  # terminal chunk
 
-    async def _handle_experiment(self, writer: asyncio.StreamWriter, body: bytes) -> None:
-        try:
-            payload = json.loads(body.decode() or "{}")
-        except json.JSONDecodeError as exc:
-            raise _HTTPError(400, f"request body is not valid JSON: {exc}") from exc
-
-        def run() -> Dict[str, Any]:
-            with self.pool.borrow() as worker:
-                return run_experiment_payload(payload, session=worker)
-
-        result = await asyncio.get_running_loop().run_in_executor(None, run)
-        _json_response(writer, 200, result)
-
     def _handle_metrics(self, writer: asyncio.StreamWriter, query: Dict[str, str]) -> None:
         fmt = query.get("format", "prometheus")
         if fmt == "json":
-            _json_response(writer, 200, self.scheduler.registry.snapshot())
+            _json_response(writer, 200, self.service.registry.snapshot())
             return
         if fmt != "prometheus":
             raise _HTTPError(400, f"unknown metrics format {fmt!r}; use 'prometheus' or 'json'")
-        body = self.scheduler.registry.render_prometheus().encode()
+        body = self.service.registry.render_prometheus().encode()
         writer.write(_response_head(
             200, "text/plain; version=0.0.4; charset=utf-8", f"Content-Length: {len(body)}\r\n"
         ))
         writer.write(body)
 
-    def stats(self) -> Dict[str, Any]:
-        return {"scheduler": self.scheduler.stats(), "pool": self.pool.stats()}
-
 
 class BackgroundServer:
-    """Run an asyncio serving front-end on a daemon thread (tests, demos).
+    """Run a :class:`ServingServer` over ``service`` on a daemon thread (tests, demos).
 
     ::
 
-        background = BackgroundServer(session)
-        background.start()          # returns once the port is bound
+        background = BackgroundServer(ContinuousBatchingScheduler(session))
+        background.start()          # returns once the service is up and the port bound
         ... http requests against background.url ...
-        background.stop()
+        background.stop()           # closes the port, then stops the service
 
-    By default builds a :class:`ServingServer` from ``session``; pass
-    ``server_factory`` (a zero-arg callable returning any object with async
-    ``start``/``stop`` and a ``url``, e.g. a
-    :class:`~repro.serving.fleet.http.FleetServer`) to host a different
-    front-end on the same thread/loop machinery.
+    The fleet is hosted the same way, ``BackgroundServer(FleetManager(config))``.
+    The server starts and stops its service, so pass one that is not running.
     """
 
-    def __init__(self, session: Optional[SparseSession] = None,
-                 server_factory: Optional[Callable[..., Any]] = None,
-                 **server_kwargs: Any) -> None:
-        if (session is None) == (server_factory is None):
-            raise ValueError("pass exactly one of session or server_factory")
-        self._session = session
-        self._server_factory = server_factory
-        self._server_kwargs = server_kwargs
-        self.server: Optional[Any] = None
+    def __init__(self, service: Service) -> None:
+        self.server = ServingServer(service)
         self._thread: Optional[threading.Thread] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._ready = threading.Event()
@@ -297,8 +325,6 @@ class BackgroundServer:
 
     @property
     def url(self) -> str:
-        if self.server is None:
-            raise RuntimeError("server not started")
         return self.server.url
 
     def start(self, timeout: float = 60.0) -> "BackgroundServer":
@@ -311,7 +337,7 @@ class BackgroundServer:
         return self
 
     def stop(self, timeout: float = 60.0) -> None:
-        if self._loop is None or self.server is None:
+        if self._loop is None or self._loop.is_closed():
             return
         future = asyncio.run_coroutine_threadsafe(self.server.stop(), self._loop)
         future.result(timeout)
@@ -330,16 +356,11 @@ class BackgroundServer:
         asyncio.set_event_loop(loop)
         self._loop = loop
         try:
-            if self._server_factory is not None:
-                self.server = self._server_factory(**self._server_kwargs)
-            else:
-                assert self._session is not None  # enforced in __init__
-                self.server = ServingServer(self._session, **self._server_kwargs)
             loop.run_until_complete(self.server.start())
-        except BaseException as exc:  # surface construction errors to start()
+        except BaseException as exc:  # surface start-up errors to start()
+            loop.close()
             self._error = exc
             self._ready.set()
-            loop.close()
             return
         self._ready.set()
         try:

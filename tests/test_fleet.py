@@ -33,7 +33,6 @@ from repro.serving.fleet import (
     DECODE_ENTRYPOINT,
     FleetConfig,
     FleetManager,
-    FleetServer,
     WorkerConfig,
     WorkerSpec,
     build_worker_session,
@@ -137,7 +136,7 @@ class TestInprocFleet:
             assert list(result.tokens) == want
             assert result.finish_reason == "length"
             assert result.timings["redispatches"] == 0.0
-            streamed = list(fleet.submit(GenerationRequest(prompt=PROMPT, max_new_tokens=8)))
+            streamed = list(fleet.stream(GenerationRequest(prompt=PROMPT, max_new_tokens=8)))
             assert streamed == want
             stats = fleet.stats()
             assert stats["requests_completed"] == 2.0
@@ -166,23 +165,23 @@ class TestInprocFleet:
 
         assert [list(r.tokens) for r in asyncio.run(serve())] == want
         with make_fleet(decode_workers=2) as fleet:
-            streams = [fleet.submit(r) for r in requests]
+            streams = [fleet.stream(r) for r in requests]
             assert [list(s.result(60).tokens) for s in streams] == want
 
     def test_overlong_prompt_rejected_before_dispatch(self):
         with make_fleet(decode_workers=1) as fleet:
             with pytest.raises(RequestError, match="no decode room"):
-                fleet.submit(GenerationRequest(prompt=(1,) * 5000, max_new_tokens=4))
+                fleet.stream(GenerationRequest(prompt=(1,) * 5000, max_new_tokens=4))
             # The scheduler's budget rule: the KV cache must hold the budget too.
             with pytest.raises(RequestError, match="at most 93 new tokens fit"):
-                fleet.submit(GenerationRequest(prompt=PROMPT, max_new_tokens=96))
+                fleet.stream(GenerationRequest(prompt=PROMPT, max_new_tokens=96))
             assert fleet.stats()["requests_failed"] == 0.0
 
     def test_least_loaded_spreads_concurrent_requests(self, reference_session):
         want = expected_tokens(reference_session, PROMPT, 48)
         with make_fleet(decode_workers=2, routing="least_loaded") as fleet:
-            first = fleet.submit(GenerationRequest(prompt=PROMPT, max_new_tokens=48))
-            second = fleet.submit(GenerationRequest(prompt=PROMPT, max_new_tokens=48))
+            first = fleet.stream(GenerationRequest(prompt=PROMPT, max_new_tokens=48))
+            second = fleet.stream(GenerationRequest(prompt=PROMPT, max_new_tokens=48))
             assert list(first.result(60).tokens) == want
             assert list(second.result(60).tokens) == want
 
@@ -210,7 +209,7 @@ class TestInprocFleet:
     def test_fault_injection_requires_opt_in(self):
         with make_fleet(decode_workers=1) as fleet:
             with pytest.raises(ValueError, match="allow_fault_injection"):
-                fleet.submit(GenerationRequest(prompt=PROMPT), fault=FAULT_BEFORE_PREFILL)
+                fleet.stream(GenerationRequest(prompt=PROMPT), fault=FAULT_BEFORE_PREFILL)
 
 
 # -------------------------------------------------------- crash / re-dispatch
@@ -218,7 +217,7 @@ class TestWorkerCrash:
     def test_kill_during_prefill_redispatches_with_parity(self, reference_session):
         want = expected_tokens(reference_session, PROMPT, 6)
         with make_fleet(decode_workers=2, allow_fault_injection=True) as fleet:
-            stream = fleet.submit(
+            stream = fleet.stream(
                 GenerationRequest(prompt=PROMPT, max_new_tokens=6), fault=FAULT_BEFORE_PREFILL
             )
             result = stream.result(60)
@@ -232,7 +231,7 @@ class TestWorkerCrash:
     def test_kill_mid_decode_streams_without_duplicates(self, reference_session):
         want = expected_tokens(reference_session, PROMPT, 8)
         with make_fleet(decode_workers=2, allow_fault_injection=True) as fleet:
-            stream = fleet.submit(
+            stream = fleet.stream(
                 GenerationRequest(prompt=PROMPT, max_new_tokens=8), fault="after-token-2"
             )
             # The worker dies after streaming tokens 0..2; the retried request
@@ -245,7 +244,7 @@ class TestWorkerCrash:
         """Worker dies after the last token but before the result frame."""
         want = expected_tokens(reference_session, PROMPT, 5)
         with make_fleet(decode_workers=2, allow_fault_injection=True) as fleet:
-            stream = fleet.submit(
+            stream = fleet.stream(
                 GenerationRequest(prompt=PROMPT, max_new_tokens=5), fault="after-token-4"
             )
             assert list(stream) == want  # every token exactly once
@@ -257,7 +256,7 @@ class TestWorkerCrash:
     def test_redispatch_budget_exhaustion_fails_explicitly(self, reference_session):
         want = expected_tokens(reference_session, PROMPT, 4)
         with make_fleet(decode_workers=1, allow_fault_injection=True, max_redispatch=0) as fleet:
-            stream = fleet.submit(
+            stream = fleet.stream(
                 GenerationRequest(prompt=PROMPT, max_new_tokens=4), fault=FAULT_BEFORE_PREFILL
             )
             with pytest.raises(RuntimeError, match="re-dispatched"):
@@ -272,7 +271,7 @@ class TestWorkerCrash:
     def test_restart_budget_exhaustion_fails_leftovers_on_stop(self):
         fleet = make_fleet(decode_workers=1, allow_fault_injection=True, max_restarts=0)
         with fleet:
-            stream = fleet.submit(
+            stream = fleet.stream(
                 GenerationRequest(prompt=PROMPT, max_new_tokens=4), fault=FAULT_BEFORE_PREFILL
             )
             # The only worker is dead and never restarts: the re-dispatched
@@ -291,13 +290,13 @@ class TestDrainAndCancel:
         fleet = make_fleet(decode_workers=1)
         fleet.start()
         streams = [
-            fleet.submit(GenerationRequest(prompt=PROMPT, max_new_tokens=6)) for _ in range(4)
+            fleet.stream(GenerationRequest(prompt=PROMPT, max_new_tokens=6)) for _ in range(4)
         ]
         fleet.stop(drain=True)  # one worker serves its backlog serially
         for stream in streams:
             assert list(stream.result(5).tokens) == want
         with pytest.raises(RuntimeError, match="not running"):
-            fleet.submit(GenerationRequest(prompt=PROMPT))
+            fleet.stream(GenerationRequest(prompt=PROMPT))
 
     def test_cancel_unknown_request(self):
         with make_fleet(decode_workers=1) as fleet:
@@ -309,7 +308,7 @@ class TestDrainAndCancel:
             assert state.handle is not None
             state.handle.kill()
             wait_until(lambda: fleet.stats()["workers_alive"] == 0, message="worker death")
-            stream = fleet.submit(GenerationRequest(prompt=PROMPT, max_new_tokens=4))
+            stream = fleet.stream(GenerationRequest(prompt=PROMPT, max_new_tokens=4))
             with pytest.raises(TimeoutError):
                 stream.result(0.05)  # parked: no live worker to serve it
             assert fleet.cancel(stream.request_id) is True
@@ -321,8 +320,8 @@ class TestDrainAndCancel:
         """Time queued on a worker behind another request counts against
         ``timeout_s``: the request expires in the worker's queue."""
         with make_fleet(decode_workers=1) as fleet:
-            first = fleet.submit(GenerationRequest(prompt=PROMPT, max_new_tokens=90))
-            second = fleet.submit(
+            first = fleet.stream(GenerationRequest(prompt=PROMPT, max_new_tokens=90))
+            second = fleet.stream(
                 GenerationRequest(prompt=PROMPT, max_new_tokens=4, timeout_s=scaled(0.005))
             )
             result = second.result(60)
@@ -332,7 +331,7 @@ class TestDrainAndCancel:
 
     def test_cancel_inflight_request_terminates_stream(self):
         with make_fleet(decode_workers=1) as fleet:
-            stream = fleet.submit(GenerationRequest(prompt=PROMPT, max_new_tokens=64))
+            stream = fleet.stream(GenerationRequest(prompt=PROMPT, max_new_tokens=64))
             fleet.cancel(stream.request_id)
             result = stream.result(60)
             # Depending on when the cancel frame lands the decode either stops
@@ -413,7 +412,7 @@ class TestPipeFleet:
             pids = {w["pid"] for w in fleet.stats()["workers"].values()}
             assert len(pids) == 2 and None not in pids  # real processes
             # os._exit(1) mid-decode: SIGKILL-grade death, no result frame.
-            stream = fleet.submit(
+            stream = fleet.stream(
                 GenerationRequest(prompt=PROMPT, max_new_tokens=6), fault="after-token-1"
             )
             assert list(stream) == want
@@ -456,7 +455,7 @@ class TestFleetServer:
         want = expected_tokens(reference_session, PROMPT, 6)
         registry = MetricsRegistry()
         config = FleetConfig(decode_workers=2, experiment_workers=0, transport="inproc")
-        with BackgroundServer(server_factory=FleetServer, fleet=config, registry=registry) as bg:
+        with BackgroundServer(FleetManager(config, registry=registry)) as bg:
             body = json.dumps({"prompt": list(PROMPT), "max_new_tokens": 6, "stream": False})
             with urllib.request.urlopen(
                 urllib.request.Request(bg.url + "/generate", data=body.encode(),
@@ -486,19 +485,24 @@ class TestFleetServer:
                                              headers={"Content-Type": "application/json"})
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request)
+            excinfo.value.close()
             assert excinfo.value.code == 400  # no experiment workers in this fleet
 
     def test_http_validation_errors(self):
         config = FleetConfig(decode_workers=1, experiment_workers=0, transport="inproc")
-        with BackgroundServer(server_factory=FleetServer, fleet=config,
-                              registry=MetricsRegistry()) as bg:
+        fleet = FleetManager(config, registry=MetricsRegistry())
+        with BackgroundServer(fleet) as bg:
             over_budget = json.dumps({"prompt": list(PROMPT), "max_new_tokens": 96})
             for body in (b'{"prompt": []}', over_budget.encode()):
                 request = urllib.request.Request(bg.url + "/generate", data=body,
                                                  headers={"Content-Type": "application/json"})
                 with pytest.raises(urllib.error.HTTPError) as excinfo:
                     urllib.request.urlopen(request)
+                excinfo.value.close()
                 assert excinfo.value.code == 400
+            # The front-end owns its service's lifecycle: a running fleet is refused.
+            with pytest.raises(RuntimeError, match="already started"):
+                BackgroundServer(fleet).start()
 
 
 # ------------------------------------------------------------- mailbox layer

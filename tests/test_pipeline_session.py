@@ -140,6 +140,56 @@ class TestSessionParity:
         assert estimate.tokens_per_second > 0
 
 
+class _CountingCalibration(SparsityMethod):
+    """A calibration-requiring method that counts calibrate() invocations."""
+
+    name = "counting"
+    requires_calibration = True
+
+    def __init__(self, target_density: float = 0.5):
+        super().__init__(target_density)
+        self.calibrations = 0
+
+    def calibrate(self, model, calibration_sequences) -> None:
+        self.calibrations += 1
+
+    def compute_masks(self, mlp, layer_index, x):
+        return MLPMasks(down_mask=np.ones((x.shape[0], mlp.d_ffn), dtype=bool))
+
+
+class TestShareCalibration:
+    """``share_calibration`` fans out sessions that reuse one calibration."""
+
+    def test_calibration_runs_once_and_is_shared(self, trained_tiny_model, calibration_sequences,
+                                                 eval_sequences):
+        method = _CountingCalibration()
+        session = SparseSession(
+            trained_tiny_model, method,
+            calibration_sequences=calibration_sequences, eval_sequences=eval_sequences,
+        )
+        session.calibrate()
+        copies = [session.share_calibration() for _ in range(3)]
+        assert method.calibrations == 1
+        for copy in copies:
+            copy.perplexity(max_sequences=2)  # would re-calibrate if not shared
+        assert method.calibrations == 1
+        assert all(copy.method.calibrations == 1 for copy in copies)
+        assert all(copy.method is not method for copy in copies)
+
+    def test_worker_results_match_freshly_calibrated_session(
+        self, trained_tiny_model, calibration_sequences, eval_sequences
+    ):
+        session = SparseSession(
+            trained_tiny_model, "dip",
+            calibration_sequences=calibration_sequences, eval_sequences=eval_sequences,
+            model_name="tiny",
+        )
+        session.calibrate()
+        copy = session.share_calibration()
+        expected = session.perplexity(max_sequences=3)
+        assert copy.perplexity(max_sequences=3) == pytest.approx(expected, abs=1e-12)
+
+
 class TestRunners:
     def test_experiment_result_rows_and_table(self, trained_tiny_model, eval_sequences, settings):
         session = _session(trained_tiny_model, None, settings, eval_sequences)

@@ -1,16 +1,17 @@
-"""The serving subsystem: ragged attention, continuous batching, pool, server.
+"""The serving subsystem: ragged attention, continuous batching, server.
 
 The central contract pinned here is determinism: a stream of ragged-length
 prompts served through the continuous-batching scheduler produces
 token-for-token identical outputs (greedy decoding) to one-at-a-time
 ``generate`` calls, regardless of arrival order, admission policy, or batch
-composition.  Slot-wise KV-cache bookkeeping, the shared-calibration session
-pool, and the HTTP front-end are covered alongside.
+composition.  Slot-wise KV-cache bookkeeping and the HTTP front-end (over the
+scheduler, and over the fleet for its error paths) are covered alongside.
 """
 
 from __future__ import annotations
 
 import asyncio
+import gc
 import http.client
 import json
 import re
@@ -18,6 +19,7 @@ import socket
 import struct
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -25,18 +27,19 @@ import pytest
 from repro.engine.inference import ContinuousBatch, SparseInferenceEngine, serve_continuous_greedy
 from repro.nn.attention import KVCache
 from repro.nn.transformer import MASKED_BIAS, left_pad_ragged
+from repro.obs import MetricsRegistry
 from repro.pipeline.session import SparseSession
 from repro.serving import (
     BackgroundServer,
     ContinuousBatchingScheduler,
+    FleetConfig,
+    FleetManager,
     GenerationRequest,
     GenerationResult,
     RequestError,
     SchedulerConfig,
-    SessionPool,
     run_experiment_payload,
 )
-from repro.sparsity.base import SparsityMethod
 from repro.sparsity.cache_aware import CacheAwareDIP
 from repro.sparsity.dip import DynamicInputPruning
 
@@ -433,101 +436,50 @@ class TestScheduler:
 
 
 # ---------------------------------------------------------------------------
-# SessionPool — shared calibration
-# ---------------------------------------------------------------------------
-
-
-class _CountingCalibration(SparsityMethod):
-    """A calibration-requiring method that counts calibrate() invocations."""
-
-    name = "counting"
-    requires_calibration = True
-
-    def __init__(self, target_density: float = 0.5):
-        super().__init__(target_density)
-        self.calibrations = 0
-
-    def calibrate(self, model, calibration_sequences) -> None:
-        self.calibrations += 1
-
-    def compute_masks(self, mlp, layer_index, x):
-        from repro.sparsity.base import MLPMasks
-
-        return MLPMasks(down_mask=np.ones((x.shape[0], mlp.d_ffn), dtype=bool))
-
-
-class TestSessionPool:
-    def test_calibration_runs_once_and_is_shared(self, trained_tiny_model, calibration_sequences,
-                                                 eval_sequences):
-        method = _CountingCalibration()
-        session = SparseSession(
-            trained_tiny_model, method,
-            calibration_sequences=calibration_sequences, eval_sequences=eval_sequences,
-        )
-        pool = SessionPool(session, size=3)
-        assert method.calibrations == 1
-        for worker in pool.workers:
-            worker.perplexity(max_sequences=2)  # would re-calibrate if not shared
-        assert method.calibrations == 1
-        assert all(worker.method.calibrations == 1 for worker in pool.workers)
-        assert all(worker.method is not method for worker in pool.workers)
-
-    def test_worker_results_match_freshly_calibrated_session(self, tiny_session):
-        pool = SessionPool(tiny_session, size=2)
-        expected = tiny_session.perplexity(max_sequences=3)
-        with pool.borrow() as worker:
-            assert worker.perplexity(max_sequences=3) == pytest.approx(expected, abs=1e-12)
-
-    def test_acquire_release_cycle_and_stats(self, tiny_session):
-        pool = SessionPool(tiny_session, size=2)
-        first = pool.acquire()
-        second = pool.acquire()
-        with pytest.raises(TimeoutError):
-            pool.acquire(timeout=0.01)
-        pool.release(first)
-        third = pool.acquire()
-        assert third is first
-        stats = pool.stats()
-        assert stats["size"] == 2 and stats["in_use"] == 2 and stats["peak_in_use"] == 2
-        with pytest.raises(ValueError, match="not belong"):
-            pool.release(tiny_session)
-        pool.release(second)
-        with pytest.raises(ValueError, match="twice"):
-            pool.release(second)
-
-    def test_concurrent_borrowers_get_distinct_workers(self, tiny_session):
-        pool = SessionPool(tiny_session, size=2)
-        seen = []
-        barrier = threading.Barrier(2)
-
-        def work():
-            with pool.borrow(timeout=10) as worker:
-                barrier.wait(timeout=10)
-                seen.append(id(worker))
-
-        threads = [threading.Thread(target=work) for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(set(seen)) == 2
-
-
-# ---------------------------------------------------------------------------
 # HTTP server — smoke over a real socket
 # ---------------------------------------------------------------------------
+
+
+def _scheduler_server(session, **config):
+    """A :class:`BackgroundServer` over a scheduler serving a copy of ``session``."""
+    scheduler = ContinuousBatchingScheduler(session.share_calibration(), SchedulerConfig(**config))
+    return BackgroundServer(scheduler)
+
+
+def _raw_post(server, path, content_length, body):
+    """POST ``body`` under a verbatim ``Content-Length``; returns (status, JSON reply)."""
+    with socket.create_connection((server.host, server.port), timeout=30) as raw:
+        raw.sendall(f"POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {content_length}\r\n\r\n"
+                    .encode() + body)
+        raw.shutdown(socket.SHUT_WR)  # a short body ends here, not at a timeout
+        response = b""
+        while chunk := raw.recv(65536):
+            response += chunk
+    head, _, payload = response.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(payload)
 
 
 class TestServingServer:
     @pytest.fixture()
     def server(self, tiny_session):
-        config = SchedulerConfig(max_batch_size=4, max_seq_len=64)
-        with BackgroundServer(tiny_session, config=config, pool_size=1) as background:
+        with _scheduler_server(tiny_session, max_batch_size=4, max_seq_len=64) as background:
+            yield background.server
+
+    @pytest.fixture(params=["scheduler", "fleet"])
+    def any_server(self, request, tiny_session):
+        """The front-end over each service: the scheduler, or a one-worker fleet."""
+        if request.param == "scheduler":
+            background = _scheduler_server(tiny_session, max_batch_size=4, max_seq_len=64)
+        else:
+            config = FleetConfig(decode_workers=1, experiment_workers=1, transport="inproc")
+            background = BackgroundServer(FleetManager(config, registry=MetricsRegistry()))
+        with background:
             yield background.server
 
     def _post(self, server, path, payload, timeout=60):
+        body = payload if isinstance(payload, bytes) else json.dumps(payload)
         conn = http.client.HTTPConnection(server.host, server.port, timeout=timeout)
-        conn.request("POST", path, json.dumps(payload), {"Content-Type": "application/json"})
+        conn.request("POST", path, body, {"Content-Type": "application/json"})
         response = conn.getresponse()
         body = response.read().decode()
         conn.close()
@@ -567,9 +519,9 @@ class TestServingServer:
         stats = json.loads(response.read())
         conn.close()
         assert response.status == 200
-        assert stats["scheduler"]["requests_completed"] >= 1
-        assert stats["scheduler"]["tokens_per_second"] > 0
-        assert stats["pool"]["size"] == 1
+        assert stats["requests_completed"] >= 1
+        assert stats["tokens_per_second"] > 0
+        assert stats["method"] == "dip" and stats["model"] == "tiny"
 
     def test_experiment_endpoint(self, server):
         spec = {
@@ -584,25 +536,41 @@ class TestServingServer:
         rows = json.loads(body)["rows"]
         assert len(rows) == 1 and rows[0]["method"] == "dip"
 
-    def test_error_paths(self, server):
-        status, body = self._post(server, "/generate", {"prompt": []})
-        assert status == 400 and "prompt" in json.loads(body)["error"]
-        status, body = self._post(server, "/generate", {"max_new_tokens": 3})
-        assert status == 400 and "missing required" in json.loads(body)["error"]
-        status, body = self._post(server, "/experiment", {"bogus": 1})
-        assert status == 400
-        spec = {"name": "wrong-model", "model": {"name": "mistral-7b"},
-                "method": {"name": "dip"}, "eval": {"primary_task": None}, "hardware": None}
-        status, body = self._post(server, "/experiment", spec)
-        assert status == 400 and "does not match" in json.loads(body)["error"]
-        conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
-        conn.request("GET", "/nope")
-        assert conn.getresponse().status == 404
-        conn.close()
-        conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
-        conn.request("GET", "/generate")
-        assert conn.getresponse().status == 405
-        conn.close()
+    def test_error_paths(self, any_server):
+        server = any_server
+        for path, payload, message in (
+            ("/generate", {"prompt": []}, "prompt"),
+            ("/generate", {"max_new_tokens": 3}, "missing required"),
+            ("/generate", {"prompt": [1, 2, 3, 4], "max_new_tokens": 96}, "max_seq_len"),
+            ("/generate", {"prompt": [1, 2], "stream": "false"}, "'stream' must be true or false"),
+            ("/generate", b"{not json", "not valid JSON"),
+            ("/generate", b"\xff\xfe", "not valid JSON"),
+            ("/generate", b"[1, 2]", "must be a JSON object"),
+            ("/experiment", {"bogus": 1}, "unknown key"),
+            ("/experiment", b"[1, 2]", "must be a JSON object"),
+            ("/experiment", {"name": "wrong-model", "model": {"name": "mistral-7b"},
+                             "method": {"name": "dip"}, "eval": {"primary_task": None},
+                             "hardware": None}, "does not match"),
+        ):
+            status, body = self._post(server, path, payload)
+            assert status == 400 and message in json.loads(body)["error"], (path, payload, body)
+        for content_length, body, message in (
+            ("abc", b"{}", "Content-Length"),
+            ("-5", b"{}", "Content-Length"),
+            ("10", b"{}", "truncated"),
+        ):
+            status, reply = _raw_post(server, "/generate", content_length, body)
+            assert status == 400 and message in reply["error"], (content_length, reply)
+        for path, status, message in (
+            ("/nope", 404, "unknown path"),
+            ("/generate", 405, "not allowed"),
+            ("/metrics?format=bogus", 400, "unknown metrics format"),
+        ):
+            conn = http.client.HTTPConnection(server.host, server.port, timeout=30)
+            conn.request("GET", path)
+            response = conn.getresponse()
+            assert response.status == status and message in json.loads(response.read())["error"]
+            conn.close()
 
     def test_streaming_rejection_is_a_clean_400(self, server):
         """An invalid streamed request must get a 400, not a corrupt chunked body."""
@@ -802,8 +770,8 @@ class TestSchedulerLifecycle:
 class TestServerLifecycle:
     @pytest.fixture()
     def server(self, tiny_session):
-        config = SchedulerConfig(max_batch_size=2, max_seq_len=64, prefix_block_size=4)
-        with BackgroundServer(tiny_session, config=config, pool_size=1) as background:
+        with _scheduler_server(tiny_session, max_batch_size=2, max_seq_len=64,
+                               prefix_block_size=4) as background:
             yield background.server
 
     def _get_stats(self, server):
@@ -824,14 +792,14 @@ class TestServerLifecycle:
         conn.request("POST", "/generate", json.dumps(payload), {"Content-Type": "application/json"})
         conn.getresponse().read()
         conn.close()
-        stats = self._get_stats(server)["scheduler"]
+        stats = self._get_stats(server)
         assert stats["prefix_cache"]["enabled"]
         assert stats["prefix_cache"]["hits"] >= 1  # second request reused the head
         assert stats["prefix_cache"]["prefill_tokens_saved"] > 0
         assert stats["requests_timed_out"] == 0 and stats["requests_cancelled"] == 0
 
     def test_timeout_over_http_returns_partial_result(self, server):
-        _slow_down_steps(server.scheduler)
+        _slow_down_steps(server.service)
         conn = http.client.HTTPConnection(server.host, server.port, timeout=60)
         payload = {"prompt": [1, 2, 3], "max_new_tokens": 40, "timeout_s": scaled(0.03), "stream": False}
         conn.request("POST", "/generate", json.dumps(payload), {"Content-Type": "application/json"})
@@ -844,7 +812,7 @@ class TestServerLifecycle:
 
     def test_dropped_stream_cancels_the_request(self, server):
         """Disconnecting mid-stream must cancel server-side and free the slot."""
-        _slow_down_steps(server.scheduler)
+        _slow_down_steps(server.service)
         payload = json.dumps({"prompt": [1, 2, 3], "max_new_tokens": 60, "stream": True}).encode()
         raw = socket.create_connection((server.host, server.port), timeout=30)
         raw.sendall(
@@ -856,11 +824,11 @@ class TestServerLifecycle:
         raw.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
         raw.close()
         def cancelled():
-            stats = self._get_stats(server)["scheduler"]
+            stats = self._get_stats(server)
             return stats["requests_cancelled"] >= 1 and stats["active_requests"] == 0
 
         wait_until(cancelled, timeout=10.0, message="server to cancel the dropped stream", interval=0.05)
-        assert self._get_stats(server)["scheduler"]["tokens_generated"] < 60  # decode stopped early
+        assert self._get_stats(server)["tokens_generated"] < 60  # decode stopped early
 
 
 # ---------------------------------------------------------------------------
@@ -883,8 +851,7 @@ class TestObservability:
 
     @pytest.fixture()
     def server(self, tiny_session):
-        config = SchedulerConfig(max_batch_size=4, max_seq_len=64)
-        with BackgroundServer(tiny_session, config=config, pool_size=1) as background:
+        with _scheduler_server(tiny_session, max_batch_size=4, max_seq_len=64) as background:
             yield background.server
 
     def test_metrics_endpoint_prometheus_and_json(self, server):
@@ -929,6 +896,24 @@ class TestObservability:
         assert 0 <= timings["queue_s"] <= timings["ttft_s"] <= timings["total_s"]
         assert timings["decode_tokens_per_s"] > 0  # 4 tokens decoded
         assert GenerationResult.from_json(result.to_json()) == result  # round-trips
+
+    def test_finished_scheduler_is_freed_without_the_cycle_collector(self, tiny_session):
+        """No reference cycle (e.g. through its registry) keeps a finished scheduler alive."""
+        registry = MetricsRegistry()
+
+        async def serve():
+            async with ContinuousBatchingScheduler(tiny_session.share_calibration(), registry=registry) as sched:
+                await sched.submit(GenerationRequest(prompt=(1, 2, 3), max_new_tokens=2))
+            return weakref.ref(sched)
+
+        gc.disable()
+        try:
+            scheduler = self._run(serve())
+            assert scheduler() is None  # freed by reference counting, KV cache and all
+        finally:
+            gc.enable()
+        # Its collector went with it; the counters it filled stay readable.
+        assert registry.snapshot()["serving_requests_completed_total"]["samples"][0]["value"] == 1
 
     def test_tracing_off_means_no_timings(self, tiny_session):
         async def serve():

@@ -68,7 +68,7 @@ def main() -> int:
     with FleetManager(config, registry=MetricsRegistry()) as fleet:
         print(f"fleet up: {sorted(fleet.stats()['workers'])}")
         for attempt in range(1, ATTEMPTS + 1):
-            stream = fleet.submit(GenerationRequest(prompt=PROMPT, max_new_tokens=MAX_NEW_TOKENS))
+            stream = fleet.stream(GenerationRequest(prompt=PROMPT, max_new_tokens=MAX_NEW_TOKENS))
             tokens = []
             killed_pid = None
             for token in stream:

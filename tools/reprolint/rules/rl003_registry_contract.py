@@ -1,10 +1,10 @@
 """RL003 — every ``@register_method`` registration honors the registry contract.
 
 The sparsity registry is the extension point of the whole reproduction:
-`SparseSession`, the serving pool, benchmarks, and the CLI all construct
-methods purely through it.  A registration that drifts from the contract
-fails at *use* time, deep inside an experiment.  This rule moves those
-failures to lint time:
+`SparseSession`, the serving scheduler and fleet, benchmarks, and the CLI
+all construct methods purely through it.  A registration that drifts from
+the contract fails at *use* time, deep inside an experiment.  This rule
+moves those failures to lint time:
 
 * ``doc=`` must be present and a non-empty string literal — the registry's
   ``describe()`` output and `docs/API.md` tables are generated from it.
