@@ -6,8 +6,8 @@
 * :class:`~repro.engine.inference.ContinuousDecoder` is the one request-level
   decode driver; serving and the fleet workers run on it.
 * :mod:`repro.engine.throughput` converts a method + paper-scale model
-  geometry + device into tokens/second via the HW simulator, and provides the
-  coupled accuracy-vs-throughput sweeps used by Table 2 and Figure 11.
+  geometry + device into tokens/second via the HW simulator (the throughput
+  half of Table 2 and Figure 11).
 """
 
 from repro.engine.inference import (
@@ -21,9 +21,7 @@ from repro.engine.inference import (
 )
 from repro.engine.throughput import (
     ThroughputEstimate,
-    estimate_throughput,
     throughput_for_method,
-    density_throughput_sweep,
 )
 
 __all__ = [
@@ -35,7 +33,5 @@ __all__ = [
     "MaskRecorder",
     "iter_length_buckets",
     "ThroughputEstimate",
-    "estimate_throughput",
     "throughput_for_method",
-    "density_throughput_sweep",
 ]

@@ -11,8 +11,7 @@ second.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
-
+from typing import Dict, Optional
 
 from repro.hwsim.device import DeviceSpec
 from repro.hwsim.memory import MethodMemoryModel, WeightMemoryLayout
@@ -46,42 +45,6 @@ class ThroughputEstimate:
         }
 
 
-def estimate_throughput(
-    layout: WeightMemoryLayout,
-    device: DeviceSpec,
-    n_tokens: int = 64,
-    cache_policy: str = "lfu",
-    gamma: float = 1.0,
-    trace_config: Optional[SyntheticTraceConfig] = None,
-    trace_seed: int = 0,
-    keep_simulation: bool = False,
-    model_name: str = "",
-    method_name: str = "",
-) -> ThroughputEstimate:
-    """Simulate throughput for an explicit memory layout."""
-    if trace_config is None:
-        trace_config = SyntheticTraceConfig(n_tokens=n_tokens, seed=trace_seed)
-    elif trace_config.n_tokens != n_tokens:
-        trace_config = trace_config.replace(n_tokens=n_tokens)
-    trace = synthesize_trace(layout, trace_config)
-    simulator = HWSimulator(layout, device)
-    result = simulator.simulate(
-        trace,
-        SimulationConfig(cache_policy=cache_policy, gamma=gamma, warmup_tokens=min(8, n_tokens // 4)),
-    )
-    return ThroughputEstimate(
-        method_name=method_name,
-        model_name=model_name,
-        device_name=device.name,
-        tokens_per_second=result.tokens_per_second,
-        cache_hit_rate=result.cache_hit_rate,
-        mean_flash_bytes=result.mean_flash_bytes,
-        mean_dram_bytes=result.mean_dram_bytes,
-        mlp_density=layout.average_mlp_density(),
-        simulation=result if keep_simulation else None,
-    )
-
-
 def throughput_for_method(
     method: Optional[SparsityMethod],
     model_spec: ModelSpec,
@@ -110,29 +73,20 @@ def throughput_for_method(
         bits_per_weight=bits_per_weight,
         kv_cache_seq_len=kv_cache_seq_len,
     )
+    if trace_config is None:
+        trace_config = SyntheticTraceConfig(n_tokens=n_tokens, seed=trace_seed)
+    elif trace_config.n_tokens != n_tokens:
+        trace_config = trace_config.replace(n_tokens=n_tokens)
     gamma = method.gamma if method is not None else 1.0
-    return estimate_throughput(
-        layout,
-        device,
-        n_tokens=n_tokens,
-        cache_policy=cache_policy,
-        gamma=gamma,
-        trace_config=trace_config,
-        trace_seed=trace_seed,
-        model_name=model_spec.name,
+    simulation = SimulationConfig(cache_policy=cache_policy, gamma=gamma, warmup_tokens=min(8, n_tokens // 4))
+    result = HWSimulator(layout, device).simulate(synthesize_trace(layout, trace_config), simulation)
+    return ThroughputEstimate(
         method_name=method.name if method is not None else "dense",
+        model_name=model_spec.name,
+        device_name=device.name,
+        tokens_per_second=result.tokens_per_second,
+        cache_hit_rate=result.cache_hit_rate,
+        mean_flash_bytes=result.mean_flash_bytes,
+        mean_dram_bytes=result.mean_dram_bytes,
+        mlp_density=layout.average_mlp_density(),
     )
-
-
-def density_throughput_sweep(
-    method_factory,
-    densities: Sequence[float],
-    model_spec: ModelSpec,
-    device: DeviceSpec,
-    **kwargs,
-) -> List[ThroughputEstimate]:
-    """Throughput across a density sweep (``method_factory(density) -> method``)."""
-    return [
-        throughput_for_method(method_factory(density), model_spec, device, **kwargs)
-        for density in densities
-    ]

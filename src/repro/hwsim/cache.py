@@ -17,6 +17,13 @@ Implemented policies:
   the unit whose next use is farthest in the future.  Requires the full
   future trace and is therefore an offline oracle, used as an upper bound.
 
+These caches are the one DRAM cache model of the repository: the simulator
+replays traces through them, and cache-aware masking (DIP-CA, paper §5.2)
+reads :meth:`GroupCache.cached_mask` and serves its selections through them
+(:func:`repro.sparsity.cache_aware.cache_aware_step`), so a DIP-CA
+perplexity and its simulated throughput share eviction and over-capacity
+rules.
+
 Units: capacities and accesses are counted in *units* (equally sized weight
 columns/rows of one group), not bytes — the byte conversion happens in
 :mod:`repro.hwsim.memory`; time advances in whole tokens.  What the model
@@ -91,7 +98,15 @@ class NoCache(GroupCache):
 
 
 class _EvictingCache(GroupCache):
-    """Shared insert-then-evict logic parameterised by an eviction score."""
+    """Shared insert-then-evict logic parameterised by an eviction score.
+
+    Every accessed unit is inserted, then the lowest-scoring units not
+    accessed this token are evicted until at most ``capacity_units`` remain.
+    When the token's active set alone exceeds capacity, every inactive unit
+    goes and so do the lowest-scoring active ones, leaving exactly
+    ``capacity_units`` active units.  Among equal scores the lower unit index
+    is evicted first.
+    """
 
     def _scores(self) -> np.ndarray:
         """Lower score = evicted first.  Subclasses override."""

@@ -21,7 +21,7 @@ paper Appendix A behind Tables 2/6/7 and Figure 11.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from repro.hwsim.device import DeviceSpec
 from repro.hwsim.memory import WeightMemoryLayout
 from repro.hwsim.trace import AccessTrace, GroupTrace
 from repro.sparsity.base import topk_fraction_mask
-from repro.sparsity.cache_aware import cache_aware_scores
+from repro.sparsity.cache_aware import cache_aware_step
 from repro.utils.config import ConfigBase
 
 
@@ -112,27 +112,6 @@ class HWSimulator:
         self.layout = layout
         self.device = device
 
-    # --------------------------------------------------------------- internal
-    def _group_activity(
-        self,
-        group_trace: GroupTrace,
-        token_index: int,
-        cached_mask: Optional[np.ndarray],
-        gamma: float,
-    ) -> np.ndarray:
-        """Active units of one group for one token (applying Eq. 10 if asked)."""
-        group = group_trace.group
-        if group_trace.activity is not None:
-            return group_trace.activity[token_index]
-        scores = group_trace.get_scores()
-        if scores is None:  # dense group
-            return np.ones(group.n_units, dtype=bool)
-        keep = group.keep_fraction if group.keep_fraction is not None else 1.0
-        token_scores = scores[token_index]
-        if gamma < 1.0 and cached_mask is not None:
-            token_scores = cache_aware_scores(token_scores, cached_mask.astype(np.float64), gamma)
-        return topk_fraction_mask(token_scores, keep)
-
     # ----------------------------------------------------------------- public
     def simulate(self, trace: AccessTrace, config: SimulationConfig = SimulationConfig()) -> SimulationResult:
         """Run the trace through per-group caches and compute per-token latency."""
@@ -152,18 +131,25 @@ class HWSimulator:
             group = group_trace.group
             capacity = allocation.get((group.layer_index, group.matrix), 0)
             cache = build_cache(config.cache_policy, group.n_units, capacity)
+            # Recorded and dense groups access a fixed set of units; score
+            # traces select theirs per token with Algorithm 1's step.
+            activity = group_trace.activity
+            scores = group_trace.get_scores() if activity is None else None
+            if activity is None and scores is None:
+                activity = np.ones((n_tokens, group.n_units), dtype=bool)
+            keep = group.keep_fraction if group.keep_fraction is not None else 1.0
             if isinstance(cache, BeladyCache):
                 if config.gamma < 1.0:
                     raise ValueError(
                         "Belady's oracle needs a fixed future trace and cannot be combined "
                         "with cache-aware masking (gamma < 1)"
                     )
-                cache.set_future(self._materialize_activity(group_trace))
-            needs_cached_mask = config.gamma < 1.0 and not group_trace.is_dense
+                cache.set_future(activity if scores is None else topk_fraction_mask(scores, keep))
             for token_index in range(n_tokens):
-                cached_mask = cache.cached_mask() if needs_cached_mask else None
-                active = self._group_activity(group_trace, token_index, cached_mask, config.gamma)
-                hits, misses = cache.process_token(active)
+                if scores is None:
+                    hits, misses = cache.process_token(activity[token_index])
+                else:
+                    _, hits, misses = cache_aware_step(cache, scores[token_index], keep, config.gamma)
                 dram_bytes[token_index] += hits * group.unit_bytes
                 flash_bytes[token_index] += misses * group.unit_bytes
                 total_hits += hits
@@ -182,17 +168,6 @@ class HWSimulator:
             warmup_tokens=min(config.warmup_tokens, max(0, n_tokens - 1)),
         )
 
-    def _materialize_activity(self, group_trace: GroupTrace) -> np.ndarray:
-        """Full activity matrix of one group (needed by the Belady oracle)."""
-        group = group_trace.group
-        if group_trace.activity is not None:
-            return group_trace.activity
-        scores = group_trace.get_scores()
-        if scores is None:
-            return np.ones((group_trace.n_tokens, group.n_units), dtype=bool)
-        keep = group.keep_fraction if group.keep_fraction is not None else 1.0
-        return topk_fraction_mask(scores, keep)
-
 
 def simulate_dense_baseline(
     layout: WeightMemoryLayout,
@@ -201,8 +176,6 @@ def simulate_dense_baseline(
     cache_policy: str = "lfu",
 ) -> SimulationResult:
     """Throughput of streaming the dense model (every MLP unit every token)."""
-    from repro.hwsim.trace import AccessTrace, GroupTrace  # local import to avoid cycle confusion
-
     groups = [GroupTrace(group=g, n_tokens=n_tokens) for g in layout.groups]
     trace = AccessTrace(n_tokens=n_tokens, groups=groups)
     simulator = HWSimulator(layout, device)

@@ -5,7 +5,7 @@ router + worker-pool architecture:
 
 * :mod:`~repro.serving.fleet.config` — :class:`WorkerSpec` (the JSON recipe
   a worker rebuilds its session from), :class:`WorkerConfig`, and
-  :class:`FleetConfig` (pool sizes, transport, routing, health knobs).
+  :class:`FleetConfig` (pool sizes, transport, health knobs).
 * :mod:`~repro.serving.fleet.exchange` — the mailbox abstraction: JSON
   message channels over in-proc queues (deterministic tests) or
   ``multiprocessing`` pipes (real process isolation), plus worker launch
@@ -14,8 +14,8 @@ router + worker-pool architecture:
   decode workers own a calibrated session and host the engine's decode
   driver at width 1, streaming tokens; experiment workers serve
   ``/experiment`` payloads so heavy jobs can never block decode.
-* :mod:`~repro.serving.fleet.manager` — :class:`FleetManager`: routing
-  (least-loaded or prefix-affinity), heartbeat supervision, automatic
+* :mod:`~repro.serving.fleet.manager` — :class:`FleetManager`: least-loaded
+  routing, heartbeat supervision, automatic
   restart with in-flight request re-dispatch (greedy/seeded decoding is
   deterministic, so a retried request reproduces its tokens and duplicates
   are suppressed by index), and graceful drain.
@@ -40,7 +40,6 @@ from repro.serving.fleet.config import (
     DECODE_ENTRYPOINT,
     EXPERIMENT_ENTRYPOINT,
     FleetConfig,
-    ROUTING_POLICIES,
     TRANSPORTS,
     WorkerConfig,
     WorkerSpec,
@@ -56,7 +55,6 @@ __all__ = [
     "FleetManager",
     "FleetStream",
     "Mailbox",
-    "ROUTING_POLICIES",
     "TRANSPORTS",
     "TransportClosed",
     "WorkerConfig",

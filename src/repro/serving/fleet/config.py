@@ -7,8 +7,8 @@ JSON text (never pickle — reprolint RL008 enforces this): a
 session in every process, which is what makes crash re-dispatch safe under
 greedy decoding), and a :class:`WorkerConfig` wraps the spec with the
 launch-time identity the manager assigns.  :class:`FleetConfig` is the
-manager-side shape of the whole fleet: worker counts, transport, routing
-policy, heartbeat/restart knobs.
+manager-side shape of the whole fleet: worker counts, transport,
+heartbeat/restart knobs.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.pipeline.session import SparseSession
 from repro.serving.requests import _from_mapping
 
 TRANSPORTS: Tuple[str, ...] = ("inproc", "pipe")
-ROUTING_POLICIES: Tuple[str, ...] = ("least_loaded", "prefix_affinity")
 WORKER_ROLES: Tuple[str, ...] = ("decode", "experiment")
 
 #: Module-level importable entrypoints (RL008: a worker entrypoint must be a
@@ -157,10 +156,6 @@ class FleetConfig:
       ``/experiment`` job can never block decode.
     * ``transport`` — ``"inproc"`` (threads + queues, deterministic tests) or
       ``"pipe"`` (``multiprocessing`` processes + pipes, real isolation).
-    * ``routing`` — ``"least_loaded"`` (fewest in-flight requests wins) or
-      ``"prefix_affinity"`` (requests sharing a prompt head of
-      ``affinity_tokens`` tokens land on the same worker, keeping any warm
-      per-worker state hot).
     * ``heartbeat_interval_s`` / ``heartbeat_timeout_s`` — workers push a
       stats heartbeat every interval; a worker silent for longer than the
       timeout (no heartbeat, no tokens) is declared dead and restarted.
@@ -173,8 +168,6 @@ class FleetConfig:
     decode_workers: int = 2
     experiment_workers: int = 1
     transport: str = "inproc"
-    routing: str = "least_loaded"
-    affinity_tokens: int = 16
     heartbeat_interval_s: float = 0.25
     heartbeat_timeout_s: float = 10.0
     max_restarts: int = 3
@@ -193,12 +186,6 @@ class FleetConfig:
             raise ValueError("FleetConfig.experiment_workers must be >= 0")
         if self.transport not in TRANSPORTS:
             raise ValueError(f"FleetConfig.transport must be one of {TRANSPORTS}, got {self.transport!r}")
-        if self.routing not in ROUTING_POLICIES:
-            raise ValueError(
-                f"FleetConfig.routing must be one of {ROUTING_POLICIES}, got {self.routing!r}"
-            )
-        if int(self.affinity_tokens) < 1:
-            raise ValueError("FleetConfig.affinity_tokens must be >= 1")
         for field in ("heartbeat_interval_s", "heartbeat_timeout_s", "drain_timeout_s", "start_timeout_s"):
             if float(getattr(self, field)) <= 0:
                 raise ValueError(f"FleetConfig.{field} must be positive")
@@ -227,7 +214,6 @@ __all__ = [
     "DECODE_ENTRYPOINT",
     "EXPERIMENT_ENTRYPOINT",
     "FleetConfig",
-    "ROUTING_POLICIES",
     "TRANSPORTS",
     "WORKER_ROLES",
     "WorkerConfig",

@@ -3,7 +3,7 @@
 :class:`FleetManager` launches ``decode_workers`` decode workers and
 ``experiment_workers`` experiment workers over a pluggable transport
 (:mod:`repro.serving.fleet.exchange`), routes :class:`GenerationRequest`\\ s
-to decode workers (least-loaded or prefix-affinity) and experiment payloads
+to the least-loaded decode worker and experiment payloads
 to the experiment class, and supervises the lot:
 
 * one receiver thread per worker drains its mailbox (tokens, results,
@@ -33,7 +33,6 @@ import itertools
 import queue
 import threading
 import uuid
-import zlib
 from collections import deque
 from typing import Any, AsyncIterator, Deque, Dict, Iterator, List, Optional, Set, Union
 
@@ -487,15 +486,9 @@ class FleetManager:
         ]
 
     def _pick_worker(self, item: Union[_Entry, _Job]) -> Optional[_WorkerState]:
+        """The live worker of the item's role with the fewest in-flight items."""
         role = "decode" if isinstance(item, _Entry) else "experiment"
-        candidates = sorted(self._live_workers(role), key=lambda s: s.worker_id)
-        if not candidates:
-            return None
-        if isinstance(item, _Entry) and self.config.routing == "prefix_affinity":
-            head = item.request.prompt[: self.config.affinity_tokens]
-            digest = zlib.crc32(",".join(str(t) for t in head).encode())
-            return candidates[digest % len(candidates)]
-        return min(candidates, key=lambda s: (len(s.inflight), s.worker_id))
+        return min(self._live_workers(role), key=lambda s: (len(s.inflight), s.worker_id), default=None)
 
     def _dispatch(self, item: Union[_Entry, _Job]) -> None:
         with self._lock:
@@ -654,7 +647,6 @@ class FleetManager:
             }
             return {
                 "transport": self.config.transport,
-                "routing": self.config.routing,
                 "decode_workers": self.config.decode_workers,
                 "experiment_workers": self.config.experiment_workers,
                 "workers_alive": sum(1 for s in self._workers.values() if s.alive),

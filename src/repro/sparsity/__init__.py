@@ -43,7 +43,7 @@ from repro.sparsity.gate_pruning import GatePruning, UpPruning
 from repro.sparsity.predictive import PredictiveGLUPruning
 from repro.sparsity.cats import CATS
 from repro.sparsity.dip import DynamicInputPruning
-from repro.sparsity.cache_aware import CacheAwareDIP, LayerCacheState, cache_aware_scores
+from repro.sparsity.cache_aware import CacheAwareDIP, cache_aware_scores
 from repro.sparsity.density import DIPDensityAllocation, allocate_dip_densities, fit_allocation_model
 from repro.sparsity.registry import (
     REGISTRY,
@@ -75,7 +75,6 @@ __all__ = [
     "CATS",
     "DynamicInputPruning",
     "CacheAwareDIP",
-    "LayerCacheState",
     "cache_aware_scores",
     "DIPDensityAllocation",
     "allocate_dip_densities",

@@ -11,15 +11,17 @@ method reduces to plain DIP.  The key observation (Fig. 10 left) is that most
 activations live within one order of magnitude of each other, so re-ordering
 that middle band costs little accuracy while greatly increasing cache hits.
 
-For *accuracy* evaluation the cache is modelled per layer with an LFU
-eviction policy and a configurable capacity fraction; the full byte-accurate
-DRAM cache lives in :mod:`repro.hwsim` and is used for throughput numbers.
+Algorithm 1's per-token step is :func:`cache_aware_step`.  Both the accuracy
+side (:class:`CacheAwareDIP`, one :class:`~repro.hwsim.cache.LFUCache` per
+layer and weight group) and the HW simulator's throughput numbers run it
+against :mod:`repro.hwsim.cache` policies, so a DIP-CA perplexity and its
+simulated throughput describe one DRAM cache model.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -27,6 +29,9 @@ from repro.nn.mlp import SwiGLUMLP
 from repro.sparsity.base import MLPMasks, topk_fraction_mask
 from repro.sparsity.density import DIPDensityAllocation
 from repro.sparsity.dip import DynamicInputPruning
+
+if TYPE_CHECKING:  # imported lazily at runtime: repro.hwsim depends on repro.sparsity
+    from repro.hwsim.cache import GroupCache
 
 
 def cache_aware_scores(magnitudes: np.ndarray, cached_mask: np.ndarray, gamma: float) -> np.ndarray:
@@ -46,60 +51,21 @@ def cache_aware_scores(magnitudes: np.ndarray, cached_mask: np.ndarray, gamma: f
     return magnitudes * weights / norm
 
 
-class LayerCacheState:
-    """A lightweight LFU cache over the column-units of one weight group.
+def cache_aware_step(
+    cache: GroupCache, scores: np.ndarray, keep_fraction: float, gamma: float
+) -> Tuple[np.ndarray, int, int]:
+    """One token of Algorithm 1 against one weight group's ``cache``.
 
-    Used on the accuracy-evaluation path of DIP-CA: it tracks which units are
-    resident so Eq. 10 can be applied, without modelling bytes or latency
-    (the HW simulator does that separately).
+    Re-weights the token's ``scores`` with Eq. 10 against the resident units
+    (only when ``gamma < 1``), keeps the top ``keep_fraction`` of them and
+    serves those units through ``cache.process_token``.  Returns the boolean
+    unit mask and the token's ``(hits, misses)``.
     """
-
-    def __init__(self, n_units: int, capacity: int):
-        if n_units <= 0:
-            raise ValueError("n_units must be positive")
-        self.n_units = int(n_units)
-        self.capacity = int(np.clip(capacity, 0, n_units))
-        self.cached = np.zeros(n_units, dtype=bool)
-        self.frequency = np.zeros(n_units, dtype=np.int64)
-
-    def cached_mask(self) -> np.ndarray:
-        """Binary mask ``c`` of currently cached units."""
-        return self.cached.astype(np.float64)
-
-    def update(self, active_mask: np.ndarray) -> Tuple[int, int]:
-        """Record one token's accesses and apply LFU eviction.
-
-        Returns ``(hits, misses)`` for the token.
-        """
-        active = np.asarray(active_mask, dtype=bool)
-        if active.shape != (self.n_units,):
-            raise ValueError(f"active mask must have shape ({self.n_units},)")
-        hits = int(np.count_nonzero(active & self.cached))
-        misses = int(np.count_nonzero(active & ~self.cached))
-        self.frequency[active] += 1
-        if self.capacity == 0:
-            return hits, misses
-        # Insert the active units, then evict the least frequently used
-        # non-active units while over capacity.
-        self.cached |= active
-        overflow = int(self.cached.sum()) - self.capacity
-        if overflow > 0:
-            evictable = np.flatnonzero(self.cached & ~active)
-            if evictable.size < overflow:
-                # Even the active set alone exceeds capacity: keep the most
-                # frequent active units only.
-                active_idx = np.flatnonzero(self.cached)
-                order = np.argsort(self.frequency[active_idx], kind="stable")
-                to_evict = active_idx[order[: int(self.cached.sum()) - self.capacity]]
-            else:
-                order = np.argsort(self.frequency[evictable], kind="stable")
-                to_evict = evictable[order[:overflow]]
-            self.cached[to_evict] = False
-        return hits, misses
-
-    def reset(self) -> None:
-        self.cached[:] = False
-        self.frequency[:] = 0
+    if gamma < 1.0:
+        scores = cache_aware_scores(scores, cache.cached_mask(), gamma)
+    mask = topk_fraction_mask(scores, keep_fraction)
+    hits, misses = cache.process_token(mask)
+    return mask, hits, misses
 
 
 @dataclasses.dataclass
@@ -126,8 +92,9 @@ class CacheAwareDIP(DynamicInputPruning):
         Eq. 10 penalty for non-cached columns (paper default 0.2; ``1.0``
         recovers plain DIP).
     cache_fraction:
-        Fraction of each weight group's columns that fit in the accuracy-side
-        LFU cache model (set from the DRAM budget by the inference engine).
+        Fraction of each weight group's columns that fit in the LFU cache the
+        masks are chosen against.  It only shapes the accuracy-side masks:
+        simulated throughput sizes its caches from the device's DRAM budget.
     """
 
     name = "dip-ca"
@@ -148,16 +115,17 @@ class CacheAwareDIP(DynamicInputPruning):
             raise ValueError("cache_fraction must lie in [0, 1]")
         self.gamma = float(gamma)
         self.cache_fraction = float(cache_fraction)
-        #: (layer_index, group) -> LayerCacheState, group in {"input", "down"}.
-        self._caches: Dict[Tuple[int, str], LayerCacheState] = {}
+        #: (layer_index, group) -> LFU cache, group in {"input", "down"}.
+        self._caches: Dict[Tuple[int, str], GroupCache] = {}
         self.stats = CacheHitStats()
 
     # ----------------------------------------------------------------- caches
-    def _cache_for(self, layer_index: int, group: str, n_units: int) -> LayerCacheState:
+    def _cache_for(self, layer_index: int, group: str, n_units: int) -> GroupCache:
         key = (layer_index, group)
         if key not in self._caches:
-            capacity = int(round(self.cache_fraction * n_units))
-            self._caches[key] = LayerCacheState(n_units, capacity)
+            from repro.hwsim.cache import LFUCache  # repro.hwsim imports this module
+
+            self._caches[key] = LFUCache(n_units, int(round(self.cache_fraction * n_units)))
         return self._caches[key]
 
     def reset(self) -> None:
@@ -184,19 +152,15 @@ class CacheAwareDIP(DynamicInputPruning):
         glu_rows = np.empty((n_tokens, d_ffn))
         for t in range(n_tokens):
             token = x[t]
-            scores_in = cache_aware_scores(np.abs(token), input_cache.cached_mask(), self.gamma)
-            token_input_mask = topk_fraction_mask(scores_in, self.input_keep_fraction)
-            hits, misses = input_cache.update(token_input_mask)
-            self.stats.hits += hits
-            self.stats.misses += misses
-
+            token_input_mask, in_hits, in_misses = cache_aware_step(
+                input_cache, np.abs(token), self.input_keep_fraction, self.gamma
+            )
             glu = mlp.glu_activations_array(token * token_input_mask)
-            scores_glu = cache_aware_scores(np.abs(glu), down_cache.cached_mask(), self.gamma)
-            token_down_mask = topk_fraction_mask(scores_glu, self.neuron_keep_fraction)
-            hits, misses = down_cache.update(token_down_mask)
-            self.stats.hits += hits
-            self.stats.misses += misses
-
+            token_down_mask, down_hits, down_misses = cache_aware_step(
+                down_cache, np.abs(glu), self.neuron_keep_fraction, self.gamma
+            )
+            self.stats.hits += in_hits + down_hits
+            self.stats.misses += in_misses + down_misses
             input_mask[t] = token_input_mask
             down_mask[t] = token_down_mask
             glu_rows[t] = glu

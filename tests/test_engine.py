@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engine.inference import MaskRecorder, SparseInferenceEngine
-from repro.engine.throughput import density_throughput_sweep, throughput_for_method
+from repro.engine.throughput import throughput_for_method
 from repro.hwsim.device import APPLE_A18
 from repro.hwsim.trace import SyntheticTraceConfig
 from repro.nn.model_zoo import get_model_spec
@@ -90,15 +90,12 @@ class TestThroughputEstimation:
     def test_lower_density_faster(self):
         spec = get_model_spec("phi3-mini")
         device = APPLE_A18.with_dram(spec.table2_dram_bytes)
-        estimates = density_throughput_sweep(
-            lambda d: DynamicInputPruning(d),
-            densities=[0.3, 0.7],
-            model_spec=spec,
-            device=device,
-            n_tokens=12,
-            trace_config=SyntheticTraceConfig(n_tokens=12, seed=2),
+        trace = SyntheticTraceConfig(n_tokens=12, seed=2)
+        low, high = (
+            throughput_for_method(DynamicInputPruning(d), spec, device, n_tokens=12, trace_config=trace)
+            for d in (0.3, 0.7)
         )
-        assert estimates[0].tokens_per_second > estimates[1].tokens_per_second
+        assert low.tokens_per_second > high.tokens_per_second
 
     def test_glu_pruning_slower_than_up_pruning_under_memory_pressure(self):
         """GLU pruning must stream the dense up+gate matrices, so it loses (Table 2)."""

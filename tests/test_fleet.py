@@ -85,12 +85,8 @@ class TestConfig:
             FleetConfig(decode_workers=0)
         with pytest.raises(ValueError, match="transport"):
             FleetConfig(transport="carrier-pigeon")
-        with pytest.raises(ValueError, match="routing"):
-            FleetConfig(routing="random")
         with pytest.raises(ValueError, match="heartbeat_timeout_s"):
             FleetConfig(heartbeat_interval_s=1.0, heartbeat_timeout_s=0.5)
-        with pytest.raises(ValueError, match="affinity_tokens"):
-            FleetConfig(affinity_tokens=0)
 
     def test_worker_spec_validation(self):
         with pytest.raises(ValueError, match="target_density"):
@@ -107,7 +103,7 @@ class TestConfig:
             WorkerConfig(worker_id="", role="decode")
 
     def test_json_round_trips(self):
-        config = FleetConfig(decode_workers=3, routing="prefix_affinity", transport="pipe")
+        config = FleetConfig(decode_workers=3, transport="pipe")
         assert FleetConfig.from_json(config.to_json()) == config
         worker = WorkerConfig(worker_id="decode-0", role="decode", spec=SPEC)
         assert WorkerConfig.from_json(worker.to_json()) == worker
@@ -179,7 +175,7 @@ class TestInprocFleet:
 
     def test_least_loaded_spreads_concurrent_requests(self, reference_session):
         want = expected_tokens(reference_session, PROMPT, 48)
-        with make_fleet(decode_workers=2, routing="least_loaded") as fleet:
+        with make_fleet(decode_workers=2) as fleet:
             first = fleet.stream(GenerationRequest(prompt=PROMPT, max_new_tokens=48))
             second = fleet.stream(GenerationRequest(prompt=PROMPT, max_new_tokens=48))
             assert list(first.result(60).tokens) == want
@@ -191,20 +187,6 @@ class TestInprocFleet:
                 return sorted(counts) == [1.0, 1.0]
 
             wait_until(spread, message="heartbeats to report one request per worker")
-
-    def test_prefix_affinity_pins_shared_prompts(self, reference_session):
-        want = expected_tokens(reference_session, PROMPT, 4)
-        with make_fleet(decode_workers=2, routing="prefix_affinity") as fleet:
-            for _ in range(4):
-                result = fleet.generate(GenerationRequest(prompt=PROMPT, max_new_tokens=4), timeout=60)
-                assert list(result.tokens) == want
-
-            def pinned():
-                workers = fleet.stats()["workers"]
-                counts = [w.get("requests_total", 0.0) for w in workers.values()]
-                return sorted(counts) == [0.0, 4.0]
-
-            wait_until(pinned, message="all shared-prefix requests to land on one worker")
 
     def test_fault_injection_requires_opt_in(self):
         with make_fleet(decode_workers=1) as fleet:

@@ -77,6 +77,14 @@ class TestLRUCache:
         assert cache.occupancy() == 0
         assert cache.token_index == 0
 
+    def test_active_set_larger_than_capacity(self):
+        """Every active unit was just used, so the over-capacity rule falls to the index tie-break."""
+        cache = LRUCache(10, 3)
+        cache.process_token(one_hot(10, 7))
+        cache.process_token(one_hot(10, [1, 2]))
+        cache.process_token(one_hot(10, range(6)))
+        assert np.flatnonzero(cache.cached_mask()).tolist() == [3, 4, 5]
+
 
 class TestLFUCache:
     def test_keeps_frequent_unit(self):
@@ -93,6 +101,29 @@ class TestLFUCache:
         active = one_hot(4, [0, 1])
         cache.process_token(active)
         assert cache.process_token(active) == (0, 2)
+
+    def test_active_set_larger_than_capacity(self):
+        """The over-capacity rule DIP-CA and the simulator share: the cache ends up
+        holding exactly ``capacity`` units, all active on this token, chosen by
+        frequency; among equal frequencies the lower index is evicted first."""
+        cache = LFUCache(10, 3)
+        for _ in range(4):
+            cache.process_token(one_hot(10, 7))  # frequency 4, never active again
+        for _ in range(2):
+            cache.process_token(one_hot(10, [1, 2]))  # frequency 2 -> 3 below
+        active = one_hot(10, range(6))
+        assert cache.process_token(active) == (2, 4)
+        assert cache.occupancy() == 3
+        assert not np.any(cache.cached_mask() & ~active)
+        assert np.flatnonzero(cache.cached_mask()).tolist() == [1, 2, 5]
+
+    def test_reset(self):
+        cache = LFUCache(4, 2)
+        cache.process_token(one_hot(4, [0, 1]))
+        cache.reset()
+        assert cache.occupancy() == 0
+        assert cache.frequency.sum() == 0
+        assert cache.token_index == 0
 
 
 class TestBeladyCache:

@@ -1,9 +1,9 @@
-"""Tests for cache-aware masking (Eq. 10, Algorithm 1) and the LFU cache model."""
+"""Tests for cache-aware masking (Eq. 10, Algorithm 1)."""
 
 import numpy as np
 import pytest
 
-from repro.sparsity.cache_aware import CacheAwareDIP, LayerCacheState, cache_aware_scores
+from repro.sparsity.cache_aware import CacheAwareDIP, cache_aware_scores
 from repro.sparsity.dip import DynamicInputPruning
 
 
@@ -49,64 +49,6 @@ class TestCacheAwareScores:
         assert cache_aware_scores(magnitudes, cached, 0.5).shape == (5, 8)
 
 
-class TestLayerCacheState:
-    def test_insert_and_hit(self):
-        cache = LayerCacheState(n_units=8, capacity=4)
-        active = np.zeros(8, dtype=bool)
-        active[:3] = True
-        hits, misses = cache.update(active)
-        assert (hits, misses) == (0, 3)
-        hits, misses = cache.update(active)
-        assert (hits, misses) == (3, 0)
-
-    def test_eviction_respects_capacity(self):
-        cache = LayerCacheState(n_units=10, capacity=3)
-        for start in range(0, 9, 3):
-            active = np.zeros(10, dtype=bool)
-            active[start : start + 3] = True
-            cache.update(active)
-        assert cache.cached.sum() == 3
-
-    def test_lfu_keeps_frequent_units(self):
-        cache = LayerCacheState(n_units=6, capacity=2)
-        frequent = np.zeros(6, dtype=bool)
-        frequent[0] = True
-        for _ in range(5):
-            cache.update(frequent)
-        other = np.zeros(6, dtype=bool)
-        other[3] = True
-        cache.update(other)
-        assert cache.cached[0]  # unit 0 survived (higher frequency)
-
-    def test_zero_capacity_never_caches(self):
-        cache = LayerCacheState(n_units=4, capacity=0)
-        active = np.ones(4, dtype=bool)
-        cache.update(active)
-        hits, misses = cache.update(active)
-        assert hits == 0 and misses == 4
-
-    def test_active_set_larger_than_capacity(self):
-        cache = LayerCacheState(n_units=8, capacity=2)
-        active = np.ones(8, dtype=bool)
-        cache.update(active)
-        assert cache.cached.sum() == 2
-
-    def test_reset(self):
-        cache = LayerCacheState(4, 2)
-        cache.update(np.array([True, True, False, False]))
-        cache.reset()
-        assert cache.cached.sum() == 0
-        assert cache.frequency.sum() == 0
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            LayerCacheState(4, 2).update(np.ones(5, dtype=bool))
-
-    def test_invalid_units(self):
-        with pytest.raises(ValueError):
-            LayerCacheState(0, 1)
-
-
 class TestCacheAwareDIP:
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -146,6 +88,19 @@ class TestCacheAwareDIP:
         masks = method.compute_masks(mlp, 0, x)
         expected_inputs = int(round(method.input_keep_fraction * mlp.d_model))
         assert np.all(masks.input_mask.sum(axis=-1) == expected_inputs)
+
+    def test_cache_holds_only_active_units_when_over_capacity(self, trained_tiny_model):
+        """The input cache is the simulator's LFU: 17 kept inputs against a capacity of 10
+        leave exactly 10 resident units, all of them selected by the current token."""
+        mlp = trained_tiny_model.blocks[0].mlp
+        method = CacheAwareDIP(0.5, gamma=0.2, cache_fraction=0.3)
+        x = np.random.default_rng(4).normal(size=(12, trained_tiny_model.config.d_model))
+        for token in x:
+            masks = method.compute_masks(mlp, 0, token[None, :])
+            resident = method._caches[(0, "input")].cached_mask()
+            assert masks.input_mask[0].sum() == 17
+            assert resident.sum() == 10
+            assert not np.any(resident & ~masks.input_mask[0])
 
     def test_reset_cache(self, trained_tiny_model):
         mlp = trained_tiny_model.blocks[0].mlp
