@@ -65,7 +65,7 @@ class GroupCache:
         if active.shape != (self.n_units,):
             raise ValueError(f"active vector must have shape ({self.n_units},)")
         hits = int(np.count_nonzero(active & self.cached))
-        misses = int(np.count_nonzero(active & ~self.cached))
+        misses = int(np.count_nonzero(active)) - hits
         self._update(active)
         self.token_index += 1
         return hits, misses
@@ -106,10 +106,19 @@ class _EvictingCache(GroupCache):
     goes and so do the lowest-scoring active ones, leaving exactly
     ``capacity_units`` active units.  Among equal scores the lower unit index
     is evicted first.
+
+    Victims are chosen with ``argpartition`` on the integer keys
+    ``score * n_units + index``.  The keys are unique and order units by
+    score, then index, so the partition picks exactly the units a stable
+    sort by score would put first, without sorting the rest.
     """
 
     def _scores(self) -> np.ndarray:
-        """Lower score = evicted first.  Subclasses override."""
+        """Integer eviction scores over all units; lower = evicted first.
+
+        Must be integer-valued (the eviction keys rely on it) and is only
+        read, so a subclass may return its own bookkeeping array.
+        """
         raise NotImplementedError
 
     def _record_access(self, active: np.ndarray) -> None:
@@ -120,24 +129,24 @@ class _EvictingCache(GroupCache):
         self._record_access(active)
         if self.capacity_units == 0:
             return
-        self.cached |= active
-        overflow = int(self.cached.sum()) - self.capacity_units
-        if overflow <= 0:
-            return
-        scores = self._scores()
-        # Prefer evicting units that were not accessed this token; fall back
-        # to the currently accessed ones only if they alone exceed capacity.
-        candidates = np.flatnonzero(self.cached & ~active)
-        if candidates.size < overflow:
-            extra_needed = overflow - candidates.size
-            active_cached = np.flatnonzero(self.cached & active)
-            order = np.argsort(scores[active_cached], kind="stable")
-            extra = active_cached[order[:extra_needed]]
-            to_evict = np.concatenate([candidates, extra])
+        n_active = int(np.count_nonzero(active))
+        if n_active < self.capacity_units:
+            self.cached |= active
+            overflow = int(np.count_nonzero(self.cached)) - self.capacity_units
+            if overflow <= 0:
+                return
+            candidates = (self.cached & ~active).nonzero()[0]
         else:
-            order = np.argsort(scores[candidates], kind="stable")
-            to_evict = candidates[order[:overflow]]
-        self.cached[to_evict] = False
+            # The active set alone fills the cache: every inactive unit goes,
+            # and the lowest-scoring active ones make room for the rest.
+            np.copyto(self.cached, active)
+            overflow = n_active - self.capacity_units
+            if overflow == 0:
+                return
+            candidates = active.nonzero()[0]
+        keys = self._scores()[candidates] * self.n_units + candidates
+        victims = candidates[keys.argpartition(overflow - 1)[:overflow]]
+        self.cached[victims] = False
 
 
 class LRUCache(_EvictingCache):
@@ -153,7 +162,7 @@ class LRUCache(_EvictingCache):
         self.last_used[active] = self.token_index
 
     def _scores(self) -> np.ndarray:
-        return self.last_used.astype(np.float64)
+        return self.last_used
 
     def reset(self) -> None:
         super().reset()
@@ -170,10 +179,10 @@ class LFUCache(_EvictingCache):
         self.frequency = np.zeros(self.n_units, dtype=np.int64)
 
     def _record_access(self, active: np.ndarray) -> None:
-        self.frequency[active] += 1
+        self.frequency += active
 
     def _scores(self) -> np.ndarray:
-        return self.frequency.astype(np.float64)
+        return self.frequency
 
     def reset(self) -> None:
         super().reset()
@@ -218,7 +227,7 @@ class BeladyCache(_EvictingCache):
             raise RuntimeError("BeladyCache.set_future must be called before simulation")
         t = min(self.token_index, self._next_use.shape[0] - 1)
         # Farther next use = evicted first, so the score is the negated next-use time.
-        return -self._next_use[t].astype(np.float64)
+        return -self._next_use[t]
 
     def reset(self) -> None:
         super().reset()

@@ -19,15 +19,18 @@ def topk_mask(values: np.ndarray, k: int) -> np.ndarray:
     ``k`` is clamped to ``[0, n]``.
     """
     n = values.shape[-1]
-    k = int(np.clip(k, 0, n))
+    k = min(max(int(k), 0), n)
     mask = np.zeros(values.shape, dtype=bool)
     if k == 0:
         return mask
-    if k >= n:
+    if k == n:
         return np.ones(values.shape, dtype=bool)
     # argpartition selects the k largest per row without a full sort.
-    idx = np.argpartition(values, n - k, axis=-1)[..., n - k :]
-    np.put_along_axis(mask, idx, True, axis=-1)
+    idx = values.argpartition(n - k, axis=-1)[..., n - k :]
+    if values.ndim == 1:
+        mask[idx] = True
+    else:
+        np.put_along_axis(mask, idx, True, axis=-1)
     return mask
 
 

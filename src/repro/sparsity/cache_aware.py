@@ -16,6 +16,12 @@ side (:class:`CacheAwareDIP`, one :class:`~repro.hwsim.cache.LFUCache` per
 layer and weight group) and the HW simulator's throughput numbers run it
 against :mod:`repro.hwsim.cache` policies, so a DIP-CA perplexity and its
 simulated throughput describe one DRAM cache model.
+
+:meth:`CacheAwareDIP.compute_masks` runs Algorithm 1 in two passes over a
+call's tokens: first every input mask against the input cache, then one GLU
+for all tokens, then every down mask against the down cache.  This is exact:
+each cache's state depends only on the masks served to it, and token ``t``'s
+GLU depends only on its own input and input mask.
 """
 
 from __future__ import annotations
@@ -37,18 +43,18 @@ if TYPE_CHECKING:  # imported lazily at runtime: repro.hwsim depends on repro.sp
 def cache_aware_scores(magnitudes: np.ndarray, cached_mask: np.ndarray, gamma: float) -> np.ndarray:
     """Apply the Eq. 10 re-weighting to activation magnitudes.
 
-    ``magnitudes`` has shape ``(..., n)``; ``cached_mask`` is broadcastable to
-    it and holds 1 for cached columns.  The infinity-norm normalisation makes
-    the scores insensitive to the token-to-token dynamic range.
+    ``magnitudes`` has shape ``(..., n)`` and holds non-negative values such
+    as ``|x|``; ``cached_mask`` is broadcastable to it and is boolean or 0/1,
+    with 1 for cached columns.  The infinity-norm normalisation makes the
+    scores insensitive to the token-to-token dynamic range.
     """
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must lie in (0, 1]")
-    magnitudes = np.abs(np.asarray(magnitudes, dtype=np.float64))
-    cached = np.asarray(cached_mask, dtype=np.float64)
+    magnitudes = np.asarray(magnitudes, dtype=np.float64)
     norm = magnitudes.max(axis=-1, keepdims=True)
-    norm = np.where(norm > 0, norm, 1.0)
-    weights = cached + gamma * (1.0 - cached)
-    return magnitudes * weights / norm
+    scores = np.where(cached_mask, magnitudes, magnitudes * gamma)
+    # An all-zero row keeps its zero scores instead of dividing 0 by 0.
+    return np.divide(scores, norm, out=scores, where=norm > 0)
 
 
 def cache_aware_step(
@@ -56,10 +62,10 @@ def cache_aware_step(
 ) -> Tuple[np.ndarray, int, int]:
     """One token of Algorithm 1 against one weight group's ``cache``.
 
-    Re-weights the token's ``scores`` with Eq. 10 against the resident units
-    (only when ``gamma < 1``), keeps the top ``keep_fraction`` of them and
-    serves those units through ``cache.process_token``.  Returns the boolean
-    unit mask and the token's ``(hits, misses)``.
+    Re-weights the token's non-negative ``scores`` with Eq. 10 against the
+    resident units (only when ``gamma < 1``), keeps the top ``keep_fraction``
+    of them and serves those units through ``cache.process_token``.  Returns
+    the boolean unit mask and the token's ``(hits, misses)``.
     """
     if gamma < 1.0:
         scores = cache_aware_scores(scores, cache.cached_mask(), gamma)
@@ -135,36 +141,31 @@ class CacheAwareDIP(DynamicInputPruning):
         self.stats = CacheHitStats()
 
     # ------------------------------------------------------------------ masks
+    def _serve(self, cache: GroupCache, magnitudes: np.ndarray, keep_fraction: float) -> np.ndarray:
+        """Run :func:`cache_aware_step` on each row of ``magnitudes`` in order."""
+        mask = np.empty(magnitudes.shape, dtype=bool)
+        for t, row in enumerate(magnitudes):
+            mask[t], hits, misses = cache_aware_step(cache, row, keep_fraction, self.gamma)
+            self.stats.hits += hits
+            self.stats.misses += misses
+        return mask
+
     def compute_masks(self, mlp: SwiGLUMLP, layer_index: int, x: np.ndarray) -> MLPMasks:
         """Sequential, cache-dependent mask computation (Algorithm 1).
 
-        Tokens are processed in order because each token's mask depends on the
-        cache state left by the previous one.
+        Tokens are served in order because each token's mask depends on the
+        cache state left by the previous one.  The input pass runs first: the
+        input cache sees only input masks, so it needs no GLU.  One GLU call
+        then covers every token, and the down pass ranks its rows against the
+        down cache.  The masks equal those of one-token calls; the GLU values
+        may differ in the last bits (one GEMM instead of per-row GEMVs).
         """
         x = np.atleast_2d(x)
-        n_tokens, d_model = x.shape
-        d_ffn = mlp.d_ffn
-        input_cache = self._cache_for(layer_index, "input", d_model)
-        down_cache = self._cache_for(layer_index, "down", d_ffn)
-
-        input_mask = np.zeros((n_tokens, d_model), dtype=bool)
-        down_mask = np.zeros((n_tokens, d_ffn), dtype=bool)
-        glu_rows = np.empty((n_tokens, d_ffn))
-        for t in range(n_tokens):
-            token = x[t]
-            token_input_mask, in_hits, in_misses = cache_aware_step(
-                input_cache, np.abs(token), self.input_keep_fraction, self.gamma
-            )
-            glu = mlp.glu_activations_array(token * token_input_mask)
-            token_down_mask, down_hits, down_misses = cache_aware_step(
-                down_cache, np.abs(glu), self.neuron_keep_fraction, self.gamma
-            )
-            self.stats.hits += in_hits + down_hits
-            self.stats.misses += in_misses + down_misses
-            input_mask[t] = token_input_mask
-            down_mask[t] = token_down_mask
-            glu_rows[t] = glu
-
+        input_cache = self._cache_for(layer_index, "input", mlp.d_model)
+        down_cache = self._cache_for(layer_index, "down", mlp.d_ffn)
+        input_mask = self._serve(input_cache, np.abs(x), self.input_keep_fraction)
+        glu = mlp.glu_activations_array(x, input_mask=input_mask)
+        down_mask = self._serve(down_cache, np.abs(glu), self.neuron_keep_fraction)
         return MLPMasks(
             down_mask=down_mask,
             input_mask=input_mask,
@@ -172,7 +173,7 @@ class CacheAwareDIP(DynamicInputPruning):
             up_mask=input_mask,
             gate_axis="input",
             gate_mask=input_mask,
-            glu_cache=glu_rows,
+            glu_cache=glu,
         )
 
     def describe(self):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.compression.quantizer import dequantize_uniform, quantize_tensor_uniform
-from repro.hwsim.cache import LFUCache, LRUCache
+from repro.hwsim.cache import BeladyCache, LFUCache, LRUCache
 from repro.sparsity.base import topk_fraction_mask, topk_mask
 from repro.sparsity.cache_aware import cache_aware_scores
 from repro.sparsity.density import allocate_dip_densities
@@ -17,21 +17,22 @@ finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_
 
 class TestTopKProperties:
     @given(
-        values=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=30), elements=finite_floats),
+        values=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=30), elements=finite_floats),
         k=st.integers(min_value=0, max_value=40),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     def test_exact_count_and_threshold_property(self, values, k):
         mask = topk_mask(values, k)
+        assert mask.shape == values.shape
         expected = min(max(k, 0), values.shape[-1])
         assert np.all(mask.sum(axis=-1) == expected)
         # Every kept value must be >= every dropped value (per row).
-        for row_values, row_mask in zip(values, mask):
+        for row_values, row_mask in zip(np.atleast_2d(values), np.atleast_2d(mask)):
             if 0 < expected < values.shape[-1]:
                 assert row_values[row_mask].min() >= row_values[~row_mask].max() - 1e-12
 
     @given(
-        values=hnp.arrays(np.float64, (5, 17), elements=finite_floats),
+        values=hnp.arrays(np.float64, st.sampled_from([(17,), (5, 17)]), elements=finite_floats),
         fraction=st.floats(min_value=0.0, max_value=1.0),
     )
     @settings(max_examples=40, deadline=None)
@@ -39,6 +40,48 @@ class TestTopKProperties:
         mask = topk_fraction_mask(values, fraction)
         count = mask.sum(axis=-1)
         assert np.all(count == int(round(fraction * 17)))
+
+
+@st.composite
+def access_streams(draw):
+    """``(capacity, activity)``: up to 16 units, any capacity, many score ties."""
+    n_units = draw(st.integers(min_value=1, max_value=16))
+    capacity = draw(st.integers(min_value=0, max_value=n_units))
+    n_tokens = draw(st.integers(min_value=1, max_value=24))
+    activity = draw(hnp.arrays(np.bool_, (n_tokens, n_units), elements=st.booleans()))
+    return capacity, activity
+
+
+def reference_resident(resident, active, scores, capacity):
+    """The documented eviction rule, written with a stable sort.
+
+    Insert the active units; while over capacity evict units not active on
+    this token, lowest score first and lower index first among equal scores.
+    Only when the active units alone exceed capacity do the lowest-scoring
+    of them go as well.
+    """
+    if capacity == 0:
+        return np.zeros_like(resident)
+    resident = resident | active
+    overflow = int(resident.sum()) - capacity
+    if overflow <= 0:
+        return resident
+    inactive = np.flatnonzero(resident & ~active)
+    if inactive.size >= overflow:
+        victims = inactive[np.argsort(scores[inactive], kind="stable")[:overflow]]
+    else:
+        in_use = np.flatnonzero(active)
+        order = np.argsort(scores[in_use], kind="stable")
+        victims = np.concatenate([inactive, in_use[order[: overflow - inactive.size]]])
+    resident[victims] = False
+    return resident
+
+
+def next_use_after(activity, t):
+    """Per unit, the first token after ``t`` that accesses it (``len + 1`` if none)."""
+    n_tokens, n_units = activity.shape
+    later = range(t + 1, n_tokens)
+    return np.array([next((s for s in later if activity[s, u]), n_tokens + 1) for u in range(n_units)])
 
 
 class TestCacheProperties:
@@ -62,6 +105,31 @@ class TestCacheProperties:
                 assert hits + misses == int(active.sum())
             # Hits can never exceed total requests.
             assert total_hits + total_misses >= total_hits
+
+    @given(stream=access_streams())
+    @settings(max_examples=150, deadline=None)
+    def test_eviction_follows_documented_rule(self, stream):
+        capacity, activity = stream
+        n_units = activity.shape[1]
+        for cache in (LRUCache(n_units, capacity), LFUCache(n_units, capacity), BeladyCache(n_units, capacity)):
+            if isinstance(cache, BeladyCache):
+                cache.set_future(activity)
+            resident = np.zeros(n_units, dtype=bool)
+            last_used = np.full(n_units, -1)
+            frequency = np.zeros(n_units, dtype=int)
+            for t, active in enumerate(activity):
+                last_used[active] = t
+                frequency[active] += 1
+                if cache.name == "lru":
+                    scores = last_used
+                elif cache.name == "lfu":
+                    scores = frequency
+                else:
+                    scores = -next_use_after(activity, t)
+                expected = (int(np.sum(active & resident)), int(np.sum(active & ~resident)))
+                resident = reference_resident(resident, active, scores, capacity)
+                assert cache.process_token(active) == expected
+                assert np.array_equal(cache.cached_mask(), resident)
 
     @given(seed=st.integers(min_value=0, max_value=500))
     @settings(max_examples=20, deadline=None)

@@ -102,6 +102,23 @@ class TestCacheAwareDIP:
             assert resident.sum() == 10
             assert not np.any(resident & ~masks.input_mask[0])
 
+    @pytest.mark.parametrize("gamma, cache_fraction", [(0.2, 0.3), (0.2, 0.8), (1.0, 0.5)])
+    def test_multi_token_call_equals_one_token_calls(self, trained_tiny_model, gamma, cache_fraction):
+        """compute_masks serves a T-token call in two passes (inputs, one GLU, downs);
+        that must give the masks and hits of T one-token calls."""
+        mlp = trained_tiny_model.blocks[0].mlp
+        x = np.random.default_rng(5).normal(size=(12, trained_tiny_model.config.d_model))
+        batched = CacheAwareDIP(0.5, gamma=gamma, cache_fraction=cache_fraction)
+        looped = CacheAwareDIP(0.5, gamma=gamma, cache_fraction=cache_fraction)
+        masks = batched.compute_masks(mlp, 0, x)
+        rows = [looped.compute_masks(mlp, 0, token[None, :]) for token in x]
+        assert np.array_equal(masks.input_mask, np.concatenate([r.input_mask for r in rows]))
+        assert np.array_equal(masks.down_mask, np.concatenate([r.down_mask for r in rows]))
+        assert (batched.stats.hits, batched.stats.misses) == (looped.stats.hits, looped.stats.misses)
+        np.testing.assert_allclose(
+            masks.glu_cache, np.concatenate([r.glu_cache for r in rows]), rtol=0, atol=1e-12
+        )
+
     def test_reset_cache(self, trained_tiny_model):
         mlp = trained_tiny_model.blocks[0].mlp
         method = CacheAwareDIP(target_density=0.5, gamma=0.2, cache_fraction=0.4)
