@@ -225,12 +225,11 @@ def resolve_backend(backend: BackendLike) -> ComputeBackend:
 def use_backend(backend: BackendLike) -> Iterator[ComputeBackend]:
     """Scope within which :func:`active_backend` returns ``backend``.
 
-    ``None`` is a no-op scope that inherits the ambient selection — callers
-    holding an optional backend can wrap unconditionally.
+    ``None`` pins the ambient selection as the scope is entered (an
+    enclosing scope's backend, else ``REPRO_BACKEND``, else numpy), so
+    callers holding an optional backend can wrap unconditionally, and ops
+    inside the scope do not read the environment again.
     """
-    if backend is None:
-        yield active_backend()
-        return
     resolved = resolve_backend(backend)
     token = _ACTIVE.set(resolved)
     try:

@@ -179,9 +179,9 @@ class SparseInferenceEngine:
         self.model = model
         self.method = method
         #: Compute backend (name or instance) every evaluation entry point
-        #: runs under; ``None`` inherits the ambient selection (explicit
-        #: :func:`~repro.backend.use_backend` scope > ``REPRO_BACKEND`` env
-        #: var > numpy reference).
+        #: runs under; ``None`` takes the ambient selection when an entry
+        #: point is entered (explicit :func:`~repro.backend.use_backend`
+        #: scope > ``REPRO_BACKEND`` env var > numpy reference).
         self.backend = backend
         self.recorder = MaskRecorder(len(model.blocks)) if record_masks else None
         #: Token budget per batched forward when no explicit batch size is
@@ -410,7 +410,8 @@ class ContinuousBatch:
         self.model = model
         self.mlp_override = mlp_override
         #: Compute backend the prefill/decode forwards run under (``None``
-        #: inherits the ambient selection; see :mod:`repro.backend`).
+        #: takes the ambient selection as each scope is entered; see
+        #: :mod:`repro.backend`).
         self.backend = backend
         self.max_batch_size = max_batch_size
         self.max_seq_len = max_seq_len if max_seq_len is not None else model.config.max_seq_len

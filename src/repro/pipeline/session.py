@@ -83,7 +83,8 @@ class SparseSession:
         self.task_suite = task_suite
         self.dense_ppl = dense_ppl
         #: Compute backend the session's metrics run under (name, instance, or
-        #: None to inherit the ambient selection — see ``repro.backend``).
+        #: None to take the ambient selection as each call starts — see
+        #: ``repro.backend``).
         self.backend: BackendLike = backend
         self.engine: Optional[SparseInferenceEngine] = (
             SparseInferenceEngine(model, self.method, record_masks=record_masks, backend=backend)

@@ -244,9 +244,10 @@ class ExperimentSpec(ConfigBase):
     #: them — a multi-device hardware sweep evaluated by
     #: :func:`repro.pipeline.runner.hardware_sweep`.
     hardware: HardwareLike = dataclasses.field(default_factory=HardwareSection)
-    #: Compute backend the session's inference runs under (``None`` inherits
-    #: the ambient selection: an explicit ``use_backend`` scope, then the
-    #: ``REPRO_BACKEND`` env var, then the numpy reference).
+    #: Compute backend the session's inference runs under (``None`` takes
+    #: the ambient selection as each scope is entered: an explicit
+    #: ``use_backend`` scope, then the ``REPRO_BACKEND`` env var, then the
+    #: numpy reference).
     backend: Optional[str] = None
 
     def __post_init__(self):

@@ -16,7 +16,9 @@ def topk_mask(values: np.ndarray, k: int) -> np.ndarray:
     """Boolean mask keeping the ``k`` largest entries along the last axis.
 
     Ties are broken arbitrarily but deterministically (via ``argpartition``).
-    ``k`` is clamped to ``[0, n]``.
+    DIP-CA's compiled step (``_ca_step.c``) breaks ties at the k-th value
+    toward the lower index instead; the two agree whenever that value is
+    unique.  ``k`` is clamped to ``[0, n]``.
     """
     n = values.shape[-1]
     k = min(max(int(k), 0), n)
@@ -34,12 +36,16 @@ def topk_mask(values: np.ndarray, k: int) -> np.ndarray:
     return mask
 
 
-def topk_fraction_mask(values: np.ndarray, fraction: float) -> np.ndarray:
-    """Keep the largest ``fraction`` of entries along the last axis."""
+def keep_count(fraction: float, n: int) -> int:
+    """How many of ``n`` entries :func:`topk_fraction_mask` keeps for ``fraction``."""
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must lie in [0, 1]")
-    k = int(round(fraction * values.shape[-1]))
-    return topk_mask(values, k)
+    return int(round(fraction * n))
+
+
+def topk_fraction_mask(values: np.ndarray, fraction: float) -> np.ndarray:
+    """Keep the largest ``fraction`` of entries along the last axis."""
+    return topk_mask(values, keep_count(fraction, values.shape[-1]))
 
 
 def threshold_mask(values: np.ndarray, threshold: float) -> np.ndarray:

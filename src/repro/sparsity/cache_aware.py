@@ -22,6 +22,16 @@ call's tokens: first every input mask against the input cache, then one GLU
 for all tokens, then every down mask against the down cache.  This is exact:
 each cache's state depends only on the masks served to it, and token ``t``'s
 GLU depends only on its own input and input mask.
+
+Each pass serves all of a call's tokens for one weight group with one call
+of a compiled step (``_ca_step.c``, built with the system C compiler on
+first use, see :mod:`repro.sparsity._native`).  It computes what a loop of
+:func:`cache_aware_step` computes and leaves the same masks and cache state,
+except that ties at the k-th score go to the lower index.  Without a
+compiler that loop runs instead; it stays the reference the tests compare
+against, and :class:`~repro.hwsim.simulator.HWSimulator` keeps calling
+:func:`cache_aware_step`: at paper-scale groups numpy's vectorised
+``argpartition`` matches or beats the scalar kernel.
 """
 
 from __future__ import annotations
@@ -32,7 +42,8 @@ from typing import TYPE_CHECKING, Dict, Optional, Tuple
 import numpy as np
 
 from repro.nn.mlp import SwiGLUMLP
-from repro.sparsity.base import MLPMasks, topk_fraction_mask
+from repro.sparsity import _native
+from repro.sparsity.base import MLPMasks, keep_count, topk_fraction_mask
 from repro.sparsity.density import DIPDensityAllocation
 from repro.sparsity.dip import DynamicInputPruning
 
@@ -72,6 +83,22 @@ def cache_aware_step(
     mask = topk_fraction_mask(scores, keep_fraction)
     hits, misses = cache.process_token(mask)
     return mask, hits, misses
+
+
+def _bind(cache: GroupCache) -> tuple:
+    """``(arrays, addresses)`` of the compiled step's state for an LFU
+    ``cache``: its ``cached`` and ``frequency`` arrays and a scratch buffer,
+    checked before the step ever writes them."""
+    n = cache.n_units
+    arrays = (cache.cached, cache.frequency, np.empty(2 * n))  # scratch: two rows of n scores
+    if not (
+        arrays[0].dtype == np.bool_
+        and arrays[1].dtype == np.int64
+        and arrays[0].shape == arrays[1].shape == (n,)
+        and all(a.flags.c_contiguous and a.flags.writeable for a in arrays)
+    ):
+        raise ValueError(f"an LFU cache needs writable C-contiguous ({n},) bool and int64 arrays")
+    return arrays, tuple(a.ctypes.data for a in arrays)
 
 
 @dataclasses.dataclass
@@ -123,7 +150,17 @@ class CacheAwareDIP(DynamicInputPruning):
         self.cache_fraction = float(cache_fraction)
         #: (layer_index, group) -> LFU cache, group in {"input", "down"}.
         self._caches: Dict[Tuple[int, str], GroupCache] = {}
+        #: (layer_index, group) -> what :func:`_bind` returns for that cache.
+        #: Holds addresses, so copies and pickles start without it.
+        self._bound: Dict[Tuple[int, str], tuple] = {}
         self.stats = CacheHitStats()
+
+    def __getstate__(self):
+        """Copies and pickles leave out the compiled step's addresses; a copy
+        binds its own caches on first use."""
+        state = self.__dict__.copy()
+        state["_bound"] = {}
+        return state
 
     # ----------------------------------------------------------------- caches
     def _cache_for(self, layer_index: int, group: str, n_units: int) -> GroupCache:
@@ -141,13 +178,39 @@ class CacheAwareDIP(DynamicInputPruning):
         self.stats = CacheHitStats()
 
     # ------------------------------------------------------------------ masks
-    def _serve(self, cache: GroupCache, magnitudes: np.ndarray, keep_fraction: float) -> np.ndarray:
-        """Run :func:`cache_aware_step` on each row of ``magnitudes`` in order."""
-        mask = np.empty(magnitudes.shape, dtype=bool)
-        for t, row in enumerate(magnitudes):
-            mask[t], hits, misses = cache_aware_step(cache, row, keep_fraction, self.gamma)
-            self.stats.hits += hits
-            self.stats.misses += misses
+    def _serve(
+        self, layer_index: int, group: str, n_units: int, rows: np.ndarray, keep_fraction: float
+    ) -> np.ndarray:
+        """Serve each row of ``rows`` (signed ``x`` or GLU values) in order
+        against one weight group's cache; return the fresh ``(T, n)`` mask.
+
+        One call of the compiled step covers every row; without it, a loop
+        of :func:`cache_aware_step` does.  Before the compiled step runs, a
+        row width other than the cache's raises ``ValueError``.
+        """
+        key = (layer_index, group)
+        cache = self._cache_for(layer_index, group, n_units)
+        step = _native.load_ca_step()
+        if step is None:
+            mask = np.empty(rows.shape, dtype=bool)
+            for t, row in enumerate(np.abs(rows)):
+                mask[t], hits, misses = cache_aware_step(cache, row, keep_fraction, self.gamma)
+                self.stats.hits += hits
+                self.stats.misses += misses
+            return mask
+        rows = np.ascontiguousarray(rows, dtype=np.float64)
+        n_tokens, n = rows.shape
+        if n != cache.n_units:
+            raise ValueError(f"active vector must have shape ({cache.n_units},)")
+        bound = self._bound.get(key)
+        if bound is None or bound[0][0] is not cache.cached or bound[0][1] is not cache.frequency:
+            bound = self._bound[key] = _bind(cache)
+        k = keep_count(keep_fraction, n)
+        mask = np.empty(rows.shape, dtype=bool)
+        hits = step(rows.ctypes.data, n_tokens, n, k, self.gamma, cache.capacity_units, *bound[1], mask.ctypes.data)
+        cache.token_index += n_tokens
+        self.stats.hits += hits
+        self.stats.misses += n_tokens * k - hits
         return mask
 
     def compute_masks(self, mlp: SwiGLUMLP, layer_index: int, x: np.ndarray) -> MLPMasks:
@@ -161,11 +224,9 @@ class CacheAwareDIP(DynamicInputPruning):
         may differ in the last bits (one GEMM instead of per-row GEMVs).
         """
         x = np.atleast_2d(x)
-        input_cache = self._cache_for(layer_index, "input", mlp.d_model)
-        down_cache = self._cache_for(layer_index, "down", mlp.d_ffn)
-        input_mask = self._serve(input_cache, np.abs(x), self.input_keep_fraction)
+        input_mask = self._serve(layer_index, "input", mlp.d_model, x, self.input_keep_fraction)
         glu = mlp.glu_activations_array(x, input_mask=input_mask)
-        down_mask = self._serve(down_cache, np.abs(glu), self.neuron_keep_fraction)
+        down_mask = self._serve(layer_index, "down", mlp.d_ffn, glu, self.neuron_keep_fraction)
         return MLPMasks(
             down_mask=down_mask,
             input_mask=input_mask,

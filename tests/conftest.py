@@ -19,6 +19,7 @@ from timing_utils import scaled
 from repro.data.datasets import DataSplits, make_splits
 from repro.data.tasks import build_task
 from repro.nn.transformer import CausalLM, TransformerConfig
+from repro.sparsity import _native
 from repro.training.trainer import TrainingConfig, train_language_model
 
 #: Vocabulary shared by the tiny test corpus and models (60 symbols + 4 specials).
@@ -119,6 +120,15 @@ def eval_sequences(tiny_splits) -> np.ndarray:
 @pytest.fixture(scope="session")
 def tiny_task(tiny_splits):
     return build_task("mmlu", tokenizer=tiny_splits.tokenizer, n_examples=8, n_shots=0, seed=3)
+
+
+@pytest.fixture(scope="session")
+def compiled_ca_step():
+    """DIP-CA's compiled step; a test that needs it skips when no C compiler builds it."""
+    step = _native.load_ca_step()
+    if step is None:
+        pytest.skip("no C compiler: the compiled DIP-CA step is unavailable")
+    return step
 
 
 @pytest.fixture()

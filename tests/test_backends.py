@@ -66,6 +66,16 @@ def test_selection_precedence(monkeypatch):
     assert resolve_backend("gather").name == "gather"
 
 
+def test_none_scope_pins_the_ambient_backend(monkeypatch):
+    """A scope with no backend reads REPRO_BACKEND once, as it is entered."""
+    monkeypatch.setenv("REPRO_BACKEND", "gather")
+    with use_backend(None) as backend:
+        monkeypatch.setenv("REPRO_BACKEND", "numpy")
+        assert backend.name == "gather"
+        assert active_backend() is backend
+    assert active_backend().name == "numpy"
+
+
 def test_spec_backend_field_is_validated_and_hashed():
     spec = ExperimentSpec(name="t", backend="gather")
     assert ExperimentSpec.from_dict(spec.to_dict()) == spec

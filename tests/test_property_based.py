@@ -7,8 +7,8 @@ from hypothesis.extra import numpy as hnp
 
 from repro.compression.quantizer import dequantize_uniform, quantize_tensor_uniform
 from repro.hwsim.cache import BeladyCache, LFUCache, LRUCache
-from repro.sparsity.base import topk_fraction_mask, topk_mask
-from repro.sparsity.cache_aware import cache_aware_scores
+from repro.sparsity.base import keep_count, topk_fraction_mask, topk_mask
+from repro.sparsity.cache_aware import CacheAwareDIP, cache_aware_scores, cache_aware_step
 from repro.sparsity.density import allocate_dip_densities
 from repro.utils.pareto import pareto_front_indices
 
@@ -140,6 +140,80 @@ class TestCacheProperties:
         cache.process_token(active)
         hits, misses = cache.process_token(active)
         assert misses == 0
+
+
+@st.composite
+def ca_streams(draw):
+    """``(n, capacity, keep_fraction, gamma, call sizes, seed)`` of one DIP-CA weight group.
+
+    Small groups plus the two sizes of the phi3-medium sim model's groups;
+    calls of one row and of several rows.
+    """
+    n = draw(st.one_of(st.integers(min_value=1, max_value=40), st.sampled_from([96, 384])))
+    capacity = draw(st.integers(min_value=0, max_value=n))
+    fraction = draw(st.floats(min_value=0.0, max_value=1.0))
+    gamma = draw(st.sampled_from([0.2, 1.0]))
+    calls = draw(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=6))
+    return n, capacity, fraction, gamma, calls, draw(st.integers(min_value=0, max_value=2**32 - 1))
+
+
+def compiled_group(n, capacity, gamma):
+    """A CacheAwareDIP whose layer-0 input group is a fresh ``LFUCache(n, capacity)``."""
+    method = CacheAwareDIP(gamma=gamma)
+    cache = method._caches[(0, "input")] = LFUCache(n, capacity)
+    return method, cache
+
+
+class TestCompiledCAStepProperties:
+    """The compiled DIP-CA step against the numpy loop of ``cache_aware_step``."""
+
+    @given(stream=ca_streams())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_numpy_loop_on_tie_free_scores(self, compiled_ca_step, stream):
+        n, capacity, fraction, gamma, calls, seed = stream
+        rng = np.random.default_rng(seed)
+        method, compiled = compiled_group(n, capacity, gamma)
+        looped = LFUCache(n, capacity)
+        hits = misses = 0
+        for size in calls:
+            rows = rng.normal(size=(size, n))
+            mask = method._serve(0, "input", n, rows, fraction)
+            expected = []
+            for row in np.abs(rows):
+                row_mask, row_hits, row_misses = cache_aware_step(looped, row, fraction, gamma)
+                expected.append(row_mask)
+                hits, misses = hits + row_hits, misses + row_misses
+            assert np.array_equal(mask, np.array(expected))
+            assert np.array_equal(compiled.cached, looped.cached)
+            assert np.array_equal(compiled.frequency, looped.frequency)
+            assert compiled.token_index == looped.token_index
+            assert (method.stats.hits, method.stats.misses) == (hits, misses)
+
+    @given(stream=ca_streams(), levels=st.integers(min_value=0, max_value=5))
+    @settings(max_examples=150, deadline=None)
+    def test_ties_go_to_the_lower_index(self, compiled_ca_step, stream, levels):
+        """Small-integer rows tie often (at gamma 0.2 an uncached 5 ties a cached
+        1 only if Eq. 10 rounds as numpy does): the kernel keeps exactly k
+        units, none scoring below a dropped one, lower index first among equal
+        scores, and the cache follows the documented eviction rule."""
+        n, capacity, fraction, gamma, calls, seed = stream
+        rng = np.random.default_rng(seed)
+        method, cache = compiled_group(n, capacity, gamma)
+        k = keep_count(fraction, n)
+        resident = np.zeros(n, dtype=bool)
+        frequency = np.zeros(n, dtype=np.int64)
+        for size in calls:
+            rows = rng.integers(-levels, levels + 1, size=(size, n)).astype(np.float64)
+            masks = method._serve(0, "input", n, rows, fraction)
+            for row, mask in zip(np.abs(rows), masks):
+                scores = cache_aware_scores(row, resident, gamma) if gamma < 1.0 else row
+                expected = np.zeros(n, dtype=bool)
+                expected[np.argsort(-scores, kind="stable")[:k]] = True
+                assert np.array_equal(mask, expected)
+                frequency += mask
+                resident = reference_resident(resident, mask, frequency, capacity)
+            assert np.array_equal(cache.cached, resident)
+            assert np.array_equal(cache.frequency, frequency)
 
 
 class TestCacheAwareScoreProperties:

@@ -3,8 +3,19 @@
 import numpy as np
 import pytest
 
+from repro.sparsity import _native
 from repro.sparsity.cache_aware import CacheAwareDIP, cache_aware_scores
 from repro.sparsity.dip import DynamicInputPruning
+
+
+@pytest.fixture
+def ca_path(request, monkeypatch):
+    """Which per-token step DIP-CA runs: the compiled kernel or the numpy loop."""
+    if request.param == "numpy":
+        monkeypatch.setattr(_native, "load_ca_step", lambda: None)
+    else:
+        request.getfixturevalue("compiled_ca_step")
+    return request.param
 
 
 class TestCacheAwareScores:
@@ -102,8 +113,9 @@ class TestCacheAwareDIP:
             assert resident.sum() == 10
             assert not np.any(resident & ~masks.input_mask[0])
 
+    @pytest.mark.parametrize("ca_path", ["compiled", "numpy"], indirect=True)
     @pytest.mark.parametrize("gamma, cache_fraction", [(0.2, 0.3), (0.2, 0.8), (1.0, 0.5)])
-    def test_multi_token_call_equals_one_token_calls(self, trained_tiny_model, gamma, cache_fraction):
+    def test_multi_token_call_equals_one_token_calls(self, trained_tiny_model, gamma, cache_fraction, ca_path):
         """compute_masks serves a T-token call in two passes (inputs, one GLU, downs);
         that must give the masks and hits of T one-token calls."""
         mlp = trained_tiny_model.blocks[0].mlp
