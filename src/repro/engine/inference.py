@@ -1,10 +1,11 @@
 """Running a model with a sparsity method active.
 
 The engine is *batched by default*: every evaluation entry point stacks
-sequences of equal length and issues one model forward per bucket, flattening
-the ``(batch, seq)`` hidden states to a ``(batch*seq, d_model)`` token axis
-around the sparsity method — so every registered method gets batching for
-free, without knowing about the batch dimension.  Flattening is C-ordered
+sequences of equal length and issues one model forward per bucket chunk of
+at most :data:`DEFAULT_BATCH_TOKENS` tokens, flattening the ``(batch, seq)``
+hidden states to a ``(batch*seq, d_model)`` token axis around the sparsity
+method — so every registered method gets batching for free, without knowing
+about the batch dimension.  Flattening is C-ordered
 (sequence 0's tokens first), which preserves the per-layer token order of the
 old sequence-by-sequence loop; even the stateful cache-aware method therefore
 produces identical masks batched and sequential.
@@ -62,11 +63,31 @@ def _as_prompt_list(prompts) -> List[np.ndarray]:
     return _as_sequence_list(prompts)
 
 
-#: Default token budget per batched forward.  Chosen so the big per-layer
-#: intermediates stay roughly cache-resident: very large batches of long
-#: sequences stream multi-MB temporaries through every elementwise op and end
-#: up slower than moderate chunks.
+#: Token budget per batched forward, for the evaluation entry points (when no
+#: ``batch_size`` is given) and for :meth:`ContinuousBatch.admit`'s prefill
+#: forwards (padded query tokens).  Chosen so the big per-layer intermediates
+#: stay roughly cache-resident: very large batches of long sequences stream
+#: multi-MB temporaries through every elementwise op and end up slower than
+#: moderate chunks (``docs/BENCHMARKS.md``, "Prefill token budget").
 DEFAULT_BATCH_TOKENS = 256
+
+
+def _pack_forwards(items: List[int], lengths: List[int]) -> List[List[int]]:
+    """Split ``items`` into prefill forwards of at most
+    :data:`DEFAULT_BATCH_TOKENS` padded query tokens; ``lengths[j]`` is item
+    ``j``'s query length.
+
+    Shortest first (stable): an item joins the open forward while ``(rows +
+    1) * its length`` fits the budget, so a forward's padded width is its
+    last item's length.  An item longer than the budget gets a forward of
+    its own.
+    """
+    forwards: List[List[int]] = []
+    for j in sorted(range(len(items)), key=lengths.__getitem__):
+        if not forwards or (len(forwards[-1]) + 1) * lengths[j] > DEFAULT_BATCH_TOKENS:
+            forwards.append([])
+        forwards[-1].append(items[j])
+    return forwards
 
 
 def iter_length_buckets(
@@ -184,9 +205,6 @@ class SparseInferenceEngine:
         #: scope > ``REPRO_BACKEND`` env var > numpy reference).
         self.backend = backend
         self.recorder = MaskRecorder(len(model.blocks)) if record_masks else None
-        #: Token budget per batched forward when no explicit batch size is
-        #: given (see :data:`DEFAULT_BATCH_TOKENS`).
-        self.max_batch_tokens = DEFAULT_BATCH_TOKENS
 
     # ----------------------------------------------------------------- hooks
     def _mlp_override(self, block: TransformerBlock, normed: np.ndarray) -> np.ndarray:
@@ -244,7 +262,7 @@ class SparseInferenceEngine:
         sequences = _as_sequence_list(sequences)
         starts = np.broadcast_to(np.asarray(continuation_starts, dtype=np.int64), (len(sequences),))
         results = np.empty(len(sequences), dtype=np.float64)
-        for bucket in iter_length_buckets(sequences, batch_size, self.max_batch_tokens):
+        for bucket in iter_length_buckets(sequences, batch_size, DEFAULT_BATCH_TOKENS):
             indices = [index for index, _ in bucket]
             ids = np.stack([seq for _, seq in bucket])  # (b, L)
             picked = self._picked_log_probs(ids)
@@ -263,17 +281,19 @@ class SparseInferenceEngine:
         max_sequences: Optional[int] = None,
         batch_size: Optional[int] = None,
     ) -> float:
-        """Token-level perplexity over sequences, one forward per length bucket.
+        """Token-level perplexity over sequences, batched by length bucket.
 
         Ragged inputs (a list of unequal-length sequences) are bucketed by
-        length; ``batch_size`` caps the number of sequences per forward.
+        length; ``batch_size`` caps the number of sequences per forward, and
+        without it each forward holds at most :data:`DEFAULT_BATCH_TOKENS`
+        tokens.
         """
         sequences = _as_sequence_list(sequences)
         if max_sequences is not None:
             sequences = sequences[:max_sequences]
         total_nll = 0.0
         total_tokens = 0
-        for bucket in iter_length_buckets(sequences, batch_size, self.max_batch_tokens):
+        for bucket in iter_length_buckets(sequences, batch_size, DEFAULT_BATCH_TOKENS):
             ids = np.stack([seq for _, seq in bucket])
             picked = self._picked_log_probs(ids)
             total_nll -= float(picked.sum())
@@ -306,7 +326,7 @@ class SparseInferenceEngine:
         sequences = _as_sequence_list(sequences)
         skip_rows = self.recorder.n_recorded_tokens()
         owners: List[int] = []
-        for bucket in iter_length_buckets(sequences, batch_size, self.max_batch_tokens):
+        for bucket in iter_length_buckets(sequences, batch_size, DEFAULT_BATCH_TOKENS):
             self.logits(np.stack([seq for _, seq in bucket]))
             for index, seq in bucket:
                 owners.extend([index] * len(seq))
@@ -479,13 +499,18 @@ class ContinuousBatch:
         holding ``prompts[i]`` and ``logits[i]`` are the last-position logits
         (the distribution of each prompt's first new token).
 
-        Prompts without a prefix-cache hit share one batched left-padded
-        forward (the PR-3 path).  With a :class:`PrefixCache` attached, each
-        hit prompt instead seeds a staging cache with the cached prefix K/V
-        and forwards *only its unseen suffix*; every prefilled prompt is then
-        published back to the cache (whole blocks only) so later admissions
-        can share its head.  ``cache_prefix[i]=False`` opts prompt ``i`` out
-        of both lookup and publication.
+        Prompts prefill in left-padded batched forwards of at most
+        :data:`DEFAULT_BATCH_TOKENS` padded query tokens: shortest first, a
+        prompt joins the open forward while ``(rows + 1) * its length`` fits
+        the budget, and a single prompt longer than the budget gets a forward
+        of its own.  With a :class:`PrefixCache` attached, each hit prompt
+        instead seeds a staging cache with the cached prefix K/V and forwards
+        *only its unseen suffix*; hits are grouped by matched prefix length
+        and packed by suffix length.  Every prefilled prompt is published
+        back to the cache (whole blocks only) so later admissions can share
+        its head.  ``cache_prefix[i]=False`` opts prompt ``i`` out of both
+        lookup and publication.  A forward that raises fails the whole
+        admission: no slot is taken and no prefill counter moves.
         """
         prompts = [np.asarray(p, dtype=np.int64).reshape(-1) for p in prompts]
         n = len(prompts)
@@ -512,101 +537,86 @@ class ContinuousBatch:
                     matches[i] = match
         logits_out = np.empty((n, self.model.config.vocab_size))
         try:
-            fresh = [i for i in range(n) if matches[i] is None]
-            if fresh:
-                padded, position_ids, key_bias, _ = left_pad_ragged(
-                    [prompts[i] for i in fresh], self.pad_id
-                )
-                longest = padded.shape[1]
-                staging = self.model.new_kv_caches(max_seq_len=longest, batch_size=len(fresh))
-                with use_backend(self.backend):
-                    logits = self.model.forward_array(
-                        padded,
-                        kv_caches=staging,
-                        mlp_override=self.mlp_override,
-                        attention_mask=key_bias,
-                        position_ids=position_ids,
-                        last_only=True,
-                    )
-                # Copy each prompt's K/V (skipping its pads) into its slot at 0..L-1.
-                for row, i in enumerate(fresh):
-                    pad = longest - len(prompts[i])
-                    layer_keys = [staged.keys[row, :, pad:longest] for staged in staging]
-                    layer_values = [staged.values[row, :, pad:longest] for staged in staging]
-                    for cache, keys, values in zip(self.caches, layer_keys, layer_values):
-                        cache.insert_slot(slots[i], keys, values)
-                    if wants_cache(i):
-                        self.prefix_cache.insert(prompts[i], layer_keys, layer_values)
-                    logits_out[i] = logits[row, -1]
-                    self.prefill_tokens_total += len(prompts[i])
-                    self.prefill_tokens_forwarded += len(prompts[i])
-                    self.slot_prefill[slots[i]] = (len(prompts[i]), len(prompts[i]))
-            # Hit prompts prefill only their unseen suffixes, batched per
-            # matched prefix length (shared-head traffic matches one length,
-            # so steady state is one forward): each staging row is seeded
-            # with its own prefix K/V at 0..P-1, ragged suffixes are
-            # left-padded behind the prefix exactly like a normal ragged
-            # prefill — pad keys masked, per-row RoPE positions at offset P.
-            by_length: dict = {}
+            # Fresh prompts first, then hits grouped by matched prefix length
+            # (shared-head traffic matches one length, so steady state is one
+            # group); each group is packed into budgeted forwards.
+            groups: Dict[int, List[int]] = {0: []}
             for i, match in enumerate(matches):
-                if match is not None:
-                    by_length.setdefault(match.length, []).append(i)
-            for prefix_len, hits in by_length.items():
-                suffixes = [prompts[i][prefix_len:] for i in hits]
-                padded, suffix_positions, suffix_bias, lengths = left_pad_ragged(
-                    suffixes, self.pad_id
-                )
-                widest = padded.shape[1]
-                staging = self.model.new_kv_caches(
-                    max_seq_len=prefix_len + widest, batch_size=len(hits)
-                )
-                assembled = {i: matches[i].assemble() for i in hits}
-                for layer, staged in enumerate(staging):
-                    for row, i in enumerate(hits):
-                        keys, values = assembled[i][layer]
-                        staged.keys[row, :, :prefix_len] = keys
-                        staged.values[row, :, :prefix_len] = values
-                    staged.length = prefix_len
-                    staged.lengths[:] = prefix_len
-                key_bias = np.concatenate(
-                    [np.zeros((len(hits), prefix_len)), suffix_bias], axis=1
-                )
-                with use_backend(self.backend):
-                    logits = self.model.forward_array(
-                        padded,
-                        kv_caches=staging,
-                        mlp_override=self.mlp_override,
-                        attention_mask=key_bias,
-                        position_ids=prefix_len + suffix_positions,
-                        last_only=True,
-                    )
-                for row, i in enumerate(hits):
-                    total = len(prompts[i])
-                    pad = widest - int(lengths[row])
-                    for cache, staged, (keys, values) in zip(self.caches, staging, assembled[i]):
-                        cache.insert_slot(
-                            slots[i],
-                            staged.keys[row, :, prefix_len + pad : prefix_len + widest],
-                            staged.values[row, :, prefix_len + pad : prefix_len + widest],
-                            prefix=(keys, values),
-                        )
-                    # Publish from the slot: it now holds the contiguous
-                    # prefix + suffix K/V at 0..L-1 (insert copies them).
-                    self.prefix_cache.insert(
-                        prompts[i],
-                        [cache.keys[slots[i], :, :total] for cache in self.caches],
-                        [cache.values[slots[i], :, :total] for cache in self.caches],
-                    )
-                    logits_out[i] = logits[row, -1]
-                    self.prefill_tokens_total += total
-                    self.prefill_tokens_forwarded += total - prefix_len
-                    self.slot_prefill[slots[i]] = (total, total - prefix_len)
+                groups.setdefault(0 if match is None else match.length, []).append(i)
+            for prefix_len, group in groups.items():
+                for rows in _pack_forwards(group, [len(prompts[i]) - prefix_len for i in group]):
+                    logits_out[rows] = self._prefill(prompts, rows, prefix_len, matches, slots, wants_cache)
         finally:
             for match in matches:
                 if match is not None:
                     self.prefix_cache.release(match)
+        for i, (prompt, match) in enumerate(zip(prompts, matches)):
+            forwarded = len(prompt) - (match.length if match is not None else 0)
+            self.prefill_tokens_total += len(prompt)
+            self.prefill_tokens_forwarded += forwarded
+            self.slot_prefill[slots[i]] = (len(prompt), forwarded)
         self.occupied[slots] = True
         return slots, logits_out
+
+    def _prefill(
+        self,
+        prompts: List[np.ndarray],
+        rows: List[int],
+        prefix_len: int,
+        matches: List[Optional[PrefixMatch]],
+        slots: List[int],
+        publish: Callable[[int], bool],
+    ) -> np.ndarray:
+        """One left-padded forward of ``prompts[i]`` for ``i`` in ``rows``,
+        all sharing a matched prefix length (0 for none); returns their
+        last-position logits, one row each.
+
+        Each staging row is seeded with its own prefix K/V at ``0..P-1``;
+        ragged suffixes are left-padded behind the prefix exactly like a
+        normal ragged prefill — pad keys masked, per-row RoPE positions at
+        offset ``P``.  Each prompt's K/V then land in its slot.
+        """
+        padded, positions, suffix_bias, lengths = left_pad_ragged([prompts[i][prefix_len:] for i in rows], self.pad_id)
+        end = prefix_len + padded.shape[1]
+        staging = self.model.new_kv_caches(max_seq_len=end, batch_size=len(rows))
+        prefixes = [matches[i].assemble() if prefix_len else None for i in rows]
+        if prefix_len:
+            for layer, staged in enumerate(staging):
+                for row, prefix in enumerate(prefixes):
+                    keys, values = prefix[layer]
+                    staged.keys[row, :, :prefix_len] = keys
+                    staged.values[row, :, :prefix_len] = values
+                staged.length = prefix_len
+                staged.lengths[:] = prefix_len
+        key_bias = np.concatenate([np.zeros((len(rows), prefix_len)), suffix_bias], axis=1)
+        with use_backend(self.backend):
+            logits = self.model.forward_array(
+                padded,
+                kv_caches=staging,
+                mlp_override=self.mlp_override,
+                attention_mask=key_bias,
+                position_ids=prefix_len + positions,
+                last_only=True,
+            )
+        for row, i in enumerate(rows):
+            start = end - int(lengths[row])  # skip the row's pads
+            for layer, (cache, staged) in enumerate(zip(self.caches, staging)):
+                cache.insert_slot(
+                    slots[i],
+                    staged.keys[row, :, start:end],
+                    staged.values[row, :, start:end],
+                    prefix=prefixes[row][layer] if prefix_len else None,
+                )
+            if publish(i):
+                # Publish from the slot: it now holds the contiguous
+                # prefix + suffix K/V at 0..L-1 (insert copies them).
+                total = len(prompts[i])
+                self.prefix_cache.insert(
+                    prompts[i],
+                    [cache.keys[slots[i], :, :total] for cache in self.caches],
+                    [cache.values[slots[i], :, :total] for cache in self.caches],
+                )
+        return logits[:, -1]
 
     def step(self, slots: Sequence[int], tokens: Sequence[int]) -> np.ndarray:
         """Decode one token per slot in lock-step; returns next-token logits.

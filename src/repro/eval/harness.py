@@ -28,7 +28,8 @@ class EvaluationSettings(ConfigBase):
     max_eval_sequences: int = 16
     max_task_examples: int = 32
     calibration_sequences: int = 8
-    #: Sequences per batched forward (``None`` = one forward per length bucket).
+    #: Sequences per batched forward (``None``: each length bucket is chunked
+    #: to the engine's ``DEFAULT_BATCH_TOKENS`` token budget).
     batch_size: Optional[int] = None
 
 

@@ -22,8 +22,8 @@ def perplexity(
 
     ``method=None`` evaluates the dense model.  Stateful methods (DIP-CA) are
     reset before evaluation so results do not depend on prior usage.
-    Evaluation is batched (one forward per length bucket, ``batch_size``
-    sequences at most).
+    Evaluation is batched by length bucket, ``batch_size`` sequences per
+    forward at most (``None`` chunks to the engine's token budget).
     """
     engine = SparseInferenceEngine(model, method if method is not None else DenseBaseline())
     engine.reset()

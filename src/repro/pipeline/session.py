@@ -243,9 +243,9 @@ class SparseSession:
 
         ``settings.max_eval_sequences`` caps the session's stored sequences;
         explicitly passed ``sequences`` are evaluated in full unless
-        ``max_sequences`` says otherwise.  Evaluation is batched: one forward
-        per length bucket, capped at ``batch_size`` sequences (default
-        ``settings.batch_size``).
+        ``max_sequences`` says otherwise.  Evaluation is batched by length
+        bucket, at most ``batch_size`` sequences per forward (default
+        ``settings.batch_size``; ``None`` chunks to the engine's token budget).
         """
         self._require_model("perplexity")
         if max_sequences is None and sequences is None:

@@ -7,7 +7,7 @@
      1. scores |x|, with Eq. 10 when gamma < 1: (cached ? m : m * gamma),
         divided by the row's largest |x| when that is positive;
      2. keeps the k largest scores; ties at the k-th score go to the lower
-        index (numpy's argpartition picks arbitrarily among them);
+        index, the rule repro.sparsity.base.topk_mask uses too;
      3. counts hits against the units resident before the row, then adds
         the kept units to the LFU counts;
      4. applies _EvictingCache's over-capacity rule with the keys
@@ -16,9 +16,9 @@
         and the least-used kept ones; lower index first among equal counts.
 
    It writes each row's mask and returns the total hits; the misses are
-   T * k - hits.  For finite rows whose k-th score is unique it leaves the
-   same masks and cache state as the numpy loop; a row holding NaN gets an
-   unspecified mask.  Build with -O2 -shared -fPIC -ffp-contract=off and
+   T * k - hits.  For finite rows it leaves the same masks and cache state
+   as the numpy loop, ties included; a row holding NaN gets an unspecified
+   mask.  Build with -O2 -shared -fPIC -ffp-contract=off and
    without -ffast-math, so Eq. 10 rounds as numpy does.  The caller checks
    every size, dtype and contiguity first. */
 

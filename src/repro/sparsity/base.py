@@ -15,25 +15,38 @@ from repro.nn.transformer import CausalLM
 def topk_mask(values: np.ndarray, k: int) -> np.ndarray:
     """Boolean mask keeping the ``k`` largest entries along the last axis.
 
-    Ties are broken arbitrarily but deterministically (via ``argpartition``).
-    DIP-CA's compiled step (``_ca_step.c``) breaks ties at the k-th value
-    toward the lower index instead; the two agree whenever that value is
-    unique.  ``k`` is clamped to ``[0, n]``.
+    ``np.partition`` finds each row's k-th largest value; every value above
+    it is kept and, among values equal to it, the lowest indices.  NaN ranks
+    above every number (as ``np.partition`` orders it), so each row keeps
+    exactly ``k`` entries whatever it holds.  DIP-CA's compiled step
+    (``_ca_step.c``) uses the same rule.  ``k`` is clamped to ``[0, n]``.
     """
     n = values.shape[-1]
-    k = min(max(int(k), 0), n)
-    mask = np.zeros(values.shape, dtype=bool)
-    if k == 0:
-        return mask
-    if k == n:
+    k = int(k)
+    if k <= 0:
+        return np.zeros(values.shape, dtype=bool)
+    if k >= n:
         return np.ones(values.shape, dtype=bool)
-    # argpartition selects the k largest per row without a full sort.
-    idx = values.argpartition(n - k, axis=-1)[..., n - k :]
-    if values.ndim == 1:
-        mask[idx] = True
-    else:
-        np.put_along_axis(mask, idx, True, axis=-1)
-    return mask
+    # 1-D rows are the per-token loops' hot path: the ndarray method skips
+    # np.partition's dispatch, and numpy compares against a 0-d k-th value
+    # faster than against a scalar.
+    part = values.copy()
+    part.partition(n - k, axis=-1)
+    kth = part[..., n - k] if values.ndim == 1 else part[..., n - k, None]
+    # At least k entries per row are not below the k-th value (NaN included;
+    # a NaN k-th value keeps the whole row), so a total of exactly k per row
+    # means no row has surplus ties.
+    mask = ~(values < kth)
+    if np.count_nonzero(mask) == k * (values.size // n):
+        return mask
+    above = ~(values <= kth)
+    tied = values == kth
+    nan_kth = kth != kth
+    if np.any(nan_kth):  # only NaNs reach the k-th place: keep the first k of them
+        above &= ~nan_kth
+        tied |= nan_kth & (values != values)
+    need = k - np.count_nonzero(above, axis=-1, keepdims=True)
+    return above | (tied & (np.cumsum(tied, axis=-1) <= need))
 
 
 def keep_count(fraction: float, n: int) -> int:

@@ -26,12 +26,12 @@ GLU depends only on its own input and input mask.
 Each pass serves all of a call's tokens for one weight group with one call
 of a compiled step (``_ca_step.c``, built with the system C compiler on
 first use, see :mod:`repro.sparsity._native`).  It computes what a loop of
-:func:`cache_aware_step` computes and leaves the same masks and cache state,
-except that ties at the k-th score go to the lower index.  Without a
+:func:`cache_aware_step` computes and leaves the same masks and cache state;
+both keep the lower index among scores tied at the k-th place.  Without a
 compiler that loop runs instead; it stays the reference the tests compare
 against, and :class:`~repro.hwsim.simulator.HWSimulator` keeps calling
 :func:`cache_aware_step`: at paper-scale groups numpy's vectorised
-``argpartition`` matches or beats the scalar kernel.
+``partition`` beats the scalar kernel.
 """
 
 from __future__ import annotations

@@ -13,11 +13,13 @@ from repro.sparsity.density import allocate_dip_densities
 from repro.utils.pareto import pareto_front_indices
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+small_integers = st.integers(min_value=-3, max_value=3).map(float)
+any_shape = hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=30)
 
 
 class TestTopKProperties:
     @given(
-        values=hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=30), elements=finite_floats),
+        values=hnp.arrays(np.float64, any_shape, elements=finite_floats),
         k=st.integers(min_value=0, max_value=40),
     )
     @settings(max_examples=80, deadline=None)
@@ -30,6 +32,34 @@ class TestTopKProperties:
         for row_values, row_mask in zip(np.atleast_2d(values), np.atleast_2d(mask)):
             if 0 < expected < values.shape[-1]:
                 assert row_values[row_mask].min() >= row_values[~row_mask].max() - 1e-12
+
+    @given(
+        values=hnp.arrays(np.float64, any_shape, elements=small_integers),
+        k=st.integers(min_value=0, max_value=40),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_ties_keep_the_lowest_indices(self, values, k):
+        """Small-integer rows tie often: the mask equals a stable-sort top k."""
+        expected = np.zeros(values.shape, dtype=bool)
+        order = np.argsort(-values, axis=-1, kind="stable")[..., :k]
+        np.put_along_axis(expected, order, True, axis=-1)
+        assert np.array_equal(topk_mask(values, k), expected)
+
+    @given(
+        values=hnp.arrays(np.float64, any_shape, elements=st.one_of(st.just(np.nan), small_integers)),
+        k=st.integers(min_value=0, max_value=40),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_nan_ranks_above_every_number(self, values, k):
+        """Rows holding NaN keep exactly k entries: NaNs first, then the
+        largest numbers, lower index first among equals."""
+        mask = topk_mask(values, k)
+        n = values.shape[-1]
+        assert np.all(mask.sum(axis=-1) == min(k, n))
+        for row_values, row_mask in zip(np.atleast_2d(values), np.atleast_2d(mask)):
+            nan = np.isnan(row_values)
+            order = np.lexsort((np.arange(n), -np.where(nan, 0.0, row_values), ~nan))
+            assert np.array_equal(np.flatnonzero(row_mask), np.sort(order[:k]))
 
     @given(
         values=hnp.arrays(np.float64, st.sampled_from([(17,), (5, 17)]), elements=finite_floats),
@@ -167,16 +197,21 @@ def compiled_group(n, capacity, gamma):
 class TestCompiledCAStepProperties:
     """The compiled DIP-CA step against the numpy loop of ``cache_aware_step``."""
 
-    @given(stream=ca_streams())
+    @given(stream=ca_streams(), levels=st.one_of(st.none(), st.integers(min_value=0, max_value=5)))
     @settings(max_examples=150, deadline=None)
-    def test_matches_numpy_loop_on_tie_free_scores(self, compiled_ca_step, stream):
+    def test_matches_numpy_loop_on_tie_free_scores(self, compiled_ca_step, stream, levels):
+        """Normal rows, or (``levels``) small-integer rows full of ties: both
+        paths keep the lower index among scores tied at the k-th place."""
         n, capacity, fraction, gamma, calls, seed = stream
         rng = np.random.default_rng(seed)
         method, compiled = compiled_group(n, capacity, gamma)
         looped = LFUCache(n, capacity)
         hits = misses = 0
         for size in calls:
-            rows = rng.normal(size=(size, n))
+            if levels is None:
+                rows = rng.normal(size=(size, n))
+            else:
+                rows = rng.integers(-levels, levels + 1, size=(size, n)).astype(np.float64)
             mask = method._serve(0, "input", n, rows, fraction)
             expected = []
             for row in np.abs(rows):

@@ -24,8 +24,16 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.engine.inference import ContinuousBatch, SparseInferenceEngine, serve_continuous_greedy
+from repro.engine.inference import (
+    DEFAULT_BATCH_TOKENS,
+    ContinuousBatch,
+    ContinuousDecoder,
+    DecodeRequest,
+    SparseInferenceEngine,
+    serve_continuous_greedy,
+)
 from repro.nn.attention import KVCache
+from repro.nn.prefix_cache import PrefixCache
 from repro.nn.transformer import MASKED_BIAS, left_pad_ragged
 from repro.obs import MetricsRegistry
 from repro.pipeline.session import SparseSession
@@ -315,6 +323,90 @@ class TestContinuousBatch:
         assert np.array_equal(
             model_out[0], trained_tiny_model.generate([1, 2, 3], max_new_tokens=4, temperature=0.0)
         )
+
+
+class TestAdmissionTokenBudget:
+    """Admission prefills in forwards of at most ``DEFAULT_BATCH_TOKENS``
+    padded query tokens, fresh and prefix-hit prompts alike."""
+
+    BUDGETS = [4] * 8
+
+    @staticmethod
+    def spy_admissions(monkeypatch, model, fail_at=None):
+        """Record the ``(rows, width)`` of every admission forward (the
+        ``last_only`` ones); the ``fail_at``-th of them raises instead."""
+        shapes = []
+        original = model.forward_array
+
+        def spy(ids, *args, **kwargs):
+            if kwargs.get("last_only"):
+                shapes.append(ids.shape)
+                if len(shapes) == fail_at:
+                    raise RuntimeError("injected prefill fault")
+            return original(ids, *args, **kwargs)
+
+        monkeypatch.setattr(model, "forward_array", spy)
+        return shapes
+
+    def check_served(self, engine, batch, prompts, monkeypatch):
+        """Serve ``prompts`` in one admission; check the forwards it made and
+        greedy parity with one-at-a-time ``generate``."""
+        shapes = self.spy_admissions(monkeypatch, engine.model)
+        served = serve_continuous_greedy(batch, prompts, self.BUDGETS)
+        monkeypatch.undo()
+        assert len(shapes) > 1 and sum(rows for rows, _ in shapes) == len(prompts)
+        for rows, width in shapes:
+            assert rows * width <= DEFAULT_BATCH_TOKENS or rows == 1
+        for prompt, budget, got in zip(prompts, self.BUDGETS, served):
+            assert np.array_equal(engine.generate(prompt, budget, temperature=0.0), got)
+
+    @staticmethod
+    def shared_head_batch(engine, rng):
+        """A batch whose prefix cache holds a 16-token head, and 8 prompts
+        that hit it with 40-70-token suffixes (more than one forward)."""
+        cache = PrefixCache(max_bytes=1 << 24, block_size=8)
+        batch = ContinuousBatch.from_engine(engine, max_batch_size=8, max_seq_len=96, prefix_cache=cache)
+        head = rng.integers(0, 64, size=16)
+        serve_continuous_greedy(batch, [np.concatenate([head, rng.integers(0, 64, size=10)])], [1])
+        prompts = [np.concatenate([head, rng.integers(0, 64, size=int(n))]) for n in rng.integers(40, 71, size=8)]
+        return batch, cache, prompts
+
+    def test_fresh_prompts_stay_within_the_budget(self, dip_engine, rng, monkeypatch):
+        prompts = [rng.integers(0, 64, size=int(n)) for n in rng.integers(40, 91, size=8)]
+        assert sum(len(p) for p in prompts) > DEFAULT_BATCH_TOKENS
+        batch = ContinuousBatch.from_engine(dip_engine, max_batch_size=8, max_seq_len=96)
+        slots, logits = batch.admit(prompts)
+        assert slots == list(range(8))
+        for prompt, row in zip(prompts, logits):
+            alone = ContinuousBatch.from_engine(dip_engine, max_batch_size=1, max_seq_len=96)
+            np.testing.assert_allclose(row, alone.admit([prompt])[1][0], rtol=0, atol=1e-9)
+        fresh = ContinuousBatch.from_engine(dip_engine, max_batch_size=8, max_seq_len=96)
+        self.check_served(dip_engine, fresh, prompts, monkeypatch)
+
+    def test_prefix_hits_stay_within_the_budget(self, dip_engine, rng, monkeypatch):
+        batch, cache, prompts = self.shared_head_batch(dip_engine, rng)
+        hits = cache.stats()["hits"]
+        self.check_served(dip_engine, batch, prompts, monkeypatch)
+        assert cache.stats()["hits"] == hits + len(prompts)
+        assert batch.prefill_tokens_forwarded < batch.prefill_tokens_total
+
+    def test_failure_in_a_later_forward_fails_the_whole_admission(self, dip_engine, rng, monkeypatch):
+        batch, cache, prompts = self.shared_head_batch(dip_engine, rng)
+        counters = (batch.prefill_tokens_total, batch.prefill_tokens_forwarded)
+        decoder = ContinuousDecoder(batch)
+        requests = [DecodeRequest(str(i), p, 4) for i, p in enumerate(prompts)]
+        for request in requests:
+            decoder.submit(request)
+        shapes = self.spy_admissions(monkeypatch, dip_engine.model, fail_at=2)
+        assert decoder.admit() == requests
+        monkeypatch.undo()
+        assert len(shapes) == 2
+        assert all(r.finish_reason == "error" for r in requests) and decoder.idle
+        assert batch.occupancy == 0
+        assert all(block.refcount == 0 for block in cache._blocks)
+        assert (batch.prefill_tokens_total, batch.prefill_tokens_forwarded) == counters
+        # The same prompts admit cleanly next time (some now hit longer prefixes).
+        self.check_served(dip_engine, batch, prompts, monkeypatch)
 
 
 class TestScheduler:
