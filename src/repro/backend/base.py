@@ -2,7 +2,12 @@
 
 Every dense kernel the array (inference) path executes — the linear
 projections, attention matmuls, softmax, RMSNorm, and the gated-MLP forwards
-— goes through a :class:`ComputeBackend`.  The reference implementation is
+— goes through a :class:`ComputeBackend`, with one exception: the attention
+half of a decode step (norms, projections, RoPE, softmax) runs in the
+compiled kernel of :mod:`repro.nn.decode_attn` when it is built, under every
+backend.  Every backend ran the same dense code there, so the kernel takes
+nothing a backend could change; the MLP, where backends differ, still goes
+through the seam.  The reference implementation is
 :class:`~repro.backend.numpy_ref.NumpyBackend` (bit-identical to the
 pre-seam code); the gather-GEMM backend makes sparsity pay at compute
 time by running the MLP over active neurons only.  Backends only see plain

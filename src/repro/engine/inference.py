@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.backend import BackendLike, use_backend
 from repro.nn.prefix_cache import PrefixCache, PrefixMatch
-from repro.nn.transformer import CausalLM, TransformerBlock, _sample_token, left_pad_ragged, MASKED_BIAS
+from repro.nn.transformer import CausalLM, TransformerBlock, _sample_token, left_pad_ragged
 from repro.sparsity.base import MLPMasks, SparsityMethod, masks_mlp_density
 from repro.utils.logging import get_logger
 from repro.utils.numerics import logsumexp
@@ -622,28 +622,26 @@ class ContinuousBatch:
         """Decode one token per slot in lock-step; returns next-token logits.
 
         ``tokens[i]`` is appended to ``slots[i]`` — slots may sit at different
-        sequence lengths; shorter slots' unused key positions are masked out.
+        sequence lengths.  Each layer's slot view gives every slot its own
+        RoPE position and hides the key positions past its length.
         """
         slots = [int(s) for s in slots]
         if not slots:
             raise ValueError("step needs at least one slot")
+        if len(set(slots)) != len(slots):
+            raise ValueError(f"step needs distinct slots, got {slots}")
         for slot in slots:
             if not self.occupied[slot]:
                 raise ValueError(f"slot {slot} is not occupied")
         ids = np.asarray(tokens, dtype=np.int64).reshape(len(slots), 1)
-        lengths = self.caches[0].lengths[slots]
-        if int(lengths.max()) + 1 > self.max_seq_len:
+        if int(self.caches[0].lengths[slots].max()) + 1 > self.max_seq_len:
             raise RuntimeError("KV cache overflow; evict finished slots or raise max_seq_len")
-        new_lengths = lengths + 1
-        total = int(new_lengths.max())
-        key_bias = np.where(np.arange(total)[None, :] < new_lengths[:, None], 0.0, MASKED_BIAS)
+        slot_ids = np.asarray(slots, dtype=np.int64)
         with use_backend(self.backend):
             logits = self.model.forward_array(
                 ids,
-                kv_caches=[cache.slot_view(slots) for cache in self.caches],
+                kv_caches=[cache.slot_view(slot_ids) for cache in self.caches],
                 mlp_override=self.mlp_override,
-                attention_mask=key_bias,
-                position_ids=lengths[:, None],
             )
         return logits[:, -1, :]
 

@@ -1,4 +1,10 @@
-"""Grouped-query attention with rotary position embeddings and a KV cache."""
+"""Grouped-query attention with rotary position embeddings and a KV cache.
+
+:meth:`GroupedQueryAttention.forward_array` is the numpy inference path.  A
+block's decode steps (one new token per row through a cache) run their
+attention half in a compiled kernel instead (:mod:`repro.nn.decode_attn`),
+which this code stays the fallback for and the reference of.
+"""
 
 from __future__ import annotations
 
@@ -14,6 +20,11 @@ from repro.nn.linear import Linear
 from repro.nn.module import Module
 from repro.utils.config import ConfigBase
 from repro.utils.rng import new_rng, spawn_rng
+
+#: Additive attention-bias value that hides a key position entirely (its
+#: softmax weight underflows to exactly 0.0, so masked keys do not perturb
+#: the numerics of visible ones).
+MASKED_BIAS = -1e9
 
 
 @dataclasses.dataclass(frozen=True)
@@ -119,6 +130,11 @@ class KVCache:
     lock-step high-water mark).
     """
 
+    #: The compiled decode kernel's view of this cache's arrays (see
+    #: :mod:`repro.nn.decode_attn`).  Holds addresses, so copies and pickles
+    #: start without it.
+    _bound = None
+
     def __init__(self, n_kv_heads: int, head_dim: int, max_seq_len: int, batch_size: int = 1):
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
@@ -130,6 +146,11 @@ class KVCache:
         self.values = np.zeros((batch_size, n_kv_heads, max_seq_len, head_dim))
         self.length = 0
         self.lengths = np.zeros(batch_size, dtype=np.int64)
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_bound", None)
+        return state
 
     def append(self, keys: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Append new keys/values for ``t`` tokens per sequence.
@@ -246,11 +267,13 @@ class KVCacheSlotView:
     """A view of selected :class:`KVCache` slots with per-slot append positions.
 
     Passed in place of a :class:`KVCache` for one continuous-batching decode
-    step: :meth:`append` writes each sequence's new K/V at that sequence's own
-    current length (slots decode at *different* positions) and returns the
-    gathered keys/values up to the longest selected slot.  Shorter slots carry
-    zeros past their length — callers mask those positions out via the
-    attention ``attention_mask``/key bias, exactly like left-padding.
+    step, it is the one source of each slot's position and visible keys: a
+    slot's new token sits at RoPE position ``length`` and attends keys
+    ``0..length`` of its own row.  :meth:`append` writes each sequence's new
+    K/V at that sequence's own current length (slots decode at *different*
+    positions) and returns the gathered keys/values up to the longest
+    selected slot; :meth:`key_bias` hides the zeros shorter slots carry past
+    their length, exactly like left-padding.
     """
 
     def __init__(self, cache: KVCache, slots):
@@ -258,8 +281,11 @@ class KVCacheSlotView:
         self.slots = np.asarray(slots, dtype=np.int64)
         if self.slots.ndim != 1 or self.slots.size == 0:
             raise ValueError("slot_view needs a non-empty 1-D list of slot indices")
-        if self.slots.min() < 0 or self.slots.max() >= cache.batch_size:
+        listed = self.slots.tolist()
+        if min(listed) < 0 or max(listed) >= cache.batch_size:
             raise ValueError(f"slot indices must lie in [0, {cache.batch_size})")
+        if len(set(listed)) != len(listed):
+            raise ValueError("slot indices must be distinct")
 
     @property
     def lengths(self) -> np.ndarray:
@@ -290,6 +316,12 @@ class KVCacheSlotView:
         cache.length = int(cache.lengths.max())
         total = int(positions.max()) + 1
         return cache.keys[self.slots, :, :total], cache.values[self.slots, :, :total]
+
+    def key_bias(self) -> np.ndarray:
+        """Additive ``(n_slots, length)`` key bias: 0 on each slot's own
+        ``lengths`` keys, :data:`MASKED_BIAS` on the tail past them."""
+        lengths = self.lengths
+        return np.where(np.arange(int(lengths.max()))[None, :] < lengths[:, None], 0.0, MASKED_BIAS)
 
 
 class GroupedQueryAttention(Module):
@@ -366,17 +398,27 @@ class GroupedQueryAttention(Module):
 
         ``attention_mask`` is an *additive* bias over key positions — shape
         ``(total,)``, ``(batch, total)`` or ``(batch, seq, total)``, ``0`` for
-        visible keys and a large negative value (e.g. ``-1e9``) for hidden
-        ones.  Left-padded ragged batches use it to hide pad keys, and
-        continuous-batching decode uses it to hide the tail of shorter slots.
-        ``position_ids`` gives each query/key token its absolute RoPE
-        position (per row), overriding the cache-length offset.
+        visible keys and :data:`MASKED_BIAS` for hidden ones.  Left-padded
+        ragged batches use it to hide pad keys.  ``position_ids`` gives each
+        query/key token its absolute RoPE position (per row), overriding the
+        cache-length offset.  A slot view sets both itself, from each slot's
+        length, and takes neither.
+
+        This is the numpy path.  A block's decode steps (one token per row
+        through a cache) run its attention half in C instead, see
+        :mod:`repro.nn.decode_attn`; this code stays the fallback and the
+        reference.
         """
         cfg = self.config
         squeeze = x.ndim == 2
         if squeeze:
             x = x[None]
         batch, seq, _ = x.shape
+        slot_view = isinstance(kv_cache, KVCacheSlotView)
+        if slot_view:
+            if attention_mask is not None or position_ids is not None:
+                raise ValueError("a slot view sets its own positions and key mask")
+            position_ids = kv_cache.lengths[:, None]
         offset = kv_cache.length if kv_cache is not None and position_ids is None else 0
 
         # (batch, heads, seq, head_dim)
@@ -389,6 +431,8 @@ class GroupedQueryAttention(Module):
 
         if kv_cache is not None:
             k_all, v_all = kv_cache.append(k, v)
+            if slot_view:
+                attention_mask = kv_cache.key_bias()
         else:
             k_all, v_all = k, v
         total = k_all.shape[2]

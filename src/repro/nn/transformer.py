@@ -1,4 +1,9 @@
-"""Decoder-only transformer (causal LM) built from attention + gated MLP blocks."""
+"""Decoder-only transformer (causal LM) built from attention + gated MLP blocks.
+
+Decode steps run each block's attention half in one call of a compiled
+kernel when one is built (:mod:`repro.nn.decode_attn`); every other forward,
+and every forward on a host without a C compiler, runs on numpy.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +15,8 @@ import numpy as np
 from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor, no_grad
 from repro.backend import active_backend
-from repro.nn.attention import AttentionConfig, GroupedQueryAttention, KVCache
+from repro.nn.attention import MASKED_BIAS, AttentionConfig, GroupedQueryAttention, KVCache
+from repro.nn.decode_attn import decode_attention
 from repro.nn.embedding import Embedding
 from repro.nn.linear import Linear
 from repro.nn.mlp import GLUMLPConfig, SwiGLUMLP
@@ -85,12 +91,6 @@ def _sample_token(logits: np.ndarray, temperature: float, rng) -> int:
     return int(rng.choice(len(probs), p=probs))
 
 
-#: Additive attention-bias value that hides a key position entirely (its
-#: softmax weight underflows to exactly 0.0, so masked keys do not perturb
-#: the numerics of visible ones).
-MASKED_BIAS = -1e9
-
-
 def left_pad_ragged(
     prompts: Sequence[np.ndarray], pad_id: int = 0
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -129,6 +129,11 @@ def left_pad_ragged(
 class TransformerBlock(Module):
     """Pre-norm transformer block: attention + gated MLP with residuals."""
 
+    #: The compiled decode kernel's view of this block's weights (see
+    #: :mod:`repro.nn.decode_attn`).  Holds addresses, so copies and pickles
+    #: start without it and bind their own weights on first use.
+    _bound = None
+
     def __init__(self, config: TransformerConfig, layer_index: int, seed=None):
         super().__init__()
         self.layer_index = layer_index
@@ -149,6 +154,11 @@ class TransformerBlock(Module):
             mlp_out = self.mlp(normed)
         return x + mlp_out
 
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_bound", None)
+        return state
+
     def forward_array(
         self,
         x: np.ndarray,
@@ -160,14 +170,24 @@ class TransformerBlock(Module):
         """Inference path.  ``mlp_override(block, normed_x)`` replaces the MLP
         computation when provided (used by the sparse inference engine).
         ``attention_mask``/``position_ids`` pass through to the attention
-        block (left-padded ragged batches, continuous-batching decode)."""
-        x = x + self.attention.forward_array(
-            self.attention_norm.forward_array(x),
-            kv_cache,
-            attention_mask=attention_mask,
-            position_ids=position_ids,
-        )
-        normed = self.mlp_norm.forward_array(x)
+        block (left-padded ragged batches).
+
+        A decode step — one new token per row through a KV cache — runs the
+        attention half (both norms included) as one call of a C kernel when
+        one is built (:mod:`repro.nn.decode_attn`); prefill, cache-less
+        forwards and hosts without a compiler take the numpy path.  The two
+        agree to rounding.  The MLP always runs here."""
+        attended = decode_attention(self, x, kv_cache, attention_mask, position_ids)
+        if attended is not None:
+            x, normed = attended
+        else:
+            x = x + self.attention.forward_array(
+                self.attention_norm.forward_array(x),
+                kv_cache,
+                attention_mask=attention_mask,
+                position_ids=position_ids,
+            )
+            normed = self.mlp_norm.forward_array(x)
         if mlp_override is not None:
             mlp_out = mlp_override(self, normed)
         else:

@@ -18,9 +18,9 @@
    It writes each row's mask and returns the total hits; the misses are
    T * k - hits.  For finite rows it leaves the same masks and cache state
    as the numpy loop, ties included; a row holding NaN gets an unspecified
-   mask.  Build with -O2 -shared -fPIC -ffp-contract=off and
-   without -ffast-math, so Eq. 10 rounds as numpy does.  The caller checks
-   every size, dtype and contiguity first. */
+   mask.  repro.utils.native builds it with -ffp-contract=off and without
+   -ffast-math, so Eq. 10 rounds as numpy does.  The caller checks every
+   size, dtype and contiguity first. */
 
 #include <math.h>
 #include <stdint.h>

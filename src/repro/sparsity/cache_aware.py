@@ -25,7 +25,7 @@ GLU depends only on its own input and input mask.
 
 Each pass serves all of a call's tokens for one weight group with one call
 of a compiled step (``_ca_step.c``, built with the system C compiler on
-first use, see :mod:`repro.sparsity._native`).  It computes what a loop of
+first use, see :mod:`repro.utils.native`).  It computes what a loop of
 :func:`cache_aware_step` computes and leaves the same masks and cache state;
 both keep the lower index among scores tied at the k-th place.  Without a
 compiler that loop runs instead; it stays the reference the tests compare
@@ -36,19 +36,30 @@ against, and :class:`~repro.hwsim.simulator.HWSimulator` keeps calling
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.nn.mlp import SwiGLUMLP
-from repro.sparsity import _native
 from repro.sparsity.base import MLPMasks, keep_count, topk_fraction_mask
 from repro.sparsity.density import DIPDensityAllocation
 from repro.sparsity.dip import DynamicInputPruning
+from repro.utils.native import CompiledKernel
 
 if TYPE_CHECKING:  # imported lazily at runtime: repro.hwsim depends on repro.sparsity
     from repro.hwsim.cache import GroupCache
+
+_pointer, _size = ctypes.c_void_p, ctypes.c_int64
+#: The compiled per-token step over one LFU weight-group cache.
+CA_STEP = CompiledKernel(
+    Path(__file__).with_name("_ca_step.c"),
+    "ca_step",
+    [_pointer, _size, _size, _size, ctypes.c_double, _size, _pointer, _pointer, _pointer, _pointer],
+    ctypes.c_int64,
+)
 
 
 def cache_aware_scores(magnitudes: np.ndarray, cached_mask: np.ndarray, gamma: float) -> np.ndarray:
@@ -190,7 +201,7 @@ class CacheAwareDIP(DynamicInputPruning):
         """
         key = (layer_index, group)
         cache = self._cache_for(layer_index, group, n_units)
-        step = _native.load_ca_step()
+        step = CA_STEP.load()
         if step is None:
             mask = np.empty(rows.shape, dtype=bool)
             for t, row in enumerate(np.abs(rows)):

@@ -18,8 +18,9 @@ from timing_utils import scaled
 
 from repro.data.datasets import DataSplits, make_splits
 from repro.data.tasks import build_task
+from repro.nn.decode_attn import DECODE_ATTN
 from repro.nn.transformer import CausalLM, TransformerConfig
-from repro.sparsity import _native
+from repro.sparsity.cache_aware import CA_STEP
 from repro.training.trainer import TrainingConfig, train_language_model
 
 #: Vocabulary shared by the tiny test corpus and models (60 symbols + 4 specials).
@@ -125,10 +126,30 @@ def tiny_task(tiny_splits):
 @pytest.fixture(scope="session")
 def compiled_ca_step():
     """DIP-CA's compiled step; a test that needs it skips when no C compiler builds it."""
-    step = _native.load_ca_step()
+    step = CA_STEP.load()
     if step is None:
         pytest.skip("no C compiler: the compiled DIP-CA step is unavailable")
     return step
+
+
+@pytest.fixture(scope="session")
+def compiled_decode_attn():
+    """The compiled decode attention; a test that needs it skips when no C compiler builds it."""
+    kernel = DECODE_ATTN.load()
+    if kernel is None:
+        pytest.skip("no C compiler: the compiled decode attention is unavailable")
+    return kernel
+
+
+@pytest.fixture(params=["kernel", "numpy"])
+def decode_path(request, monkeypatch):
+    """Which path a block's decode steps take: the compiled attention half or
+    numpy (the kernel's loader forced to ``None``)."""
+    if request.param == "numpy":
+        monkeypatch.setattr(DECODE_ATTN, "load", lambda: None)
+    else:
+        request.getfixturevalue("compiled_decode_attn")
+    return request.param
 
 
 @pytest.fixture()

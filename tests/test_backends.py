@@ -30,6 +30,19 @@ EXACT_BACKENDS = ("gather",)
 METHODS = tuple(sorted(REGISTRY.names()))
 
 
+def on_both_decode_paths(*cases):
+    """Parity cases for the ``decode_path`` fixture: each on the compiled
+    decode attention under its plain id, then on numpy with ``-numpy-decode``."""
+    return [
+        pytest.param(*case, path, id="-".join(case) + suffix)
+        for path, suffix in (("kernel", ""), ("numpy", "-numpy-decode"))
+        for case in cases
+    ]
+
+
+METHOD_CASES = on_both_decode_paths(*[(m, b) for m in METHODS for b in EXACT_BACKENDS])
+
+
 def _engine(model, method_name, calibration_sequences, backend):
     """Engine with its own method instance, calibrated under the reference.
 
@@ -95,10 +108,9 @@ def test_engine_runs_under_its_own_backend(monkeypatch, trained_tiny_model, cali
 
 
 # -------------------------------------------------------------------- parity
-@pytest.mark.parametrize("backend", EXACT_BACKENDS)
-@pytest.mark.parametrize("method_name", METHODS)
+@pytest.mark.parametrize("method_name, backend, decode_path", METHOD_CASES, indirect=["decode_path"])
 def test_greedy_generate_token_identity(
-    trained_tiny_model, calibration_sequences, method_name, backend
+    trained_tiny_model, calibration_sequences, method_name, backend, decode_path
 ):
     prompt = calibration_sequences[0][:12]
     ref = _engine(trained_tiny_model, method_name, calibration_sequences, "numpy")
@@ -109,10 +121,9 @@ def test_greedy_generate_token_identity(
     np.testing.assert_array_equal(out, expected)
 
 
-@pytest.mark.parametrize("backend", EXACT_BACKENDS)
-@pytest.mark.parametrize("method_name", METHODS)
+@pytest.mark.parametrize("method_name, backend, decode_path", METHOD_CASES, indirect=["decode_path"])
 def test_ragged_batch_token_identity(
-    trained_tiny_model, calibration_sequences, method_name, backend
+    trained_tiny_model, calibration_sequences, method_name, backend, decode_path
 ):
     prompts = [
         calibration_sequences[0][:6],
@@ -127,8 +138,10 @@ def test_ragged_batch_token_identity(
     np.testing.assert_array_equal(out, expected)
 
 
-@pytest.mark.parametrize("backend", EXACT_BACKENDS)
-def test_continuous_batch_token_identity(trained_tiny_model, calibration_sequences, backend):
+@pytest.mark.parametrize(
+    "backend, decode_path", on_both_decode_paths(*[(b,) for b in EXACT_BACKENDS]), indirect=["decode_path"]
+)
+def test_continuous_batch_token_identity(trained_tiny_model, calibration_sequences, backend, decode_path):
     """The slot-wise decode core inherits the engine backend via from_engine."""
     prompts = [
         calibration_sequences[0][:6],

@@ -1,0 +1,347 @@
+"""The compiled decode attention (``repro.nn.decode_attn``) against the numpy
+path it replaces for decode steps, and greedy parity on both paths."""
+
+from __future__ import annotations
+
+import asyncio
+import copy
+import pickle
+import sys
+import threading
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.engine.inference import ContinuousBatch, serve_continuous_greedy
+from repro.nn.attention import MASKED_BIAS, KVCache
+from repro.nn.decode_attn import decode_attention
+from repro.nn.transformer import CausalLM, TransformerBlock, TransformerConfig
+from repro.pipeline.session import SparseSession
+from repro.serving import ContinuousBatchingScheduler, GenerationRequest, SchedulerConfig
+from repro.sparsity.registry import REGISTRY
+
+HEADS = [(4, 2), (2, 1), (2, 2)]  # (n_heads, n_kv_heads); (2, 1) is the tiny config's
+
+
+def make_block(n_heads, n_kv_heads, head_dim, rope_len, seed):
+    d_model = n_heads * head_dim
+    config = TransformerConfig(
+        vocab_size=8, d_model=d_model, n_layers=1, n_heads=n_heads, n_kv_heads=n_kv_heads, d_ffn=8, max_seq_len=rope_len
+    )
+    block = TransformerBlock(config, 0, seed=seed)
+    rng = np.random.default_rng(seed)
+    block.attention_norm.weight.data = rng.uniform(0.5, 1.5, d_model)
+    block.mlp_norm.weight.data = rng.uniform(0.5, 1.5, d_model)
+    return block
+
+
+def numpy_half(block, x, cache, mask=None, positions=None):
+    """The attention half on the numpy path: what the kernel must reproduce."""
+    h = x + block.attention.forward_array(
+        block.attention_norm.forward_array(x), cache, attention_mask=mask, position_ids=positions
+    )
+    return h, block.mlp_norm.forward_array(h)
+
+
+def kernel_half(block, x, cache, mask=None, positions=None):
+    out = decode_attention(block, x, cache, mask, positions)
+    assert out is not None, "the kernel declined a call it should serve"
+    return out
+
+
+def filled_cache(block, max_seq_len, batch_size, lengths, rng):
+    """A cache whose every entry is random, tails past each length included,
+    so a kernel that read past a slot's length would be seen."""
+    cfg = block.attention.config
+    cache = KVCache(cfg.n_kv_heads, cfg.head_dim, max_seq_len, batch_size=batch_size)
+    cache.keys[:] = rng.normal(size=cache.keys.shape)
+    cache.values[:] = rng.normal(size=cache.values.shape)
+    cache.lengths[:] = lengths
+    cache.length = int(max(lengths))
+    return cache
+
+
+@st.composite
+def decode_cases(draw):
+    n_heads, n_kv_heads = draw(st.sampled_from(HEADS))
+    head_dim = draw(st.sampled_from([2, 4, 10, 18]))  # dot products shorter and longer than 8 lanes
+    max_seq_len = draw(st.integers(min_value=1, max_value=12))
+    width = draw(st.integers(min_value=1, max_value=8))
+    if draw(st.booleans()):
+        n_slots = draw(st.integers(min_value=width, max_value=10))
+        slots = draw(st.permutations(range(n_slots)))[:width]  # any subset, any order
+        lengths = draw(st.lists(st.integers(0, max_seq_len - 1), min_size=n_slots, max_size=n_slots))
+        layout = ("slots", n_slots, slots, lengths, None, None)
+    else:
+        length = draw(st.integers(0, max_seq_len - 1))
+        bias = draw(st.booleans())
+        positions = draw(st.booleans())
+        layout = ("lockstep", width, list(range(width)), [length] * width, bias, positions)
+    return n_heads, n_kv_heads, head_dim, max_seq_len, layout, draw(st.integers(0, 2**32 - 1))
+
+
+def build(case):
+    """``(block, x, cache, mask, positions, slots)`` of one drawn case; the
+    RoPE table is longer than the cache so positions past it are valid."""
+    n_heads, n_kv_heads, head_dim, max_seq_len, layout, seed = case
+    kind, n_slots, slots, lengths, bias, positions = layout
+    rng = np.random.default_rng(seed)
+    rope_len = max_seq_len + 8
+    block = make_block(n_heads, n_kv_heads, head_dim, rope_len, seed)
+    cache = filled_cache(block, max_seq_len, n_slots, lengths, rng)
+    x = rng.normal(size=(len(slots), 1, block.attention.config.d_model))
+    mask = pos = None
+    if kind == "lockstep":
+        total = lengths[0] + 1
+        if bias:  # left-pad style: some keys hidden, the rest shifted
+            mask = np.where(rng.random((len(slots), total)) < 0.3, MASKED_BIAS, rng.normal(size=(len(slots), total)))
+        if positions:
+            pos = rng.integers(0, rope_len, size=(len(slots), 1))
+    return block, x, cache, mask, pos, slots
+
+
+def run(fn, block, x, cache, mask, pos, slots, layout_kind):
+    target = cache.slot_view(slots) if layout_kind == "slots" else cache
+    return fn(block, x, target, mask, pos)
+
+
+def written_positions(cache, slots, lengths):
+    """Boolean mask of the cache entries one decode step writes."""
+    where = np.zeros(cache.keys.shape, dtype=bool)
+    for slot in slots:
+        where[slot, :, lengths[slot]] = True
+    return where
+
+
+class TestKernelAgainstNumpy:
+    @given(case=decode_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_numpy_path(self, compiled_decode_attn, case):
+        block, x, cache, mask, pos, slots = build(case)
+        kind = case[4][0]
+        before = copy.deepcopy(cache)
+        theirs = copy.deepcopy(cache)
+        h, mlp_in = run(kernel_half, block, x, cache, mask, pos, slots, kind)
+        h_ref, mlp_in_ref = run(numpy_half, block, x, theirs, mask, pos, slots, kind)
+        np.testing.assert_allclose(h, h_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mlp_in, mlp_in_ref, rtol=0, atol=1e-12)
+
+        # K/V land exactly where numpy's append puts them; nothing else moves.
+        where = written_positions(cache, slots, before.lengths)
+        for ours, ref, old in ((cache.keys, theirs.keys, before.keys), (cache.values, theirs.values, before.values)):
+            assert np.array_equal(ours[~where], old[~where])
+            assert np.array_equal(ref[~where], old[~where])
+            np.testing.assert_allclose(ours[where], ref[where], rtol=0, atol=1e-12)
+        assert np.array_equal(cache.lengths, theirs.lengths)
+        assert cache.length == theirs.length
+
+        # A row's numbers do not depend on the batch around it.
+        for row, slot in enumerate(slots):
+            alone = copy.deepcopy(before)
+            if kind == "slots":
+                h1, mlp_in1 = kernel_half(block, x[row : row + 1], alone.slot_view([slot]))
+            else:
+                single = KVCache(alone.n_kv_heads, alone.head_dim, alone.max_seq_len, batch_size=1)
+                single.keys[:] = alone.keys[row : row + 1]
+                single.values[:] = alone.values[row : row + 1]
+                single.lengths[:] = alone.length
+                single.length = alone.length
+                row_mask = None if mask is None else mask[row : row + 1]
+                row_pos = None if pos is None else pos[row : row + 1]
+                h1, mlp_in1 = kernel_half(block, x[row : row + 1], single, row_mask, row_pos)
+            assert np.array_equal(h1[0], h[row]) and np.array_equal(mlp_in1[0], mlp_in[row])
+
+    @pytest.mark.parametrize("kind", ["slots", "lockstep"])
+    def test_overflow_raises_before_any_write(self, compiled_decode_attn, kind):
+        rng = np.random.default_rng(0)
+        block = make_block(4, 2, 4, rope_len=16, seed=0)
+        lengths = [3, 6, 0] if kind == "slots" else [6, 6, 6]
+        cache = filled_cache(block, 6, 3, lengths, rng)
+        before = copy.deepcopy(cache)
+        x = rng.normal(size=(2 if kind == "slots" else 3, 1, 16))
+        target = cache.slot_view([0, 1]) if kind == "slots" else cache
+        with pytest.raises(RuntimeError, match="KV cache overflow"):
+            decode_attention(block, x, target)
+        assert np.array_equal(cache.keys, before.keys) and np.array_equal(cache.values, before.values)
+        assert np.array_equal(cache.lengths, before.lengths) and cache.length == before.length
+
+    @pytest.mark.parametrize("bad", [0, 3, -1], ids=["repeated", "past-the-end", "negative"])
+    def test_bad_slots_raise_before_any_write(self, compiled_decode_attn, bad):
+        rng = np.random.default_rng(2)
+        block = make_block(2, 1, 4, rope_len=16, seed=2)
+        cache = filled_cache(block, 8, 3, [3, 2, 1], rng)
+        before = copy.deepcopy(cache)
+        view = cache.slot_view([0, 1])
+        view.slots[1] = bad  # the kernel writes by slot: it checks them on every call
+        with pytest.raises(ValueError, match="distinct and lie in"):
+            decode_attention(block, rng.normal(size=(2, 1, 8)), view)
+        assert np.array_equal(cache.keys, before.keys) and np.array_equal(cache.lengths, before.lengths)
+
+    def test_bad_bias_raises_before_any_write(self, compiled_decode_attn):
+        rng = np.random.default_rng(1)
+        block = make_block(2, 1, 4, rope_len=16, seed=1)
+        cache = filled_cache(block, 8, 2, [3, 3], rng)
+        before = copy.deepcopy(cache)
+        with pytest.raises(ValueError, match="covers 3 key positions, expected 4"):
+            decode_attention(block, rng.normal(size=(2, 1, 8)), cache, np.zeros((2, 3)))
+        assert np.array_equal(cache.keys, before.keys) and np.array_equal(cache.lengths, before.lengths)
+
+    def test_slot_views_take_no_mask_or_positions(self, decode_path):
+        block = make_block(2, 1, 4, rope_len=16, seed=2)
+        cache = filled_cache(block, 8, 2, [2, 3], np.random.default_rng(2))
+        x = np.zeros((1, 1, 8))
+        for kwargs in ({"attention_mask": np.zeros((1, 3))}, {"position_ids": np.zeros((1, 1), dtype=np.int64)}):
+            with pytest.raises(ValueError, match="slot view sets its own"):
+                block.forward_array(x, cache.slot_view([0]), **kwargs)
+
+    def test_other_inputs_take_the_numpy_path(self, compiled_decode_attn):
+        block = make_block(2, 1, 4, rope_len=16, seed=3)
+        cache = filled_cache(block, 8, 1, [2], np.random.default_rng(3))
+        assert decode_attention(block, np.zeros((1, 2, 8)), cache) is None  # two tokens: prefill
+        assert decode_attention(block, np.zeros((1, 8)), None) is None  # no cache
+        assert decode_attention(block, np.zeros((1, 8), dtype=np.float32), cache) is None
+        assert cache.lengths.tolist() == [2] and cache.length == 2
+
+
+# ----------------------------------------------------------------- bindings
+CONFIG = TransformerConfig(vocab_size=32, d_model=16, n_layers=2, n_heads=4, n_kv_heads=2, d_ffn=32, max_seq_len=24)
+
+
+def decode(model, caches=None, n_steps=5):
+    """Logits of a fixed prompt's decode steps (lock-step cache, batch 1)."""
+    if caches is None:
+        caches = model.new_kv_caches(16)
+        model.forward_array(np.arange(1, 6), kv_caches=caches)
+    return np.concatenate([model.forward_array(np.asarray([t]), kv_caches=caches) for t in range(n_steps)])
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))], ids=["deepcopy", "pickle"])
+def test_copy_of_a_decoded_model_serves_on_its_own_arrays(compiled_decode_attn, clone):
+    model = CausalLM(CONFIG, seed=1)
+    caches = model.new_kv_caches(16)
+    model.forward_array(np.arange(1, 6), kv_caches=caches)
+    decode(model, caches, n_steps=2)  # binds the blocks and the caches
+    assert all(block._bound is not None for block in model.blocks) and caches[0]._bound is not None
+    copied, copied_caches = clone(model), clone(caches)
+    assert all(block._bound is None for block in copied.blocks) and copied_caches[0]._bound is None
+    expected = decode(copied, copy.deepcopy(copied_caches))
+    cache_before = copy.deepcopy(caches)
+    for block in model.blocks:  # the original's bound weights, zeroed in place
+        block.attention.q_proj.weight.data[:] = 0.0
+        block.attention.o_proj.weight.data[:] = 0.0
+    np.testing.assert_array_equal(decode(copied, copied_caches), expected)
+    for ours, theirs in zip(caches, cache_before):
+        assert np.array_equal(ours.keys, theirs.keys) and np.array_equal(ours.lengths, theirs.lengths)
+
+
+def test_replaced_arrays_are_bound_again(compiled_decode_attn):
+    model, other = CausalLM(CONFIG, seed=1), CausalLM(CONFIG, seed=2)
+    expected = decode(other)
+    decode(model)
+    model.load_state_dict(other.state_dict())  # every parameter gets a new array
+    np.testing.assert_array_equal(decode(model), expected)
+
+    caches, fresh = model.new_kv_caches(16), model.new_kv_caches(16)
+    for each in (caches, fresh):
+        model.forward_array(np.arange(1, 6), kv_caches=each)
+        decode(model, each, n_steps=1)  # binds each cache
+    replaced = []
+    for cache in caches:  # new arrays with the same contents
+        replaced.append((cache.keys, cache.keys.copy()))
+        cache.keys, cache.values, cache.lengths = cache.keys.copy(), cache.values.copy(), cache.lengths.copy()
+    np.testing.assert_array_equal(decode(model, caches, n_steps=2), decode(model, fresh, n_steps=2))
+    for cache, (old, snapshot) in zip(caches, replaced):
+        assert cache.lengths.tolist() == [8] and cache.length == 8
+        assert np.array_equal(old, snapshot)  # the replaced array saw no write
+
+
+def test_threads_decode_one_model_on_their_own_caches(compiled_decode_attn):
+    """The kernel runs without the interpreter lock, and a fresh model binds
+    its blocks in whichever thread decodes first: threads decoding one model
+    at once, each on its own caches, get the logits each gets alone."""
+    model = CausalLM(CONFIG, seed=3)
+    prompts = [np.random.default_rng(seed).integers(0, 32, size=5) for seed in range(4)]
+
+    def run(prompt):
+        caches = model.new_kv_caches(24)
+        model.forward_array(prompt, kv_caches=caches)
+        return np.concatenate([model.forward_array(np.asarray([t]), kv_caches=caches) for t in range(16)])
+
+    expected = [run(prompt) for prompt in prompts]
+    for block in model.blocks:
+        block._bound = None
+    results = [None] * len(prompts)
+
+    def worker(i):
+        results[i] = run(prompts[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(prompts))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got, want in zip(results, expected):
+        np.testing.assert_array_equal(got, want)
+
+
+# ------------------------------------------------------------------- parity
+METHODS = tuple(sorted(REGISTRY.names()))
+
+
+@pytest.mark.parametrize("method_name", METHODS)
+def test_greedy_parity_on_every_decode_surface(
+    decode_path, method_name, trained_tiny_model, calibration_sequences, eval_sequences
+):
+    """generate, generate_batch on ragged prompts, serve_continuous_greedy and
+    the scheduler give the oracle's tokens on this decode path."""
+    session = SparseSession(
+        trained_tiny_model,
+        method_name,
+        calibration_sequences=calibration_sequences,
+        eval_sequences=eval_sequences,
+        model_name="tiny",
+    )
+    session.calibrate()
+    engine = session.engine
+    stateful = engine.method.requires_cache_state
+    prompts = [calibration_sequences[i][:n] for i, n in enumerate((6, 11, 9, 4))]
+    budget = 6
+
+    def oracle(prompt):
+        engine.reset()  # width-1 serving resets a cache-state method per request
+        return engine.generate(prompt, budget, temperature=0.0)
+
+    expected = [oracle(p) for p in prompts]
+
+    engine.reset()
+    if stateful:  # generate_batch decodes a cache-state method prompt after prompt
+        sequential = [engine.generate(p, budget, temperature=0.0) for p in prompts]
+        engine.reset()
+    else:
+        sequential = expected
+    batched = engine.generate_batch(prompts, budget, temperature=0.0)
+    longest = max(len(p) for p in prompts)
+    for row, prompt, want in zip(batched, prompts, sequential):
+        assert np.array_equal(row[longest - len(prompt) :], want)
+
+    width = 1 if stateful else 3
+    batch = ContinuousBatch.from_engine(engine, max_batch_size=width, max_seq_len=32)
+    for got, want in zip(serve_continuous_greedy(batch, prompts, [budget] * len(prompts)), expected):
+        assert np.array_equal(got, want)
+
+    async def schedule():
+        config = SchedulerConfig(max_batch_size=3, max_seq_len=32)
+        requests = [GenerationRequest(prompt=tuple(int(t) for t in p), max_new_tokens=budget) for p in prompts]
+        async with ContinuousBatchingScheduler(session.share_calibration(), config) as scheduler:
+            return await asyncio.gather(*[scheduler.submit(request) for request in requests])
+
+    for result, want in zip(asyncio.run(schedule()), expected):
+        assert np.array_equal(result.full_sequence(), want)

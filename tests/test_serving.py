@@ -221,6 +221,8 @@ class TestKVCacheSlots:
             cache.slot_view([])
         with pytest.raises(ValueError):
             cache.slot_view([2])
+        with pytest.raises(ValueError, match="distinct"):
+            cache.slot_view([1, 1])
         view = cache.slot_view([0])
         with pytest.raises(ValueError, match="one token"):
             view.append(np.ones((1, 2, 2)), np.ones((1, 2, 2)))
@@ -277,6 +279,16 @@ class TestContinuousBatch:
         logits = batch.step(slots, [int(np.argmax(logits[0]))])
         with pytest.raises(RuntimeError, match="overflow"):
             batch.step(slots, [int(np.argmax(logits[0]))])
+
+    def test_step_rejects_duplicate_slots(self, dip_engine):
+        """Both tokens would land in one slot, losing one token's K/V."""
+        batch = ContinuousBatch.from_engine(dip_engine, max_batch_size=2, max_seq_len=16)
+        slots, _ = batch.admit([np.arange(5)])
+        keys = batch.caches[0].keys.copy()
+        with pytest.raises(ValueError, match="distinct"):
+            batch.step([slots[0], slots[0]], [5, 6])
+        assert batch.caches[0].lengths.tolist() == [5, 0]
+        assert np.array_equal(batch.caches[0].keys, keys)
 
     @pytest.mark.parametrize("admission", ["fcfs", "shortest"])
     def test_serve_continuous_matches_sequential(self, dip_engine, ragged_prompts, rng, admission):

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sparsity import _native
-from repro.sparsity.cache_aware import CacheAwareDIP, cache_aware_scores
+from repro.sparsity.cache_aware import CA_STEP, CacheAwareDIP, cache_aware_scores
 from repro.sparsity.dip import DynamicInputPruning
 
 
@@ -12,7 +11,7 @@ from repro.sparsity.dip import DynamicInputPruning
 def ca_path(request, monkeypatch):
     """Which per-token step DIP-CA runs: the compiled kernel or the numpy loop."""
     if request.param == "numpy":
-        monkeypatch.setattr(_native, "load_ca_step", lambda: None)
+        monkeypatch.setattr(CA_STEP, "load", lambda: None)
     else:
         request.getfixturevalue("compiled_ca_step")
     return request.param

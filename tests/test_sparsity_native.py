@@ -1,5 +1,8 @@
-"""The compiled DIP-CA step: its loader (``repro.sparsity._native``) and the
-checks ``CacheAwareDIP`` makes before calling it."""
+"""The compiled kernels' loader (``repro.utils.native``) and the checks
+``CacheAwareDIP`` makes before calling DIP-CA's step.
+
+Every loader case runs for both kernels: DIP-CA's step (``_ca_step.c``) and
+the decode attention (``_decode_attn.c``)."""
 
 import copy
 import ctypes
@@ -14,9 +17,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.nn.decode_attn import DECODE_ATTN
 from repro.nn.mlp import GLUMLPConfig, SwiGLUMLP
-from repro.sparsity import _native
-from repro.sparsity.cache_aware import CacheAwareDIP
+from repro.nn.transformer import CausalLM, TransformerConfig
+from repro.sparsity.cache_aware import CA_STEP, CacheAwareDIP
+from repro.utils import native
+
+KERNELS = (CA_STEP, DECODE_ATTN)
 
 
 @pytest.fixture
@@ -24,13 +31,20 @@ def mlp():
     return SwiGLUMLP(GLUMLPConfig(d_model=24, d_ffn=64), seed=0)
 
 
+@pytest.fixture(scope="module")
+def model():
+    config = TransformerConfig(vocab_size=32, d_model=16, n_layers=2, n_heads=4, n_kv_heads=2, d_ffn=32, max_seq_len=24)
+    return CausalLM(config, seed=1)
+
+
 @pytest.fixture
 def fresh_loader(monkeypatch, tmp_path, caplog):
-    """Nothing loaded yet in this process, the cache directory under ``tmp_path``,
-    and no warning (nor log record above DEBUG) allowed."""
-    monkeypatch.setattr(_native, "_step", _native._UNSET)
+    """Neither kernel loaded yet in this process, the cache directory under
+    ``tmp_path``, and no warning (nor log record above DEBUG) allowed."""
+    for kernel in KERNELS:
+        monkeypatch.setattr(kernel, "_function", native._UNSET)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    caplog.set_level(logging.DEBUG, logger=_native.__name__)
+    caplog.set_level(logging.DEBUG, logger=native.__name__)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         yield tmp_path / "repro"
@@ -39,9 +53,9 @@ def fresh_loader(monkeypatch, tmp_path, caplog):
 
 
 @pytest.fixture
-def reference(compiled_ca_step, mlp):
-    """What the compiled step serves, taken before ``fresh_loader`` resets the loader."""
-    return serve(mlp)
+def reference(compiled_ca_step, compiled_decode_attn, mlp, model):
+    """What the compiled kernels serve, taken before ``fresh_loader`` resets the loader."""
+    return serve(mlp), decode(model)
 
 
 def serve(mlp, n_calls=4):
@@ -56,35 +70,45 @@ def serve(mlp, n_calls=4):
     )
 
 
-def assert_same_service(a, b):
+def decode(model, n_steps=6):
+    """Logits of a fixed prompt's decode steps."""
+    caches = model.new_kv_caches(16)
+    model.forward_array(np.arange(1, 6), kv_caches=caches)
+    return np.concatenate([model.forward_array(np.asarray([t]), kv_caches=caches) for t in range(n_steps)])
+
+
+def assert_same_service(got, reference):
+    (a, logits), (b, expected) = got, reference
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]) and a[2] == b[2]
+    np.testing.assert_allclose(logits, expected, rtol=0, atol=1e-12)
 
 
-def test_missing_compiler_runs_the_numpy_step(reference, fresh_loader, monkeypatch, mlp):
-    monkeypatch.setattr(_native.shutil, "which", lambda name: None)
-    assert _native.load_ca_step() is None
-    assert_same_service(serve(mlp), reference)
+def test_missing_compiler_runs_the_numpy_step(reference, fresh_loader, monkeypatch, mlp, model):
+    monkeypatch.setattr(native.shutil, "which", lambda name: None)
+    assert [kernel.load() for kernel in KERNELS] == [None, None]
+    assert_same_service((serve(mlp), decode(model)), reference)
 
 
-def test_failed_compile_runs_the_numpy_step(reference, fresh_loader, monkeypatch, tmp_path, mlp):
-    broken = tmp_path / "_ca_step.c"
-    broken.write_text("int64_t ca_step(void) { return }\n")
-    monkeypatch.setattr(_native, "SOURCE", broken)
-    assert _native.load_ca_step() is None
+def test_failed_compile_runs_the_numpy_step(reference, fresh_loader, monkeypatch, tmp_path, mlp, model):
+    for kernel in KERNELS:
+        broken = tmp_path / kernel.source.name
+        broken.write_text(f"int64_t {kernel.symbol}(void) {{ return }}\n")
+        monkeypatch.setattr(kernel, "source", broken)
+    assert [kernel.load() for kernel in KERNELS] == [None, None]
     assert list(fresh_loader.iterdir()) == []
-    assert_same_service(serve(mlp), reference)
+    assert_same_service((serve(mlp), decode(model)), reference)
 
 
-def test_truncated_library_is_never_loaded(compiled_ca_step, fresh_loader, monkeypatch, tmp_path):
-    assert _native.load_ca_step() is not None
-    (built,) = fresh_loader.glob("ca_step-*.so")
-    # A second cache directory holding only a truncated copy under the same name.
+def test_truncated_library_is_never_loaded(compiled_ca_step, compiled_decode_attn, fresh_loader, monkeypatch, tmp_path):
+    # A second cache directory holding only truncated copies under the built names.
     other = tmp_path / "other"
     (other / "repro").mkdir(parents=True, mode=0o700)
-    truncated = other / "repro" / built.name
-    truncated.write_bytes(built.read_bytes()[: built.stat().st_size // 2])
+    for kernel in KERNELS:
+        assert kernel.load() is not None
+        (built,) = fresh_loader.glob(f"{kernel.symbol}-*.so")
+        (other / "repro" / built.name).write_bytes(built.read_bytes()[: built.stat().st_size // 2])
+        monkeypatch.setattr(kernel, "_function", native._UNSET)
     monkeypatch.setenv("XDG_CACHE_HOME", str(other))
-    monkeypatch.setattr(_native, "_step", _native._UNSET)
     opened, cdll = [], ctypes.CDLL
 
     def checked_cdll(path, *args, **kwargs):
@@ -93,14 +117,14 @@ def test_truncated_library_is_never_loaded(compiled_ca_step, fresh_loader, monke
         return cdll(path, *args, **kwargs)
 
     monkeypatch.setattr(ctypes, "CDLL", checked_cdll)
-    assert _native.load_ca_step() is not None
-    assert opened == [True]
+    assert all(kernel.load() is not None for kernel in KERNELS)
+    assert opened == [True, True]
 
 
-def test_cache_directory_others_can_write_is_not_used(compiled_ca_step, fresh_loader):
+def test_cache_directory_others_can_write_is_not_used(compiled_ca_step, compiled_decode_attn, fresh_loader):
     fresh_loader.mkdir(mode=0o700)
     fresh_loader.chmod(0o777)
-    assert _native.load_ca_step() is None
+    assert [kernel.load() for kernel in KERNELS] == [None, None]
     assert list(fresh_loader.iterdir()) == []
 
 
@@ -162,7 +186,7 @@ def test_wrong_width_raises_before_the_kernel(monkeypatch, mlp):
         calls.append(args)
         return 0
 
-    monkeypatch.setattr(_native, "load_ca_step", lambda: kernel)
+    monkeypatch.setattr(CA_STEP, "load", lambda: kernel)
     method = CacheAwareDIP(0.5, gamma=0.2, cache_fraction=0.4)
     method.compute_masks(mlp, 0, np.ones((2, mlp.d_model)))
     assert len(calls) == 2  # the input and the down group
