@@ -36,31 +36,40 @@ loop, if continuous batching is below 1.5x sequential serving throughput, if
 prefix caching breaks parity, or if it saves less than half of the shared-head
 prefill forwards (the CI smoke gates); ``--fast`` shrinks the workloads for
 CI runners.
+
+The script pins BLAS and OpenMP to one thread before numpy loads, as
+``perfbench/run.py`` does: at the default thread count the tiny model's
+GEMMs timed about 10x apart between processes running identical code.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import platform
-import sys
-import threading
-import time
-from pathlib import Path
 
-import numpy as np
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ[_var] = "1"
 
-from repro.engine.inference import ContinuousBatch, SparseInferenceEngine, serve_continuous_greedy
-from repro.nn.model_zoo import build_model, get_model_spec
-from repro.nn.prefix_cache import PrefixCache
-from repro.obs import MetricsRegistry
-from repro.serving import GenerationRequest
-from repro.serving.fleet import FleetConfig, FleetManager, WorkerSpec
-from repro.sparsity.base import DenseBaseline
-from repro.sparsity.dip import DynamicInputPruning
-from repro.sparsity.registry import REGISTRY
-from repro.utils.numerics import log_softmax
+import argparse  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import sys  # noqa: E402
+import threading  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from repro.engine.inference import ContinuousBatch, SparseInferenceEngine, serve_continuous_greedy  # noqa: E402
+from repro.nn.model_zoo import build_model, get_model_spec  # noqa: E402
+from repro.nn.prefix_cache import PrefixCache  # noqa: E402
+from repro.obs import MetricsRegistry  # noqa: E402
+from repro.serving import GenerationRequest  # noqa: E402
+from repro.serving.fleet import FleetConfig, FleetManager, WorkerSpec  # noqa: E402
+from repro.sparsity.base import DenseBaseline  # noqa: E402
+from repro.sparsity.dip import DynamicInputPruning  # noqa: E402
+from repro.sparsity.registry import REGISTRY  # noqa: E402
+from repro.utils.numerics import log_softmax  # noqa: E402
 
 _ROOT = Path(__file__).resolve().parent.parent
 RESULT_PATH = _ROOT / "BENCH_batched_inference.json"

@@ -152,7 +152,7 @@ def measure_crossover(weights, x: np.ndarray, rng: np.random.Generator,
     Measured with the fallback disabled (``crossover_density=1.0``) so the
     gather path is timed even where it loses.
     """
-    d_ffn = weights[0].shape[0]
+    d_ffn = weights[0].shape[1]  # unit-major W_u: (d_model, d_ffn)
     measured = 0.0
     for density in np.arange(grid_step, 1.0, grid_step):
         mask = shared_mask(d_ffn, float(density), DECODE_BATCH, rng)

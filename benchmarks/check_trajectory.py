@@ -79,6 +79,20 @@ TRACKED_METRICS = {
         "methods.up.prefill_saved_fraction": "higher",
         "methods.up.speedup": "higher",
     },
+    "BENCH_paper_geometry.json": {
+        "mlp.dip.d025.speedup_vs_numpy_dense": "higher",
+        "mlp.dip.d035.speedup_vs_numpy_dense": "higher",
+        "mlp.dip.d050.speedup_vs_numpy_dense": "higher",
+        "mlp.dip-ca.d025.speedup_vs_numpy_dense": "higher",
+        "mlp.dip-ca.d035.speedup_vs_numpy_dense": "higher",
+        "mlp.dip-ca.d050.speedup_vs_numpy_dense": "higher",
+        "step.dip.d025.speedup_vs_numpy_dense": "higher",
+        "step.dip.d035.speedup_vs_numpy_dense": "higher",
+        "step.dip.d050.speedup_vs_numpy_dense": "higher",
+        "step.dip-ca.d025.speedup_vs_numpy_dense": "higher",
+        "step.dip-ca.d035.speedup_vs_numpy_dense": "higher",
+        "step.dip-ca.d050.speedup_vs_numpy_dense": "higher",
+    },
 }
 
 

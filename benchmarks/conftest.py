@@ -19,7 +19,7 @@ import pytest
 
 from repro.eval.harness import EvaluationSettings
 from repro.experiments import ArtifactCache, prepare_model
-from repro.experiments.models import PreparationConfig
+from repro.experiments.models import WEIGHT_LAYOUT, PreparationConfig
 from repro.nn.model_zoo import PAPER_MODEL_NAMES
 from repro.nn.transformer import CausalLM
 from repro.training.trainer import TrainingConfig, train_language_model
@@ -84,7 +84,7 @@ def relufied_mistral(mistral, preparation):
     """
     relu_config = mistral.spec.sim_config.replace(activation="relu")
     cache = ArtifactCache()
-    key = f"model-mistral-relufied-{config_hash(relu_config, preparation)}"
+    key = f"model-mistral-relufied-{WEIGHT_LAYOUT}-{config_hash(relu_config, preparation)}"
     model = CausalLM(relu_config, seed=preparation.model_seed)
     if cache.has(key):
         model.load_state_dict(cache.load_state(key))

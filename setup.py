@@ -12,7 +12,8 @@ setup(
     version="0.1.0",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    package_data={"repro": ["py.typed", "sparsity/_ca_step.c", "nn/_decode_attn.c"]},
+    package_data={"repro": ["py.typed", "sparsity/_ca_step.c", "sparsity/_ca_row.h",
+                           "sparsity/_decode_mlp.c", "nn/_decode_attn.c"]},
     python_requires=">=3.10",
     install_requires=["numpy>=1.24"],
 )

@@ -2,12 +2,19 @@
 
 Every dense kernel the array (inference) path executes — the linear
 projections, attention matmuls, softmax, RMSNorm, and the gated-MLP forwards
-— goes through a :class:`ComputeBackend`, with one exception: the attention
-half of a decode step (norms, projections, RoPE, softmax) runs in the
-compiled kernel of :mod:`repro.nn.decode_attn` when it is built, under every
-backend.  Every backend ran the same dense code there, so the kernel takes
-nothing a backend could change; the MLP, where backends differ, still goes
-through the seam.  The reference implementation is
+— goes through a :class:`ComputeBackend`, with two exceptions that run
+compiled kernels under every backend when they are built:
+
+1. the attention half of a decode step (norms, projections, RoPE, softmax),
+   in :mod:`repro.nn.decode_attn`.  Every backend ran the same dense code
+   there, so the kernel takes nothing a backend could change;
+2. the MLP half of a DIP or DIP-CA decode step narrow enough that reading
+   only the kept weight rows beats a dense GEMM (rows x density <= 1), in
+   :mod:`repro.sparsity.decode_mlp`.  It reads fewer bytes than any
+   backend's masked or gathered GEMMs; wider calls, prefill and every other
+   method still go through the seam.
+
+The reference implementation is
 :class:`~repro.backend.numpy_ref.NumpyBackend` (bit-identical to the
 pre-seam code); the gather-GEMM backend makes sparsity pay at compute
 time by running the MLP over active neurons only.  Backends only see plain
@@ -47,13 +54,18 @@ class ComputeBackend:
 
     Primitive kernels (``matmul``, ``softmax``, ``rmsnorm``, ``glu_act``,
     ``masked_mlp``, ``masked_down``) must be provided by subclasses;
-    ``linear`` and ``gather_gemm`` have default compositions in terms of
-    ``matmul`` that subclasses may override with fused/cached variants.
+    ``project``, ``linear`` and ``gather_gemm`` have default compositions in
+    terms of ``matmul`` that subclasses may override with fused/cached
+    variants.
 
-    Weight conventions match :class:`repro.nn.linear.Linear` and
-    :class:`repro.nn.mlp.SwiGLUMLP`: ``weight`` is ``(out_features,
-    in_features)``; ``w_up``/``w_gate`` are ``(d_ffn, d_model)`` (neuron i =
-    row i) and ``w_down`` is ``(d_model, d_ffn)`` (neuron i = column i).
+    Weight conventions:
+
+    * :class:`repro.nn.linear.Linear`'s ``weight`` is ``(out_features,
+      in_features)``, applied as ``x @ weight.T`` (:meth:`linear`);
+    * :class:`repro.nn.mlp.SwiGLUMLP` stores its weights unit-major, applied
+      as ``x @ w`` (:meth:`project`): ``w_up``/``w_gate`` are ``(d_model,
+      d_ffn)`` (input feature i = row i) and ``w_down`` is ``(d_ffn,
+      d_model)`` (neuron j = row j).
     """
 
     name: str = "abstract"
@@ -79,7 +91,7 @@ class ComputeBackend:
         x: np.ndarray,
         input_mask: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """GLU activations ``(W_u x) * sigma(W_g x)``.
+        """GLU activations ``(x W_u) * sigma(x W_g)``.
 
         ``input_mask`` (shape broadcastable to ``x``) zeroes input features
         before the projections — the Dynamic Input Pruning path (Eq. 7).
@@ -96,7 +108,7 @@ class ComputeBackend:
         neuron_mask: np.ndarray,
         input_mask: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Full sparse MLP forward: ``W_d (GLU(x * input_mask) * neuron_mask)``.
+        """Full sparse MLP forward: ``(GLU(x * input_mask) * neuron_mask) W_d``.
 
         ``neuron_mask`` has shape ``(..., d_ffn)`` or ``(d_ffn,)``.  This is
         the kernel where gather-GEMM backends resolve the active-neuron index
@@ -114,18 +126,22 @@ class ComputeBackend:
         raise NotImplementedError
 
     # ----------------------------------------------------------- compositions
-    def linear(self, x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray] = None) -> np.ndarray:
-        """Affine map ``x @ W^T + b`` with leading batch dims flattened.
+    def project(self, x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+        """``x @ weight`` for an ``(in_features, out_features)`` weight, with
+        leading batch dims flattened.
 
         Flattening keeps the whole call one GEMM (a 3-D operand would loop
         one small GEMM per batch element instead).
         """
         if x.ndim > 2:
-            lead = x.shape[:-1]
-            out = self.matmul(x.reshape(-1, x.shape[-1]), weight.T)
-            out = out.reshape(*lead, weight.shape[0])
-        else:
-            out = self.matmul(x, weight.T)
+            out = self.matmul(x.reshape(-1, x.shape[-1]), weight)
+            return out.reshape(*x.shape[:-1], weight.shape[1])
+        return self.matmul(x, weight)
+
+    def linear(self, x: np.ndarray, weight: np.ndarray, bias: Optional[np.ndarray] = None) -> np.ndarray:
+        """Affine map ``x @ W^T + b`` for an ``(out_features, in_features)``
+        weight, with leading batch dims flattened (see :meth:`project`)."""
+        out = self.project(x, weight.T)
         if bias is not None:
             out += bias
         return out

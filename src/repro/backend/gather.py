@@ -1,8 +1,9 @@
 """Gather-GEMM backend: sparsity pays at compute time, not just in the simulator.
 
 ``masked_mlp``/``masked_down`` resolve the union of active neurons from the
-mask and run the three MLP GEMMs over only the active rows of W_u/W_g and
-columns of W_d.  Two regimes, chosen by a measured crossover:
+mask and run the three MLP GEMMs over only the active columns of the
+unit-major W_u/W_g and rows of W_d (see :mod:`repro.nn.mlp`).  Two regimes,
+chosen by a measured crossover:
 
 * **Stable index sets** (shared masks, static pruning, repeated decode steps)
   hit a cache of pre-compiled *kernel plans* — the gathered contiguous
@@ -236,13 +237,6 @@ class GatherGEMMBackend(NumpyBackend):
             while len(self._plans) > self.cache_size:
                 self._plans.popitem(last=False)
 
-    def _plan_entry(self, weight: np.ndarray, idx: np.ndarray, axis: int) -> Optional[np.ndarray]:
-        """Per-weight plan data, or ``None`` pre-promotion: the gathered
-        slice, pre-transposed so both gather axes reduce to ``x2d @ entry``
-        (row gathers select output units, column gathers select contraction
-        units, ``x2d`` then holding gathered activations)."""
-        sub = self._gathered(weight, idx, axis)
-        return None if sub is None else sub.T
 
     # ------------------------------------------------------------ mask → idx
     @staticmethod
@@ -269,15 +263,15 @@ class GatherGEMMBackend(NumpyBackend):
         mask: np.ndarray,
     ) -> Optional[_MLPPlan]:
         """Steady-state kernel plan for this mask, or ``None`` → masked-dense."""
-        d_ffn = w_up.shape[0]
+        d_ffn = w_up.shape[1]
         if not self.cache_gathered:
             mask2d, idx = self._union_index(mask, d_ffn)
             if idx.size == 0 or idx.size > self.crossover_density * d_ffn:
                 return None
             return _MLPPlan(
-                np.hstack((self._plan_entry(w_up, idx, 0), self._plan_entry(w_gate, idx, 0))),
+                np.hstack((self._gathered(w_up, idx, 1), self._gathered(w_gate, idx, 1))),
                 idx.size,
-                self._plan_entry(w_down, idx, 1),
+                self._gathered(w_down, idx, 0),
                 self._sub_mask(mask2d, idx),
                 activation_fn(activation),
             )
@@ -297,11 +291,13 @@ class GatherGEMMBackend(NumpyBackend):
             return None
         # Probe every weight before deciding: the list deliberately avoids
         # short-circuiting so all three promotion states advance together on
-        # every call (no partial GEMMs during the promotion step).
+        # every call (no partial GEMMs during the promotion step).  Up and
+        # gate gather the neurons' columns, down their rows, so every entry
+        # is the right-hand operand of one GEMM as gathered.
         entries = [
-            self._plan_entry(w_up, idx, 0),
-            self._plan_entry(w_gate, idx, 0),
-            self._plan_entry(w_down, idx, 1),
+            self._gathered(w_up, idx, 1),
+            self._gathered(w_gate, idx, 1),
+            self._gathered(w_down, idx, 0),
         ]
         if any(entry is None for entry in entries):
             return None  # promotion pending: dense now, plan on the next sighting
@@ -317,12 +313,12 @@ class GatherGEMMBackend(NumpyBackend):
         return plan
 
     def _down_plan(self, w_down: np.ndarray, mask: np.ndarray) -> Optional[_DownPlan]:
-        d_ffn = w_down.shape[1]
+        d_ffn = w_down.shape[0]
         if not self.cache_gathered:
             mask2d, idx = self._union_index(mask, d_ffn)
             if idx.size == 0 or idx.size > self.crossover_density * d_ffn:
                 return None
-            return _DownPlan(idx, self._plan_entry(w_down, idx, 1), self._sub_mask(mask2d, idx))
+            return _DownPlan(idx, self._gathered(w_down, idx, 0), self._sub_mask(mask2d, idx))
         key = self._plan_key("down", w_down, w_down, w_down, mask)
         cached = self._plans.get(key)  # lock-free: see _mlp_plan
         if cached is not None:
@@ -334,7 +330,7 @@ class GatherGEMMBackend(NumpyBackend):
         if idx.size == 0 or idx.size > self.crossover_density * d_ffn:
             self._store_plan(key, _DensePlan((w_down,)))
             return None
-        entry = self._plan_entry(w_down, idx, 1)
+        entry = self._gathered(w_down, idx, 0)
         if entry is None:
             return None
         plan = _DownPlan(idx, entry, self._sub_mask(mask2d, idx), (w_down,))
@@ -365,7 +361,7 @@ class GatherGEMMBackend(NumpyBackend):
         if plan.sub_mask is not None:
             glu *= plan.sub_mask
         out = glu @ plan.down
-        return out.reshape(*x.shape[:-1], w_down.shape[0])
+        return out.reshape(*x.shape[:-1], w_down.shape[1])
 
     def masked_down(self, w_down: np.ndarray, glu: np.ndarray, down_mask: np.ndarray) -> np.ndarray:
         plan = self._down_plan(w_down, np.asarray(down_mask))
@@ -377,4 +373,4 @@ class GatherGEMMBackend(NumpyBackend):
         if plan.sub_mask is not None:
             np.multiply(acts, plan.sub_mask, out=acts)
         out = acts @ plan.down
-        return out.reshape(*glu.shape[:-1], w_down.shape[0])
+        return out.reshape(*glu.shape[:-1], w_down.shape[1])

@@ -1,6 +1,8 @@
 """Reference numpy backend: the pre-seam hot-path code, verbatim.
 
-Every other backend is parity-tested against this one.  The masked-dense MLP
+Every other backend is parity-tested against this one.  The MLP weights are
+unit-major (see :mod:`repro.nn.mlp`), so its products are ``x @ w``
+(:meth:`~repro.backend.base.ComputeBackend.project`).  The masked-dense MLP
 forward reuses buffers (``np.multiply(..., out=...)``) instead of allocating
 ``up * gate * mask`` temporaries, but keeps the exact operation order of the
 original code, so results stay bit-identical.
@@ -42,8 +44,8 @@ class NumpyBackend(ComputeBackend):
         input_mask: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         x_eff = x * input_mask if input_mask is not None else x
-        up = self.linear(x_eff, w_up)
-        gate = activation_fn(activation)(self.linear(x_eff, w_gate))
+        up = self.project(x_eff, w_up)
+        gate = activation_fn(activation)(self.project(x_eff, w_gate))
         np.multiply(up, gate, out=up)  # both operands are fresh arrays
         return up
 
@@ -59,8 +61,8 @@ class NumpyBackend(ComputeBackend):
     ) -> np.ndarray:
         glu = self.glu_act(w_up, w_gate, activation, x, input_mask=input_mask)
         np.multiply(glu, neuron_mask, out=glu)  # glu is fresh: in-place, no temporaries
-        return self.linear(glu, w_down)
+        return self.project(glu, w_down)
 
     def masked_down(self, w_down: np.ndarray, glu: np.ndarray, down_mask: np.ndarray) -> np.ndarray:
         np.multiply(glu, down_mask, out=glu)  # glu is owned by this call
-        return self.linear(glu, w_down)
+        return self.project(glu, w_down)

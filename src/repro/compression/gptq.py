@@ -16,6 +16,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.compression.quantizer import QuantizationSpec, dequantize_uniform, quantize_tensor_uniform
+from repro.compression.targets import weight_targets
 from repro.nn.transformer import CausalLM
 from repro.sparsity.thresholding import collect_mlp_inputs
 from repro.utils.config import ConfigBase
@@ -121,32 +122,17 @@ def quantize_model_blockwise(
     errors: Dict[str, float] = {}
     for layer_index, block in enumerate(model.blocks):
         inputs = per_layer_inputs[layer_index] if per_layer_inputs is not None else None
-        targets = {
-            "up": block.mlp.up,
-            "gate": block.mlp.gate,
-            "down": block.mlp.down,
-        }
-        if not mlp_only:
-            targets.update(
-                {
-                    "q": block.attention.q_proj,
-                    "k": block.attention.k_proj,
-                    "v": block.attention.v_proj,
-                    "o": block.attention.o_proj,
-                }
-            )
-        for name, linear in targets.items():
+        for name, weight in weight_targets(block, mlp_only).items():
             calib = inputs
             if name == "down":
                 # The down projection sees GLU activations, not the MLP input.
                 calib = block.mlp.glu_activations_array(inputs) if inputs is not None else None
             if name in ("q", "k", "v", "o"):
                 calib = None  # attention inputs are not collected; use RTN fallback
-            original = linear.weight.data.copy()
-            linear.weight.data = quantize_linear_gptq(original, calib, config)
+            original = weight.read()
+            quantized = quantize_linear_gptq(original, calib, config)
+            weight.write(quantized)
             denom = np.linalg.norm(original) + 1e-12
-            errors[f"layer{layer_index}.{name}"] = float(
-                np.linalg.norm(original - linear.weight.data) / denom
-            )
+            errors[f"layer{layer_index}.{name}"] = float(np.linalg.norm(original - quantized) / denom)
     logger.info("quantized %d weight matrices to %d bits", len(errors), config.bits)
     return errors

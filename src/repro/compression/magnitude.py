@@ -6,6 +6,7 @@ from typing import Dict
 
 import numpy as np
 
+from repro.compression.targets import weight_targets
 from repro.nn.transformer import CausalLM
 
 
@@ -28,18 +29,8 @@ def magnitude_prune_model(model: CausalLM, sparsity: float, mlp_only: bool = Tru
     """Magnitude-prune a model's weights in place; returns realised sparsity."""
     realised: Dict[str, float] = {}
     for layer_index, block in enumerate(model.blocks):
-        targets = {"up": block.mlp.up, "gate": block.mlp.gate, "down": block.mlp.down}
-        if not mlp_only:
-            targets.update(
-                {
-                    "q": block.attention.q_proj,
-                    "k": block.attention.k_proj,
-                    "v": block.attention.v_proj,
-                    "o": block.attention.o_proj,
-                }
-            )
-        for name, linear in targets.items():
-            pruned = magnitude_prune_linear(linear.weight.data, sparsity)
-            linear.weight.data = pruned
+        for name, weight in weight_targets(block, mlp_only).items():
+            pruned = magnitude_prune_linear(weight.read(), sparsity)
+            weight.write(pruned)
             realised[f"layer{layer_index}.{name}"] = float(np.mean(pruned == 0.0))
     return realised

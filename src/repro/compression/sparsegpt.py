@@ -19,6 +19,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.compression.targets import weight_targets
 from repro.nn.transformer import CausalLM
 from repro.sparsity.thresholding import collect_mlp_inputs
 from repro.utils.config import ConfigBase
@@ -157,13 +158,9 @@ def sparsegpt_prune_model(
     for layer_index, block in enumerate(model.blocks):
         inputs = per_layer_inputs[layer_index] if per_layer_inputs is not None else None
         glu_inputs = block.mlp.glu_activations_array(inputs) if inputs is not None else None
-        for name, linear, calib in (
-            ("up", block.mlp.up, inputs),
-            ("gate", block.mlp.gate, inputs),
-            ("down", block.mlp.down, glu_inputs),
-        ):
-            pruned = sparsegpt_prune_linear(linear.weight.data, calib, config)
-            linear.weight.data = pruned
+        for name, weight in weight_targets(block).items():
+            pruned = sparsegpt_prune_linear(weight.read(), glu_inputs if name == "down" else inputs, config)
+            weight.write(pruned)
             realised[f"layer{layer_index}.{name}"] = float(np.mean(pruned == 0.0))
     logger.info("SparseGPT pruned %d matrices (%s)", len(realised), config.label())
     return realised

@@ -13,6 +13,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
+from repro.compression.targets import weight_targets
 from repro.nn.transformer import CausalLM
 from repro.utils.config import ConfigBase
 from repro.utils.logging import get_logger
@@ -98,20 +99,10 @@ def quantize_model_vq(
     rng = new_rng(config.seed)
     errors: Dict[str, float] = {}
     for layer_index, block in enumerate(model.blocks):
-        targets = {"up": block.mlp.up, "gate": block.mlp.gate, "down": block.mlp.down}
-        if not mlp_only:
-            targets.update(
-                {
-                    "q": block.attention.q_proj,
-                    "k": block.attention.k_proj,
-                    "v": block.attention.v_proj,
-                    "o": block.attention.o_proj,
-                }
-            )
-        for name, linear in targets.items():
-            original = linear.weight.data.copy()
+        for name, weight in weight_targets(block, mlp_only).items():
+            original = weight.read()
             quantized, _ = quantize_linear_vq(original, config, rng)
-            linear.weight.data = quantized
+            weight.write(quantized)
             denom = np.linalg.norm(original) + 1e-12
             errors[f"layer{layer_index}.{name}"] = float(np.linalg.norm(original - quantized) / denom)
     logger.info("vector-quantized %d matrices at %.1f bits/weight", len(errors), config.bits_per_weight)

@@ -25,6 +25,7 @@ from repro.backend import BackendLike, use_backend
 from repro.nn.prefix_cache import PrefixCache, PrefixMatch
 from repro.nn.transformer import CausalLM, TransformerBlock, _sample_token, left_pad_ragged
 from repro.sparsity.base import MLPMasks, SparsityMethod, masks_mlp_density
+from repro.sparsity.decode_mlp import decode_mlp
 from repro.utils.logging import get_logger
 from repro.utils.numerics import logsumexp
 from repro.utils.rng import SeedLike, new_rng
@@ -187,7 +188,9 @@ class SparseInferenceEngine:
 
     The engine uses the model's array (inference) path and replaces every
     MLP call with ``method.sparse_forward``; attention, norms and embeddings
-    are untouched, exactly as in the paper.
+    are untouched, exactly as in the paper.  A DIP or DIP-CA call of few
+    enough rows (a decode step) runs in the compiled decode MLP instead
+    (:mod:`repro.sparsity.decode_mlp`), unless masks are being recorded.
     """
 
     def __init__(
@@ -214,10 +217,14 @@ class SparseInferenceEngine:
         if batched:
             batch, seq, d_model = normed.shape
             normed = normed.reshape(batch * seq, d_model)
-        masks = self.method.compute_masks(block.mlp, block.layer_index, normed)
-        if self.recorder is not None:
-            self.recorder.record(block.layer_index, masks)
-        out = self.method.sparse_forward(block.mlp, block.layer_index, normed, masks)
+        # A narrow DIP/DIP-CA step runs in one compiled call that reads only
+        # the kept weight rows; it yields no masks to record.
+        out = None if self.recorder is not None else decode_mlp(self.method, block.mlp, block.layer_index, normed)
+        if out is None:
+            masks = self.method.compute_masks(block.mlp, block.layer_index, normed)
+            if self.recorder is not None:
+                self.recorder.record(block.layer_index, masks)
+            out = self.method.sparse_forward(block.mlp, block.layer_index, normed, masks)
         if batched:
             out = out.reshape(batch, seq, d_model)
         return out

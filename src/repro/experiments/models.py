@@ -102,6 +102,12 @@ def _build_assets(spec: ModelSpec, preparation: PreparationConfig):
     return splits, primary_task, suite
 
 
+#: The MLP weight layout a cached state dict holds (see :mod:`repro.nn.mlp`),
+#: part of every model's artifact key: a state saved in another layout is
+#: retrained rather than loaded.
+WEIGHT_LAYOUT = "mlp-unit-major"
+
+
 def prepare_model(
     name: str,
     preparation: PreparationConfig = PreparationConfig(),
@@ -110,12 +116,13 @@ def prepare_model(
 ) -> PreparedModel:
     """Train (or load from cache) the simulation-scale model for ``name``.
 
-    The cache key covers the model spec and the preparation config, so
-    changing either triggers a retrain.
+    The cache key covers the model spec, the preparation config and the
+    MLP weight layout (:data:`WEIGHT_LAYOUT`), so changing any of them
+    triggers a retrain.
     """
     spec = get_model_spec(name)
     cache = cache if cache is not None else ArtifactCache()
-    key = f"model-{name}-{config_hash(spec.sim_config, preparation)}"
+    key = f"model-{name}-{WEIGHT_LAYOUT}-{config_hash(spec.sim_config, preparation)}"
 
     splits, primary_task, suite = _build_assets(spec, preparation)
     model = CausalLM(spec.sim_config, seed=preparation.model_seed)

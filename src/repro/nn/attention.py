@@ -429,10 +429,13 @@ class GroupedQueryAttention(Module):
         q = self.rope.rotate(q, position_offset=offset, position_ids=position_ids)
         k = self.rope.rotate(k, position_offset=offset, position_ids=position_ids)
 
+        key_bias = None
+        if attention_mask is not None:  # checked before the cache is written
+            key_bias = _broadcast_key_bias(attention_mask, seq + (kv_cache.length if kv_cache is not None else 0))
         if kv_cache is not None:
             k_all, v_all = kv_cache.append(k, v)
             if slot_view:
-                attention_mask = kv_cache.key_bias()
+                key_bias = _broadcast_key_bias(kv_cache.key_bias(), k_all.shape[2])
         else:
             k_all, v_all = k, v
         total = k_all.shape[2]
@@ -451,8 +454,8 @@ class GroupedQueryAttention(Module):
         scores *= scale
         if seq > 1:  # a single new token attends to the whole prefix: no mask needed
             scores += _causal_bias_rect(seq, total)
-        if attention_mask is not None:
-            scores += _broadcast_key_bias(attention_mask, total)
+        if key_bias is not None:
+            scores += key_bias
         weights = backend.softmax(scores, axis=-1)
         context = backend.matmul(weights, v_all)  # (batch, kv, g, seq, head_dim)
         context = context.reshape(batch, cfg.n_heads, seq, cfg.head_dim)

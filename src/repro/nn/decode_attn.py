@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Optional, Tuple
 import numpy as np
 
 from repro.nn.attention import KVCache, KVCacheSlotView
-from repro.utils.native import CompiledKernel
+from repro.utils.native import CompiledKernel, address
 
 if TYPE_CHECKING:
     from repro.nn.transformer import TransformerBlock
@@ -66,14 +66,6 @@ DECODE_ATTN = CompiledKernel(
     [_pointer, _pointer, _size, _pointer, _pointer, _pointer, _size, _pointer],
     _size,
 )
-
-
-def _address(a: np.ndarray) -> int:
-    """The address of ``a``'s first element (``a.ctypes.data`` costs 2-3x more)."""
-    try:
-        return ctypes.addressof(ctypes.c_char.from_buffer(a))
-    except TypeError:  # read-only or strided
-        return a.ctypes.data
 
 
 def _fits(a: np.ndarray, shape: Tuple[int, ...], dtype: type = np.float64) -> bool:
@@ -224,11 +216,11 @@ def decode_attention(
         bound[2],
         held[2],
         batch,
-        _address(x),
-        _address(rows),
-        0 if bias is None else _address(bias),
+        address(x),
+        address(rows),
+        0 if bias is None else address(bias),
         stride,
-        _address(out),
+        address(out),
     )
     if status != 0:
         raise MemoryError("decode attention could not allocate its scratch memory")

@@ -15,10 +15,9 @@ from repro.utils.rng import new_rng
 class Linear(Module):
     """Affine map ``y = x @ W^T + b``.
 
-    The weight is stored as ``(out_features, in_features)`` matching the
-    convention used throughout the paper: *column* ``i`` of the up/gate
-    projections (i.e. row ``i`` of this weight matrix) together with *row*
-    ``i`` of the down projection form neuron ``i`` of the MLP.
+    The weight is stored as ``(out_features, in_features)``.  The gated
+    MLP does not use this class: it stores its weights unit-major (see
+    :mod:`repro.nn.mlp`).
     """
 
     def __init__(

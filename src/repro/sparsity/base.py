@@ -18,8 +18,9 @@ def topk_mask(values: np.ndarray, k: int) -> np.ndarray:
     ``np.partition`` finds each row's k-th largest value; every value above
     it is kept and, among values equal to it, the lowest indices.  NaN ranks
     above every number (as ``np.partition`` orders it), so each row keeps
-    exactly ``k`` entries whatever it holds.  DIP-CA's compiled step
-    (``_ca_step.c``) uses the same rule.  ``k`` is clamped to ``[0, n]``.
+    exactly ``k`` entries whatever it holds.  The compiled DIP kernels'
+    per-row step (``_ca_row.h``) uses the same rule.  ``k`` is clamped to
+    ``[0, n]``.
     """
     n = values.shape[-1]
     k = int(k)
@@ -81,13 +82,15 @@ class MLPMasks:
 
     Memory fields (define which weight slices must be resident; used by the
     HW simulator).  ``axis`` is one of ``"dense"`` (whole matrix read),
-    ``"neuron"`` (row slices of W_u/W_g, i.e. one slice per GLU neuron) or
-    ``"input"`` (column slices of W_u/W_g, one per input feature):
+    ``"neuron"`` (one slice of W_u/W_g per GLU neuron: a column of the
+    unit-major ``(d_model, d_ffn)`` array) or ``"input"`` (one slice per
+    input feature: a row of it):
 
     * ``up_axis`` / ``up_mask`` — read pattern for W_u.
     * ``gate_axis`` / ``gate_mask`` — read pattern for W_g.
 
-    W_d is always read by neuron columns, gated by ``down_mask``.
+    W_d is always read by neuron (one row of the unit-major W_d each), gated
+    by ``down_mask``.
 
     ``glu_cache`` optionally carries the GLU activations the method already
     computed (from the *masked* input) while ranking neurons, so

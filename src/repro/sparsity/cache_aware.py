@@ -32,6 +32,12 @@ compiler that loop runs instead; it stays the reference the tests compare
 against, and :class:`~repro.hwsim.simulator.HWSimulator` keeps calling
 :func:`cache_aware_step`: at paper-scale groups numpy's vectorised
 ``partition`` beats the scalar kernel.
+
+The per-row step itself is C code in one place, ``_ca_row.h``: ``ca_step``
+runs it on one group's rows, and the compiled decode MLP
+(:mod:`repro.sparsity.decode_mlp`) runs it on both groups of each decode
+step it serves, against the same caches.  Since that kernel serves narrow
+decode steps, ``compute_masks`` mostly runs at prefill.
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ CA_STEP = CompiledKernel(
     "ca_step",
     [_pointer, _size, _size, _size, ctypes.c_double, _size, _pointer, _pointer, _pointer, _pointer],
     ctypes.c_int64,
+    headers=[Path(__file__).with_name("_ca_row.h")],
 )
 
 
@@ -160,18 +167,10 @@ class CacheAwareDIP(DynamicInputPruning):
         self.gamma = float(gamma)
         self.cache_fraction = float(cache_fraction)
         #: (layer_index, group) -> LFU cache, group in {"input", "down"}.
+        #: ``self._bound[(layer_index, group)]`` holds what :func:`_bind`
+        #: returns for that cache.
         self._caches: Dict[Tuple[int, str], GroupCache] = {}
-        #: (layer_index, group) -> what :func:`_bind` returns for that cache.
-        #: Holds addresses, so copies and pickles start without it.
-        self._bound: Dict[Tuple[int, str], tuple] = {}
         self.stats = CacheHitStats()
-
-    def __getstate__(self):
-        """Copies and pickles leave out the compiled step's addresses; a copy
-        binds its own caches on first use."""
-        state = self.__dict__.copy()
-        state["_bound"] = {}
-        return state
 
     # ----------------------------------------------------------------- caches
     def _cache_for(self, layer_index: int, group: str, n_units: int) -> GroupCache:

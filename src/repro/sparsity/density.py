@@ -1,8 +1,8 @@
 """Density allocation between the MLP component matrices (paper Appendix B.1).
 
-DIP uses two separate keep-fractions: one for the input features (columns of
-W_u and W_g) and one for the GLU neurons (columns of W_d).  The overall MLP
-density is their weighted combination::
+DIP uses two separate keep-fractions: one for the input features (rows of
+the unit-major W_u and W_g) and one for the GLU neurons (rows of W_d).  The
+overall MLP density is their weighted combination::
 
     mlp_density = (2 * input_density + down_density) / 3
 

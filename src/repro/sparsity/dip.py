@@ -3,20 +3,25 @@
 DIP needs no predictor.  For every token it
 
 1. keeps only the largest-magnitude entries of the MLP *input* ``x``
-   (per-token top-k), which means only the corresponding *columns* of the up
-   and gate projections are read (Eq. 7), and
+   (per-token top-k), which means only the corresponding rows of the
+   unit-major up and gate weights are read (Eq. 7), and
 2. computes the (approximate) GLU activations from the pruned input and keeps
-   only their largest magnitudes, which selects the columns of the down
-   projection (Eq. 8).
+   only their largest magnitudes, which selects the rows of the down weight
+   (Eq. 8).
 
-The split of the density budget between the up/gate input columns and the
-down neuron columns follows the allocation model of Appendix B.1
+The split of the density budget between the up/gate input rows and the
+down neuron rows follows the allocation model of Appendix B.1
 (:mod:`repro.sparsity.density`).
+
+A decode step narrow enough runs both steps and the MLP itself in one
+compiled call that reads only the kept rows
+(:mod:`repro.sparsity.decode_mlp`); :meth:`DynamicInputPruning.compute_masks`
+and ``sparse_forward`` are the numpy path and the reference.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Hashable, Optional
 
 import numpy as np
 
@@ -48,31 +53,34 @@ class DynamicInputPruning(SparsityMethod):
     ):
         super().__init__(target_density=target_density)
         self.allocation = allocation if allocation is not None else allocate_dip_densities(target_density)
+        #: The compiled kernels' bindings (:mod:`repro.sparsity.decode_mlp`
+        #: per layer; DIP-CA's step per layer and group).  They hold
+        #: addresses, so copies and pickles start without them.
+        self._bound: Dict[Hashable, tuple] = {}
+
+    def __getstate__(self):
+        """Copies and pickles leave out the compiled kernels' addresses; a
+        copy binds its own weights and caches on first use."""
+        state = self.__dict__.copy()
+        state["_bound"] = {}
+        return state
 
     # ------------------------------------------------------------- fractions
     @property
     def input_keep_fraction(self) -> float:
-        """Fraction of input features kept (columns of W_u and W_g)."""
+        """Fraction of input features kept (rows of W_u and W_g)."""
         return self.allocation.input_density
 
     @property
     def neuron_keep_fraction(self) -> float:
-        """Fraction of GLU neurons kept (columns of W_d)."""
+        """Fraction of GLU neurons kept (rows of W_d)."""
         return self.allocation.down_density
 
     # ----------------------------------------------------------------- masks
-    def input_scores(self, x: np.ndarray, layer_index: int) -> np.ndarray:
-        """Scores used to rank input features (plain magnitude for DIP)."""
-        return np.abs(x)
-
-    def glu_scores(self, glu: np.ndarray, layer_index: int) -> np.ndarray:
-        """Scores used to rank GLU neurons (plain magnitude for DIP)."""
-        return np.abs(glu)
-
     def compute_masks(self, mlp: SwiGLUMLP, layer_index: int, x: np.ndarray) -> MLPMasks:
-        input_mask = topk_fraction_mask(self.input_scores(x, layer_index), self.input_keep_fraction)
+        input_mask = topk_fraction_mask(np.abs(x), self.input_keep_fraction)
         glu = mlp.glu_activations_array(x, input_mask=input_mask)
-        down_mask = topk_fraction_mask(self.glu_scores(glu, layer_index), self.neuron_keep_fraction)
+        down_mask = topk_fraction_mask(np.abs(glu), self.neuron_keep_fraction)
         return MLPMasks(
             down_mask=down_mask,
             input_mask=input_mask,

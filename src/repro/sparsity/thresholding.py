@@ -44,7 +44,7 @@ def collect_glu_activations(
             normed = block.mlp_norm.forward_array(x)
             glu = block.mlp.glu_activations_array(normed)
             per_layer[layer_index].append(glu)
-            x = x + block.mlp.down.forward_array(glu)
+            x = x + block.mlp.down_array(glu)
     return [np.concatenate(chunks, axis=0) for chunks in per_layer]
 
 

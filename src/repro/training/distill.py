@@ -84,12 +84,12 @@ def sparse_lora_mlp_override(
         x_eff = normed * input_mask if input_mask is not None else normed
 
         # Up projection (+ optional LoRA, applied before masking of outputs).
-        up_w = Tensor(mlp.up.weight.data)
+        up_w = Tensor(mlp.out_in("up").read())
         up_out = x_eff.matmul(up_w.T)
         if layer_adapters.up is not None:
             up_out = layer_adapters.up.apply(x_eff, up_out)
 
-        gate_w = Tensor(mlp.gate.weight.data)
+        gate_w = Tensor(mlp.out_in("gate").read())
         gate_out = x_eff.matmul(gate_w.T)
         if layer_adapters.gate is not None:
             gate_out = layer_adapters.gate.apply(x_eff, gate_out)
@@ -97,7 +97,7 @@ def sparse_lora_mlp_override(
 
         glu = up_out * gate_act * down_mask
 
-        down_w = Tensor(mlp.down.weight.data)
+        down_w = Tensor(mlp.out_in("down").read())
         out = glu.matmul(down_w.T)
         if layer_adapters.down is not None:
             out = layer_adapters.down.apply(glu, out)

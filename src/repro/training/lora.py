@@ -1,22 +1,24 @@
 """LoRA adapters for the MLP projections (paper Eq. 9).
 
-Each adapted weight matrix ``W`` of shape ``(out, in)`` gains a low-rank
-update ``B @ A`` with ``A`` of shape ``(rank, in)`` and ``B`` of shape
-``(out, rank)``.  Crucially (Eq. 9) the adapter is defined on the *full*
-matrix and the column selection of the sparsity method is applied to the
-adapted matrix, so after fine-tuning the adapters can be fused into the
-original weights at zero memory / latency overhead.
+Each adapted weight matrix ``W``, seen as ``(out, in)``
+(:class:`~repro.nn.mlp.OutInWeight`), gains a low-rank update ``B @ A``
+with ``A`` of shape ``(rank, in)`` and ``B`` of shape ``(out, rank)``.
+Crucially (Eq. 9) the adapter is defined on the *full* matrix and the
+column selection of the sparsity method is applied to the adapted matrix,
+so after fine-tuning the adapters can be fused into the original weights at
+zero memory / latency overhead.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.autograd.tensor import Tensor
 from repro.nn.linear import Linear
+from repro.nn.mlp import PROJECTIONS, OutInWeight
 from repro.nn.module import Module, Parameter
 from repro.nn.transformer import CausalLM
 from repro.utils.config import ConfigBase
@@ -47,9 +49,10 @@ class LoRAConfig(ConfigBase):
 
 
 class LoRAAdapter(Module):
-    """Low-rank additive update for one linear layer."""
+    """Low-rank additive update for one ``(out, in)`` weight: a ``Linear`` or
+    an MLP projection's :class:`~repro.nn.mlp.OutInWeight`."""
 
-    def __init__(self, linear: Linear, config: LoRAConfig, seed=None):
+    def __init__(self, linear: Union[Linear, OutInWeight], config: LoRAConfig, seed=None):
         super().__init__()
         self.config = config
         self.out_features = linear.out_features
@@ -107,12 +110,10 @@ def attach_mlp_adapters(model: CausalLM, config: LoRAConfig = LoRAConfig()) -> L
     for layer_index, block in enumerate(model.blocks):
         layer_rng = spawn_rng(rng, f"lora-layer{layer_index}")
         adapters = MLPLoRAAdapters()
-        if "up" in config.matrices:
-            adapters.up = LoRAAdapter(block.mlp.up, config, seed=spawn_rng(layer_rng, "up"))
-        if "gate" in config.matrices:
-            adapters.gate = LoRAAdapter(block.mlp.gate, config, seed=spawn_rng(layer_rng, "gate"))
-        if "down" in config.matrices:
-            adapters.down = LoRAAdapter(block.mlp.down, config, seed=spawn_rng(layer_rng, "down"))
+        for name in PROJECTIONS:
+            if name in config.matrices:
+                adapter = LoRAAdapter(block.mlp.out_in(name), config, seed=spawn_rng(layer_rng, name))
+                setattr(adapters, name, adapter)
         per_layer.append(adapters)
     return per_layer
 
@@ -133,12 +134,11 @@ def fuse_adapters(model: CausalLM, adapters: Sequence[MLPLoRAAdapters]) -> Causa
     if len(adapters) != len(model.blocks):
         raise ValueError("need exactly one adapter set per layer")
     for block, layer_adapters in zip(model.blocks, adapters):
-        if layer_adapters.up is not None:
-            block.mlp.up.weight.data = block.mlp.up.weight.data + layer_adapters.up.delta()
-        if layer_adapters.gate is not None:
-            block.mlp.gate.weight.data = block.mlp.gate.weight.data + layer_adapters.gate.delta()
-        if layer_adapters.down is not None:
-            block.mlp.down.weight.data = block.mlp.down.weight.data + layer_adapters.down.delta()
+        for name in PROJECTIONS:
+            adapter = getattr(layer_adapters, name)
+            if adapter is not None:
+                weight = block.mlp.out_in(name)
+                weight.write(weight.read() + adapter.delta())
     return model
 
 

@@ -21,6 +21,7 @@ from repro.data.tasks import build_task
 from repro.nn.decode_attn import DECODE_ATTN
 from repro.nn.transformer import CausalLM, TransformerConfig
 from repro.sparsity.cache_aware import CA_STEP
+from repro.sparsity.decode_mlp import DECODE_MLP
 from repro.training.trainer import TrainingConfig, train_language_model
 
 #: Vocabulary shared by the tiny test corpus and models (60 symbols + 4 specials).
@@ -141,14 +142,25 @@ def compiled_decode_attn():
     return kernel
 
 
+@pytest.fixture(scope="session")
+def compiled_decode_mlp():
+    """The compiled DIP/DIP-CA decode MLP; a test that needs it skips when no C compiler builds it."""
+    kernel = DECODE_MLP.load()
+    if kernel is None:
+        pytest.skip("no C compiler: the compiled decode MLP is unavailable")
+    return kernel
+
+
 @pytest.fixture(params=["kernel", "numpy"])
 def decode_path(request, monkeypatch):
-    """Which path a block's decode steps take: the compiled attention half or
-    numpy (the kernel's loader forced to ``None``)."""
+    """Which path a block's decode steps take: the compiled attention half and
+    DIP/DIP-CA MLP, or numpy (both kernels' loaders forced to ``None``)."""
     if request.param == "numpy":
         monkeypatch.setattr(DECODE_ATTN, "load", lambda: None)
+        monkeypatch.setattr(DECODE_MLP, "load", lambda: None)
     else:
         request.getfixturevalue("compiled_decode_attn")
+        request.getfixturevalue("compiled_decode_mlp")
     return request.param
 
 

@@ -160,9 +160,9 @@ def test_continuous_batch_token_identity(trained_tiny_model, calibration_sequenc
 
 # ----------------------------------------------------------- gather mechanics
 def _mlp_case(rng, d_model=16, d_ffn=40, n_tokens=4):
-    w_up = rng.normal(size=(d_ffn, d_model))
-    w_gate = rng.normal(size=(d_ffn, d_model))
-    w_down = rng.normal(size=(d_model, d_ffn))
+    w_up = rng.normal(size=(d_model, d_ffn))
+    w_gate = rng.normal(size=(d_model, d_ffn))
+    w_down = rng.normal(size=(d_ffn, d_model))
     x = rng.normal(size=(n_tokens, d_model))
     return w_up, w_gate, w_down, x
 
@@ -184,8 +184,8 @@ def test_gather_gemm_primitive(rng):
 def test_crossover_density_switches_to_masked_dense(rng):
     w_up, w_gate, w_down, x = _mlp_case(rng)
     backend = GatherGEMMBackend(crossover_density=0.5)
-    dense_mask = np.zeros((x.shape[0], w_up.shape[0]), dtype=bool)
-    dense_mask[:, : int(0.75 * w_up.shape[0])] = True  # union density 0.75 > 0.5
+    dense_mask = np.zeros((x.shape[0], w_up.shape[1]), dtype=bool)
+    dense_mask[:, : int(0.75 * w_up.shape[1])] = True  # union density 0.75 > 0.5
     backend.masked_mlp(w_up, w_gate, w_down, "silu", x, dense_mask)
     assert backend.stats == {
         "gather_calls": 0, "dense_calls": 1,
@@ -196,7 +196,7 @@ def test_crossover_density_switches_to_masked_dense(rng):
 def test_promotion_cache_gathers_on_second_sighting(rng):
     w_up, w_gate, w_down, x = _mlp_case(rng)
     backend = GatherGEMMBackend(crossover_density=DEFAULT_CROSSOVER_DENSITY)
-    mask = np.zeros((x.shape[0], w_up.shape[0]), dtype=bool)
+    mask = np.zeros((x.shape[0], w_up.shape[1]), dtype=bool)
     mask[:, ::4] = True  # shared mask, union density 0.25
     expected = get_backend("numpy").masked_mlp(w_up, w_gate, w_down, "silu", x, mask)
 
@@ -215,7 +215,7 @@ def test_promotion_cache_gathers_on_second_sighting(rng):
 def test_cache_off_gathers_immediately(rng):
     w_up, w_gate, w_down, x = _mlp_case(rng)
     backend = GatherGEMMBackend(cache_gathered=False)
-    mask = np.zeros((x.shape[0], w_up.shape[0]), dtype=bool)
+    mask = np.zeros((x.shape[0], w_up.shape[1]), dtype=bool)
     mask[:, ::4] = True
     backend.masked_mlp(w_up, w_gate, w_down, "silu", x, mask)
     assert backend.stats["gather_calls"] == 1 and backend.stats["dense_calls"] == 0
@@ -224,7 +224,7 @@ def test_cache_off_gathers_immediately(rng):
 def test_per_token_masks_are_honoured_below_crossover(rng):
     """Tokens keeping fewer units than the union get their sub-mask re-applied."""
     w_up, w_gate, w_down, x = _mlp_case(rng)
-    mask = np.zeros((x.shape[0], w_up.shape[0]), dtype=bool)
+    mask = np.zeros((x.shape[0], w_up.shape[1]), dtype=bool)
     mask[:, ::8] = True
     mask[0, 1] = True  # token 0 keeps one extra neuron the others do not
     backend = GatherGEMMBackend()
@@ -237,8 +237,8 @@ def test_per_token_masks_are_honoured_below_crossover(rng):
 
 def test_masked_down_gather_matches_reference(rng):
     w_up, _w_gate, w_down, _x = _mlp_case(rng)
-    glu = rng.normal(size=(4, w_down.shape[1]))
-    mask = np.zeros((4, w_down.shape[1]), dtype=bool)
+    glu = rng.normal(size=(4, w_down.shape[0]))
+    mask = np.zeros((4, w_down.shape[0]), dtype=bool)
     mask[:, ::4] = True
     backend = GatherGEMMBackend()
     expected = get_backend("numpy").masked_down(w_down, glu.copy(), mask)

@@ -14,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.inference import ContinuousBatch, serve_continuous_greedy
+from repro.engine.inference import ContinuousBatch, SparseInferenceEngine, serve_continuous_greedy
 from repro.nn.attention import MASKED_BIAS, KVCache
 from repro.nn.decode_attn import decode_attention
 from repro.nn.transformer import CausalLM, TransformerBlock, TransformerConfig
 from repro.pipeline.session import SparseSession
 from repro.serving import ContinuousBatchingScheduler, GenerationRequest, SchedulerConfig
+from repro.sparsity.base import DenseBaseline
 from repro.sparsity.registry import REGISTRY
 
 HEADS = [(4, 2), (2, 1), (2, 2)]  # (n_heads, n_kv_heads); (2, 1) is the tiny config's
@@ -188,6 +189,24 @@ class TestKernelAgainstNumpy:
             decode_attention(block, rng.normal(size=(2, 1, 8)), cache, np.zeros((2, 3)))
         assert np.array_equal(cache.keys, before.keys) and np.array_equal(cache.lengths, before.lengths)
 
+    @pytest.mark.parametrize("kind", ["lockstep", "slot-view"])
+    def test_bad_mask_leaves_the_cache_unchanged(self, decode_path, kind):
+        """A forward that raises on its key mask has written nothing, on
+        either decode path: a lock-step cache's mask of the wrong width, or a
+        slot view given a mask at all."""
+        rng = np.random.default_rng(4)
+        block = make_block(2, 1, 4, rope_len=16, seed=4)
+        cache = filled_cache(block, 8, 1, [3], rng)
+        before = copy.deepcopy(cache)
+        if kind == "lockstep":
+            target, match = cache, "covers 2 key positions, expected 4"
+        else:
+            target, match = cache.slot_view([0]), "slot view sets its own"
+        with pytest.raises(ValueError, match=match):
+            block.forward_array(rng.normal(size=(1, 1, 8)), target, attention_mask=np.zeros((1, 2)))
+        assert cache.length == before.length and np.array_equal(cache.lengths, before.lengths)
+        assert np.array_equal(cache.keys, before.keys) and np.array_equal(cache.values, before.values)
+
     def test_slot_views_take_no_mask_or_positions(self, decode_path):
         block = make_block(2, 1, 4, rope_len=16, seed=2)
         cache = filled_cache(block, 8, 2, [2, 3], np.random.default_rng(2))
@@ -345,3 +364,48 @@ def test_greedy_parity_on_every_decode_surface(
 
     for result, want in zip(asyncio.run(schedule()), expected):
         assert np.array_equal(result.full_sequence(), want)
+
+
+def test_ragged_decode_logits_match_each_row_alone(decode_path, trained_tiny_model, calibration_sequences):
+    """Each row's per-step logits from a ragged generate_batch and from
+    ContinuousBatch.step equal that row's decoded alone and unpadded, within
+    1e-9.  The dense method keeps every mask fixed, so only the attention
+    can move them: greedy tokens do not see pad keys that leak a little
+    weight into a ragged decode, these logits do."""
+    model = trained_tiny_model
+    engine = SparseInferenceEngine(model, DenseBaseline())
+    prompts = [calibration_sequences[i][:n] for i, n in enumerate((6, 11, 9, 4))]
+    budget = 6
+
+    def recorded(run):
+        """``run()``'s result and the logits of every model forward it made."""
+        seen, forward = [], model.forward_array
+
+        def record(*args, **kwargs):
+            seen.append(forward(*args, **kwargs))
+            return seen[-1]
+
+        model.forward_array = record  # shadows the method for this model only
+        try:
+            return run(), seen
+        finally:
+            del model.forward_array
+
+    alone = []
+    for prompt in prompts:
+        _, seen = recorded(lambda: engine.generate(prompt, budget, temperature=0.0))
+        alone.append(np.array([logits[-1] for logits in seen]))  # (budget, vocab)
+
+    _, seen = recorded(lambda: engine.generate_batch(prompts, budget, temperature=0.0))
+    batched = np.stack([logits[:, -1] for logits in seen], axis=1)  # (row, step, vocab)
+    for row, want in enumerate(alone):
+        np.testing.assert_allclose(batched[row], want, rtol=0, atol=1e-9)
+
+    batch = ContinuousBatch.from_engine(engine, max_batch_size=len(prompts), max_seq_len=32)
+    slots, logits = batch.admit(prompts)
+    stepped = [logits]
+    for _ in range(budget - 1):
+        stepped.append(batch.step(slots, np.argmax(stepped[-1], axis=-1)))
+    stepped = np.stack(stepped, axis=1)
+    for row, want in enumerate(alone):
+        np.testing.assert_allclose(stepped[row], want, rtol=0, atol=1e-9)

@@ -36,12 +36,14 @@ class TestSwiGLUMLP:
         glu = mlp.glu_activations_array(x)
         expected = mlp.up_activations_array(x) * mlp.gate_activations_array(x)
         assert np.allclose(glu, expected)
-        assert np.allclose(mlp.forward_array(x), mlp.down.forward_array(glu))
+        assert np.allclose(mlp.forward_array(x), mlp.down_array(glu))
 
     def test_weight_views(self, mlp):
-        assert mlp.w_up.shape == (40, 16)
-        assert mlp.w_gate.shape == (40, 16)
-        assert mlp.w_down.shape == (16, 40)
+        """Unit-major: one row per input feature of up/gate, per neuron of down."""
+        assert mlp.w_up.shape == (16, 40)
+        assert mlp.w_gate.shape == (16, 40)
+        assert mlp.w_down.shape == (40, 16)
+        assert all(w.flags.c_contiguous for w in (mlp.w_up, mlp.w_gate, mlp.w_down))
 
     def test_masked_forward_full_mask_is_dense(self, mlp):
         x = np.random.default_rng(3).normal(size=(4, 16))
@@ -61,7 +63,7 @@ class TestSwiGLUMLP:
         masked = mlp.forward_masked_array(x[None, :], neuron_mask[None, :])[0]
         idx = np.flatnonzero(neuron_mask)
         glu = mlp.glu_activations_array(x[None, :])[0][idx]
-        gathered = mlp.w_down[:, idx] @ glu
+        gathered = glu @ mlp.w_down[idx]
         assert np.allclose(masked, gathered)
 
     def test_input_mask_prunes_columns(self, mlp):

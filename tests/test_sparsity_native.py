@@ -1,8 +1,9 @@
 """The compiled kernels' loader (``repro.utils.native``) and the checks
 ``CacheAwareDIP`` makes before calling DIP-CA's step.
 
-Every loader case runs for both kernels: DIP-CA's step (``_ca_step.c``) and
-the decode attention (``_decode_attn.c``)."""
+Every loader case runs for all three kernels: DIP-CA's step
+(``_ca_step.c``), the decode attention (``_decode_attn.c``) and the DIP/DIP-CA
+decode MLP (``_decode_mlp.c``)."""
 
 import copy
 import ctypes
@@ -17,13 +18,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.engine.inference import SparseInferenceEngine
 from repro.nn.decode_attn import DECODE_ATTN
 from repro.nn.mlp import GLUMLPConfig, SwiGLUMLP
 from repro.nn.transformer import CausalLM, TransformerConfig
 from repro.sparsity.cache_aware import CA_STEP, CacheAwareDIP
+from repro.sparsity.decode_mlp import DECODE_MLP
 from repro.utils import native
 
-KERNELS = (CA_STEP, DECODE_ATTN)
+KERNELS = (CA_STEP, DECODE_ATTN, DECODE_MLP)
 
 
 @pytest.fixture
@@ -53,7 +56,7 @@ def fresh_loader(monkeypatch, tmp_path, caplog):
 
 
 @pytest.fixture
-def reference(compiled_ca_step, compiled_decode_attn, mlp, model):
+def reference(compiled_ca_step, compiled_decode_attn, compiled_decode_mlp, mlp, model):
     """What the compiled kernels serve, taken before ``fresh_loader`` resets the loader."""
     return serve(mlp), decode(model)
 
@@ -71,21 +74,27 @@ def serve(mlp, n_calls=4):
 
 
 def decode(model, n_steps=6):
-    """Logits of a fixed prompt's decode steps."""
+    """Logits of a fixed prompt's decode steps under DIP-CA, with its hit counts."""
+    engine = SparseInferenceEngine(model, CacheAwareDIP(0.5, gamma=0.2, cache_fraction=0.4))
     caches = model.new_kv_caches(16)
-    model.forward_array(np.arange(1, 6), kv_caches=caches)
-    return np.concatenate([model.forward_array(np.asarray([t]), kv_caches=caches) for t in range(n_steps)])
+    model.forward_array(np.arange(1, 6), kv_caches=caches, mlp_override=engine._mlp_override)
+    logits = [
+        model.forward_array(np.asarray([t]), kv_caches=caches, mlp_override=engine._mlp_override)
+        for t in range(n_steps)
+    ]
+    return np.concatenate(logits), (engine.method.stats.hits, engine.method.stats.misses)
 
 
 def assert_same_service(got, reference):
-    (a, logits), (b, expected) = got, reference
+    (a, (logits, hits)), (b, (expected, expected_hits)) = got, reference
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1]) and a[2] == b[2]
     np.testing.assert_allclose(logits, expected, rtol=0, atol=1e-12)
+    assert hits == expected_hits
 
 
 def test_missing_compiler_runs_the_numpy_step(reference, fresh_loader, monkeypatch, mlp, model):
     monkeypatch.setattr(native.shutil, "which", lambda name: None)
-    assert [kernel.load() for kernel in KERNELS] == [None, None]
+    assert [kernel.load() for kernel in KERNELS] == [None] * len(KERNELS)
     assert_same_service((serve(mlp), decode(model)), reference)
 
 
@@ -94,12 +103,14 @@ def test_failed_compile_runs_the_numpy_step(reference, fresh_loader, monkeypatch
         broken = tmp_path / kernel.source.name
         broken.write_text(f"int64_t {kernel.symbol}(void) {{ return }}\n")
         monkeypatch.setattr(kernel, "source", broken)
-    assert [kernel.load() for kernel in KERNELS] == [None, None]
+    assert [kernel.load() for kernel in KERNELS] == [None] * len(KERNELS)
     assert list(fresh_loader.iterdir()) == []
     assert_same_service((serve(mlp), decode(model)), reference)
 
 
-def test_truncated_library_is_never_loaded(compiled_ca_step, compiled_decode_attn, fresh_loader, monkeypatch, tmp_path):
+def test_truncated_library_is_never_loaded(
+    compiled_ca_step, compiled_decode_attn, compiled_decode_mlp, fresh_loader, monkeypatch, tmp_path
+):
     # A second cache directory holding only truncated copies under the built names.
     other = tmp_path / "other"
     (other / "repro").mkdir(parents=True, mode=0o700)
@@ -118,13 +129,31 @@ def test_truncated_library_is_never_loaded(compiled_ca_step, compiled_decode_att
 
     monkeypatch.setattr(ctypes, "CDLL", checked_cdll)
     assert all(kernel.load() is not None for kernel in KERNELS)
-    assert opened == [True, True]
+    assert opened == [True] * len(KERNELS)
 
 
-def test_cache_directory_others_can_write_is_not_used(compiled_ca_step, compiled_decode_attn, fresh_loader):
+def test_edited_header_builds_a_new_library(compiled_ca_step, compiled_decode_mlp, fresh_loader, monkeypatch, tmp_path):
+    """Both DIP kernels include the per-row step's header, and its bytes are
+    part of each library's name."""
+    for kernel in (CA_STEP, DECODE_MLP):
+        assert kernel.load() is not None
+    built = sorted(path.name for path in fresh_loader.glob("*.so"))
+    header = tmp_path / "_ca_row.h"
+    header.write_bytes(CA_STEP.headers[0].read_bytes() + b"/* edited */\n")
+    for kernel in (CA_STEP, DECODE_MLP):
+        monkeypatch.setattr(kernel, "headers", (header,))
+        monkeypatch.setattr(kernel, "_function", native._UNSET)
+        assert kernel.load() is not None
+    rebuilt = sorted(path.name for path in fresh_loader.glob("*.so"))
+    assert len(rebuilt) == len(built) + 2 and set(built) < set(rebuilt)
+
+
+def test_cache_directory_others_can_write_is_not_used(
+    compiled_ca_step, compiled_decode_attn, compiled_decode_mlp, fresh_loader
+):
     fresh_loader.mkdir(mode=0o700)
     fresh_loader.chmod(0o777)
-    assert [kernel.load() for kernel in KERNELS] == [None, None]
+    assert [kernel.load() for kernel in KERNELS] == [None] * len(KERNELS)
     assert list(fresh_loader.iterdir()) == []
 
 

@@ -43,7 +43,7 @@ class TestFinetune:
     def test_distillation_runs_and_improves(self, trained_tiny_model, tiny_splits):
         method = DynamicInputPruning(target_density=0.35)
         adapters = attach_mlp_adapters(trained_tiny_model, LoRAConfig(rank=2, seed=1))
-        base_weights = trained_tiny_model.blocks[0].mlp.up.weight.data.copy()
+        base_weights = trained_tiny_model.blocks[0].mlp.w_up.copy()
         result = finetune_lora_distillation(
             trained_tiny_model,
             method,
@@ -54,7 +54,7 @@ class TestFinetune:
         assert len(result.losses) == 8
         assert np.isfinite(result.losses).all()
         # Base weights untouched, adapters actually trained.
-        assert np.allclose(trained_tiny_model.blocks[0].mlp.up.weight.data, base_weights)
+        assert np.allclose(trained_tiny_model.blocks[0].mlp.w_up, base_weights)
         assert np.any(adapters[0].up.B.data != 0)
         # Loss should go down on average over the run.
         assert np.mean(result.losses[-3:]) <= np.mean(result.losses[:3]) + 1e-6

@@ -82,10 +82,10 @@ class TestAttachAndFuse:
 
     def test_fuse_zero_adapters_is_noop(self, tiny_config):
         model = CausalLM(tiny_config, seed=31)
-        before = model.blocks[0].mlp.up.weight.data.copy()
+        before = model.blocks[0].mlp.w_up.copy()
         adapters = attach_mlp_adapters(model, LoRAConfig(rank=2))
         fuse_adapters(model, adapters)
-        assert np.allclose(model.blocks[0].mlp.up.weight.data, before)
+        assert np.allclose(model.blocks[0].mlp.w_up, before)
 
     def test_fuse_matches_adapter_outputs(self, tiny_config):
         """After fusing, the plain dense MLP must equal base + LoRA outputs (Eq. 9)."""
@@ -97,9 +97,10 @@ class TestAttachAndFuse:
                 adapter.B.data = rng.normal(0, 0.05, size=adapter.B.data.shape)
         mlp = model.blocks[0].mlp
         x = rng.normal(size=(5, tiny_config.d_model))
-        up_expected = adapters[0].up.apply_array(x, mlp.up.forward_array(x))
+        up_expected = adapters[0].up.apply_array(x, mlp.up_activations_array(x))
         fuse_adapters(model, adapters)
-        assert np.allclose(mlp.up.forward_array(x), up_expected)
+        assert np.allclose(mlp.up_activations_array(x), up_expected)
+        assert mlp.w_up.flags.c_contiguous  # fused back unit-major
 
     def test_fuse_wrong_length(self, tiny_model):
         with pytest.raises(ValueError):
