@@ -22,6 +22,8 @@ from typing import Callable, Dict, Generic, Iterator, List, Optional, Sequence, 
 import numpy as np
 
 from repro.backend import BackendLike, use_backend
+from repro.engine.decode_step import decode_step
+from repro.nn.attention import KVCache
 from repro.nn.prefix_cache import PrefixCache, PrefixMatch
 from repro.nn.transformer import CausalLM, TransformerBlock, _sample_token, left_pad_ragged
 from repro.sparsity.base import MLPMasks, SparsityMethod, masks_mlp_density
@@ -190,7 +192,9 @@ class SparseInferenceEngine:
     MLP call with ``method.sparse_forward``; attention, norms and embeddings
     are untouched, exactly as in the paper.  A DIP or DIP-CA call of few
     enough rows (a decode step) runs in the compiled decode MLP instead
-    (:mod:`repro.sparsity.decode_mlp`), unless masks are being recorded.
+    (:mod:`repro.sparsity.decode_mlp`), unless masks are being recorded;
+    such a step of a :class:`ContinuousBatch` runs every block in one call
+    (:mod:`repro.engine.decode_step`).
     """
 
     def __init__(
@@ -228,6 +232,11 @@ class SparseInferenceEngine:
         if batched:
             out = out.reshape(batch, seq, d_model)
         return out
+
+    def _fused_step(self, caches: List[KVCache], slots: List[int], ids: np.ndarray) -> Optional[np.ndarray]:
+        # Every block of a narrow DIP/DIP-CA step in one compiled call; like
+        # the compiled decode MLP, it yields no masks to record.
+        return None if self.recorder is not None else decode_step(self.model, self.method, caches, slots, ids)
 
     # ------------------------------------------------------------------- API
     def reset(self) -> None:
@@ -453,6 +462,11 @@ class ContinuousBatch:
         #: Run before every admission: :meth:`from_engine` sets it to
         #: ``engine.reset`` for cache-state methods.
         self.reset_method: Optional[Callable[[], None]] = None
+        #: Tried first by every :meth:`step` as ``fused_step(caches, slots,
+        #: ids)``: :meth:`from_engine` sets it to the engine's one-call step
+        #: (:mod:`repro.engine.decode_step`), which returns the step's logits,
+        #: or ``None`` when the per-layer path must run.
+        self.fused_step: Optional[Callable[[List[KVCache], List[int], np.ndarray], Optional[np.ndarray]]] = None
 
     @classmethod
     def from_engine(cls, engine: SparseInferenceEngine, **kwargs) -> "ContinuousBatch":
@@ -465,6 +479,8 @@ class ContinuousBatch:
         prefix cache is refused outright, because skipping the prefix
         forward would change the method's cache-state evolution.  For them
         the batch also records ``engine.reset`` as its ``reset_method``.
+        Every batch records the engine's one-call decode step as its
+        ``fused_step``.
         """
         if engine.method.requires_cache_state:
             if kwargs.get("max_batch_size", 8) > 1:
@@ -482,6 +498,7 @@ class ContinuousBatch:
         batch = cls(engine.model, mlp_override=engine._mlp_override, **kwargs)
         if engine.method.requires_cache_state:
             batch.reset_method = engine.reset
+        batch.fused_step = engine._fused_step
         return batch
 
     # ------------------------------------------------------------- slot state
@@ -630,7 +647,9 @@ class ContinuousBatch:
 
         ``tokens[i]`` is appended to ``slots[i]`` — slots may sit at different
         sequence lengths.  Each layer's slot view gives every slot its own
-        RoPE position and hides the key positions past its length.
+        RoPE position and hides the key positions past its length.  A step
+        the ``fused_step`` serves builds no slot views and no per-layer
+        forward; its logits are the same bits.
         """
         slots = [int(s) for s in slots]
         if not slots:
@@ -643,14 +662,16 @@ class ContinuousBatch:
         ids = np.asarray(tokens, dtype=np.int64).reshape(len(slots), 1)
         if int(self.caches[0].lengths[slots].max()) + 1 > self.max_seq_len:
             raise RuntimeError("KV cache overflow; evict finished slots or raise max_seq_len")
-        slot_ids = np.asarray(slots, dtype=np.int64)
         with use_backend(self.backend):
-            logits = self.model.forward_array(
-                ids,
-                kv_caches=[cache.slot_view(slot_ids) for cache in self.caches],
-                mlp_override=self.mlp_override,
-            )
-        return logits[:, -1, :]
+            logits = None if self.fused_step is None else self.fused_step(self.caches, slots, ids)
+            if logits is None:
+                slot_ids = np.asarray(slots, dtype=np.int64)
+                logits = self.model.forward_array(
+                    ids,
+                    kv_caches=[cache.slot_view(slot_ids) for cache in self.caches],
+                    mlp_override=self.mlp_override,
+                )[:, -1, :]
+        return logits
 
     def evict(self, slot: int) -> None:
         """Retire a finished sequence and free its KV-cache slot."""
@@ -685,6 +706,22 @@ def check_budget(prompt_len: int, max_new_tokens: int, max_seq_len: int) -> None
             f"prompt of {prompt_len} tokens + max_new_tokens={max_new_tokens} exceeds "
             f"max_seq_len={max_seq_len}; at most {room + 1} new tokens fit"
         )
+
+
+def check_prompt(prompt: Sequence[int], vocab_size: int) -> None:
+    """Raise ``ValueError`` unless ``prompt`` holds at least one token id
+    and every id lies in ``[0, vocab_size)``.
+
+    Prompts admitted together prefill in shared forwards, so one id the
+    embedding cannot look up would fail every prompt beside it; such a
+    prompt is refused up front instead.
+    """
+    ids = np.asarray(prompt)
+    if ids.size == 0:
+        raise ValueError("prompt must hold at least one token id")
+    low, high = int(ids.min()), int(ids.max())
+    if low < 0 or high >= vocab_size:
+        raise ValueError(f"prompt token ids must lie in [0, {vocab_size}), got {low if low < 0 else high}")
 
 
 class DecodeRequest:
@@ -756,7 +793,9 @@ class ContinuousDecoder(Generic[RequestT]):
         return not self.waiting and not self.active
 
     def submit(self, request: RequestT) -> None:
-        """Queue ``request``; ``ValueError`` if its budget cannot fit a slot."""
+        """Queue ``request``; ``ValueError`` if its prompt is empty or holds
+        an id outside the vocabulary, or its budget cannot fit a slot."""
+        check_prompt(request.prompt, self.batch.model.config.vocab_size)
         check_budget(len(request.prompt), request.max_new_tokens, self.batch.max_seq_len)
         self.waiting.append(request)
 

@@ -21,9 +21,11 @@ It returns ``None`` when the kernel cannot serve a call (no compiler, not
 float64, another shape, weights it cannot read in place), and the numpy path
 runs instead; that path also stays the reference the tests compare against.
 Results agree with it to rounding, not bit for bit.  Everything the kernel
-indexes by is checked here first.  Weight and cache addresses are bound
-once per block and cache, re-bound when an array is replaced, and never
-copied or pickled.
+indexes by is checked here first: a slot view's rows by :func:`slot_rows`,
+the arrays by :func:`bindings`, the two checks the one-call decode
+step (:mod:`repro.engine.decode_step`) runs for each block too.  Weight and
+cache addresses are bound once per block and cache, re-bound when an array
+is replaced, and never copied or pickled.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 import ctypes
 import operator
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
@@ -129,6 +131,51 @@ def _bind_cache(cache: KVCache) -> Optional[tuple]:
     return arrays, struct, ctypes.addressof(struct)
 
 
+def slot_rows(block: "TransformerBlock", cache: KVCache, slots: List[int]) -> Tuple[List[int], int]:
+    """The kernel's ``rows`` for a slot-view step of ``block`` over
+    ``cache``'s ``slots`` (each row's slot, then its write index, then its
+    RoPE position: the slot's length) and the longest slot's length.
+
+    Raises as the numpy path would, before anything is written, for slots
+    that repeat or lie outside the cache, a length past the RoPE table and
+    a full slot.
+    """
+    if min(slots) < 0 or max(slots) >= cache.batch_size or len(set(slots)) != len(slots):
+        raise ValueError(f"slot indices must be distinct and lie in [0, {cache.batch_size})")
+    lengths = cache.lengths.tolist()
+    written = [lengths[slot] for slot in slots]
+    top = max(written)
+    if top >= block.attention.rope.max_seq_len or min(written) < 0:
+        raise ValueError("position_ids exceed the RoPE table length")
+    if top + 1 > cache.max_seq_len:
+        raise RuntimeError("KV cache overflow")
+    return slots + written + written, top
+
+
+def bindings(block: "TransformerBlock", cache: KVCache) -> Optional[Tuple[tuple, tuple]]:
+    """The kernel's bindings of ``block`` and ``cache``, each ``(arrays,
+    struct, address)`` with the address of its ``struct block`` or ``struct
+    cache``, or ``None`` when it cannot read the weights or write the cache
+    in place.  Each binding is made again when one of the arrays it holds
+    has been replaced.  A caller holds the bindings until its kernel call
+    returns: another thread may bind the block again meanwhile."""
+    cfg = block.attention.config
+    if cache.n_kv_heads != cfg.n_kv_heads or cache.head_dim != cfg.head_dim:
+        return None
+    state = _block_state(block)
+    bound = block._bound
+    if bound is None or not all(map(operator.is_, state, bound[0])):
+        bound = block._bound = _bind_block(block, state)
+        if bound is None:
+            return None
+    held = cache._bound
+    if held is None or not all(map(operator.is_, held[0], (cache.keys, cache.values, cache.lengths))):
+        held = cache._bound = _bind_cache(cache)
+        if held is None:
+            return None
+    return bound, held
+
+
 def decode_attention(
     block: "TransformerBlock",
     x: np.ndarray,
@@ -149,7 +196,6 @@ def decode_attention(
     if kernel is None:
         return None
     batch = x.shape[0] if x.ndim == 3 else 1
-    rope_len = block.attention.rope.max_seq_len
     bias, stride = None, 0
     if isinstance(kv_cache, KVCacheSlotView):
         if attention_mask is not None or position_ids is not None:
@@ -157,15 +203,9 @@ def decode_attention(
         cache, slots = kv_cache.cache, kv_cache.slots.tolist()
         if len(slots) != batch:
             return None
-        if min(slots) < 0 or max(slots) >= cache.batch_size or len(set(slots)) != batch:
-            raise ValueError(f"slot indices must be distinct and lie in [0, {cache.batch_size})")
-        written = cache.lengths[slots].tolist()
-        top = max(written)
-        if top >= rope_len or min(written) < 0:
-            raise ValueError("position_ids exceed the RoPE table length")
-        rows = slots + written + written
+        rows, top = slot_rows(block, cache, slots)
     elif isinstance(kv_cache, KVCache):
-        cache, top = kv_cache, kv_cache.length
+        cache, top, rope_len = kv_cache, kv_cache.length, block.attention.rope.max_seq_len
         if cache.batch_size != batch:
             return None
         if position_ids is None:
@@ -179,11 +219,11 @@ def decode_attention(
             positions = given.ravel().tolist()
             if max(positions) >= rope_len or min(positions) < 0:
                 raise ValueError("position_ids exceed the RoPE table length")
+        if top + 1 > cache.max_seq_len:
+            raise RuntimeError("KV cache overflow")
         rows = list(range(batch)) + [top] * batch + positions
     else:
         return None
-    if top + 1 > cache.max_seq_len:
-        raise RuntimeError("KV cache overflow")
     if attention_mask is not None:  # the kernel takes one (batch, keys) row per sequence
         bias = np.asarray(attention_mask, dtype=np.float64)
         if bias.shape[-1] != top + 1:
@@ -193,28 +233,16 @@ def decode_attention(
         if bias.strides[1] != bias.itemsize or bias.strides[0] % bias.itemsize:
             bias = np.ascontiguousarray(bias)
         stride = bias.strides[0] // bias.itemsize
-    cfg = block.attention.config
-    if cache.n_kv_heads != cfg.n_kv_heads or cache.head_dim != cfg.head_dim:
+    bound = bindings(block, cache)
+    if bound is None:
         return None
-
-    state = _block_state(block)
-    bound = block._bound
-    if bound is None or not all(map(operator.is_, state, bound[0])):
-        bound = block._bound = _bind_block(block, state)
-        if bound is None:
-            return None
-    held = cache._bound
-    if held is None or not all(map(operator.is_, held[0], (cache.keys, cache.values, cache.lengths))):
-        held = cache._bound = _bind_cache(cache)
-        if held is None:
-            return None
 
     rows = np.array(rows, dtype=np.int64)  # slot, write index and position of each row
     x = np.ascontiguousarray(x)
     out = np.empty((2,) + x.shape)
     status = kernel(
-        bound[2],
-        held[2],
+        bound[0][2],
+        bound[1][2],
         batch,
         address(x),
         address(rows),

@@ -275,17 +275,24 @@ class CausalLM(Module):
             )
             if return_hidden:
                 hidden_states.append(x.copy())
+        logits = self.logits_array(x, last_only)
+        if return_hidden:
+            return logits, hidden_states
+        return logits
+
+    def logits_array(self, x: np.ndarray, last_only: bool = False) -> np.ndarray:
+        """Logits of the last block's hidden states ``x`` ``(..., seq,
+        d_model)``: the final RMSNorm, then the lm_head or, tied, the
+        embedding.  ``last_only`` projects the final position only.  The
+        one-call decode step (:mod:`repro.engine.decode_step`) ends here
+        too, so its logits are those of :meth:`forward_array`."""
         x = self.final_norm.forward_array(x)
         if last_only:
             x = x[..., -1:, :]
         if self.lm_head is not None:
-            logits = self.lm_head.forward_array(x)
-        else:
-            # Tied embedding head: one flattened GEMM through the backend.
-            logits = active_backend().linear(x, self.embedding.weight.data)
-        if return_hidden:
-            return logits, hidden_states
-        return logits
+            return self.lm_head.forward_array(x)
+        # Tied embedding head: one flattened GEMM through the backend.
+        return active_backend().linear(x, self.embedding.weight.data)
 
     def new_kv_caches(self, max_seq_len: Optional[int] = None, batch_size: int = 1) -> List[KVCache]:
         """Create one empty (optionally batched) KV cache per layer."""

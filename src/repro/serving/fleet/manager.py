@@ -36,7 +36,7 @@ import uuid
 from collections import deque
 from typing import Any, AsyncIterator, Deque, Dict, Iterator, List, Optional, Set, Union
 
-from repro.engine.inference import check_budget
+from repro.engine.inference import check_budget, check_prompt
 from repro.obs import MetricsRegistry, monotonic
 from repro.obs.metrics import get_registry
 from repro.serving.fleet.config import (
@@ -102,6 +102,7 @@ class _WorkerState:
         self.restarts = 0
         self.pid: Optional[int] = None
         self.max_seq_len = 0
+        self.vocab_size = 0
         self.generation = 0  # bumped per relaunch; stale receiver threads exit
 
 
@@ -325,6 +326,7 @@ class FleetManager:
             with self._lock:
                 state.pid = int(message.get("pid", 0)) or state.pid
                 state.max_seq_len = int(message.get("max_seq_len", 0))
+                state.vocab_size = int(message.get("vocab_size", 0))
                 state.ready.set()
             self._flush_pending()
         elif mtype == "heartbeat":
@@ -533,7 +535,8 @@ class FleetManager:
         """Route a request to a decode worker; returns its token stream.
 
         Raises :class:`RequestError` when the prompt and its budget cannot
-        fit a worker's KV slot.
+        fit a worker's KV slot, or the prompt holds an id outside the
+        workers' vocabulary.
         """
         if fault is not None and not self.config.allow_fault_injection:
             raise ValueError("fault injection requires FleetConfig.allow_fault_injection=True")
@@ -544,13 +547,14 @@ class FleetManager:
                 request = GenerationRequest.from_dict(
                     request.to_dict() | {"request_id": f"fleet-{next(self._ids)}"}
                 )
-            max_seq_len = max((s.max_seq_len for s in self._workers.values()
-                               if s.role == "decode"), default=0)
-            if max_seq_len:
-                # The workers' own budget rule, applied before dispatch so an
-                # over-budget request is refused instead of failing mid-stream.
+            decoders = [s for s in self._workers.values() if s.role == "decode" and s.max_seq_len]
+            if decoders:
+                # The workers' own admission rules, applied before dispatch so
+                # a request they would refuse is refused instead of failing
+                # mid-stream.
                 try:
-                    check_budget(len(request.prompt), request.max_new_tokens, max_seq_len)
+                    check_prompt(request.prompt, min(s.vocab_size for s in decoders))
+                    check_budget(len(request.prompt), request.max_new_tokens, max(s.max_seq_len for s in decoders))
                 except ValueError as exc:
                     raise RequestError(str(exc)) from None
             entry = _Entry(request, fault)

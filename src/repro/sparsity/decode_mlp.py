@@ -2,13 +2,16 @@
 
 :func:`decode_mlp` serves :meth:`SparseInferenceEngine._mlp_override
 <repro.engine.inference.SparseInferenceEngine._mlp_override>`, the one place
-that dispatches to it.  One call of the kernel runs, for each row of the MLP
-input, DIP's input mask (Eq. 7), the GLU over the kept rows of the
-unit-major up and gate weights, the down mask (Eq. 8) and the down
-projection over the kept rows of the down weight; for DIP-CA both masks are
-chosen against, and update, the method's LFU caches (Algorithm 1), with the
-per-row step of ``_ca_row.h`` that DIP-CA's ``ca_step`` runs too.  So it
-reads only the weight rows it keeps, where numpy multiplies masked-dense.
+that dispatches to it; the one-call decode step
+(:mod:`repro.engine.decode_step`) runs the same kernel for every layer of a
+step, through the same :func:`bound_layer` and :func:`advance`.  One call of
+the kernel runs, for each row of the MLP input, DIP's input mask (Eq. 7),
+the GLU over the kept rows of the unit-major up and gate weights, the down
+mask (Eq. 8) and the down projection over the kept rows of the down weight;
+for DIP-CA both masks are chosen against, and update, the method's LFU
+caches (Algorithm 1), with the per-row step of ``_ca_row.h`` that DIP-CA's
+``ca_step`` runs too.  So it reads only the weight rows it keeps, where
+numpy multiplies masked-dense.
 
 It serves a call only when every one of these holds, and returns ``None``
 otherwise, so the numpy path (``compute_masks`` then ``sparse_forward``)
@@ -83,8 +86,16 @@ DECODE_MLP = CompiledKernel(
 _SERVED = (DynamicInputPruning, CacheAwareDIP)
 
 
-def _fits(a: np.ndarray, shape: Tuple[int, ...], dtype: type = np.float64) -> bool:
+_FLOAT64, _BOOL, _INT64 = np.dtype(np.float64), np.dtype(np.bool_), np.dtype(np.int64)
+
+
+def _fits(a: np.ndarray, shape: Tuple[int, ...], dtype: np.dtype = _FLOAT64) -> bool:
     return a.dtype == dtype and a.shape == shape and a.flags.c_contiguous
+
+
+def _writable(a: np.ndarray, shape: Tuple[int, ...], dtype: np.dtype) -> bool:
+    flags = a.flags
+    return a.dtype == dtype and a.shape == shape and flags.c_contiguous and flags.writeable
 
 
 def _checked(arrays: tuple, scalars: tuple) -> bool:
@@ -92,16 +103,17 @@ def _checked(arrays: tuple, scalars: tuple) -> bool:
     d_model, d_ffn, k_in, k_down = scalars[:4]
     if not (0 <= k_in <= d_model and 0 <= k_down <= d_ffn):
         return False
-    if not all(map(_fits, arrays[:3], ((d_model, d_ffn), (d_model, d_ffn), (d_ffn, d_model)))):
+    w_up, w_gate, w_down, in_cached, in_frequency, down_cached, down_frequency = arrays
+    if not (_fits(w_up, (d_model, d_ffn)) and _fits(w_gate, (d_model, d_ffn)) and _fits(w_down, (d_ffn, d_model))):
         return False
-    for cached, frequency, n in ((arrays[3], arrays[4], d_model), (arrays[5], arrays[6], d_ffn)):
-        if cached is None:  # plain DIP: no cache
-            continue
-        if not (_fits(cached, (n,), np.bool_) and _fits(frequency, (n,), np.int64)):
-            return False
-        if not (cached.flags.writeable and frequency.flags.writeable):
-            return False
-    return True
+    if in_cached is None:  # plain DIP: no caches
+        return True
+    return (
+        _writable(in_cached, (d_model,), _BOOL)
+        and _writable(in_frequency, (d_model,), _INT64)
+        and _writable(down_cached, (d_ffn,), _BOOL)
+        and _writable(down_frequency, (d_ffn,), _INT64)
+    )
 
 
 def _bind(arrays: tuple, scalars: tuple) -> tuple:
@@ -115,43 +127,72 @@ def _bind(arrays: tuple, scalars: tuple) -> tuple:
     return arrays, scalars, struct, ctypes.addressof(struct)
 
 
-def decode_mlp(method: SparsityMethod, mlp: SwiGLUMLP, layer_index: int, x: np.ndarray) -> Optional[np.ndarray]:
-    """The MLP output of ``mlp`` under ``method`` for the rows of ``x``
-    ``(T, d_model)``, without the residual, or ``None`` when the numpy path
-    must run.  For DIP-CA the method's caches and hit statistics advance."""
-    if type(method) not in _SERVED or mlp.config.activation != "silu" or x.dtype != np.float64 or x.ndim != 2:
+def bound_layer(method: SparsityMethod, mlp: SwiGLUMLP, layer_index: int, rows: int) -> Optional[tuple]:
+    """``(binding, caches, keep counts)`` of ``method`` for ``mlp`` when
+    the kernel serves ``rows`` rows of its float64 input, or ``None``.
+
+    ``binding[3]`` is the address of the kernel's ``struct mlp``, which the
+    binding keeps alive; ``caches`` are DIP-CA's input and down caches of
+    the layer (empty for DIP).  The binding is made again when an array it
+    holds has been replaced or a keep count changed.
+    """
+    if type(method) not in _SERVED or mlp.config.activation != "silu":
         return None
     d_model, d_ffn = mlp.d_model, mlp.d_ffn
-    rows = x.shape[0]
-    if x.shape[1] != d_model or rows * method.expected_density(d_model, d_ffn) > 1.0:
-        return None
-    kernel = DECODE_MLP.load()
-    if kernel is None:
+    if rows * method.expected_density(d_model, d_ffn) > 1.0:
         return None
     dip = cast(DynamicInputPruning, method)
+    arrays: tuple = (mlp.w_up, mlp.w_gate, mlp.w_down)
+    ks = (keep_count(dip.input_keep_fraction, d_model), keep_count(dip.neuron_keep_fraction, d_ffn))
+    scalars: tuple = (d_model, d_ffn, *ks, dip.gamma)
     caches: Tuple["LFUCache", ...] = ()
     if isinstance(dip, CacheAwareDIP):
-        groups = (("input", d_model), ("down", d_ffn))
-        caches = tuple(cast("LFUCache", dip._cache_for(layer_index, group, n)) for group, n in groups)
-    arrays = (mlp.w_up, mlp.w_gate, mlp.w_down) + (
-        tuple(a for cache in caches for a in (cache.cached, cache.frequency)) or (None,) * 4
-    )
-    ks = (keep_count(dip.input_keep_fraction, d_model), keep_count(dip.neuron_keep_fraction, d_ffn))
-    scalars = (d_model, d_ffn, *ks, dip.gamma) + (tuple(cache.capacity_units for cache in caches) or (0, 0))
+        inputs = cast("LFUCache", dip._cache_for(layer_index, "input", d_model))
+        down = cast("LFUCache", dip._cache_for(layer_index, "down", d_ffn))
+        caches = (inputs, down)
+        arrays += (inputs.cached, inputs.frequency, down.cached, down.frequency)
+        scalars += (inputs.capacity_units, down.capacity_units)
+    else:
+        arrays += (None,) * 4
+        scalars += (0, 0)
     if not _checked(arrays, scalars):
         return None
     bound = dip._bound.get(layer_index)
     if bound is None or bound[1] != scalars or not all(map(operator.is_, arrays, bound[0])):
         bound = dip._bound[layer_index] = _bind(arrays, scalars)
+    return bound, caches, ks
 
-    x = np.ascontiguousarray(x)
-    out = np.empty(x.shape)
-    hits = kernel(bound[3], rows, address(x), address(out))
-    if hits < 0:
-        raise MemoryError("the decode MLP could not allocate its scratch memory")
+
+def advance(method: SparsityMethod, layer: tuple, rows: int, hits: int) -> None:
+    """Advance DIP-CA's ``token_index`` and hit statistics after the kernel
+    served ``rows`` rows of ``layer`` (from :func:`bound_layer`) with
+    ``hits`` hits; the kernel has updated the caches themselves."""
+    _, caches, ks = layer
     if caches:
         for cache in caches:
             cache.token_index += rows
-        dip.stats.hits += hits
-        dip.stats.misses += rows * (ks[0] + ks[1]) - hits
+        stats = cast(CacheAwareDIP, method).stats
+        stats.hits += hits
+        stats.misses += rows * (ks[0] + ks[1]) - hits
+
+
+def decode_mlp(method: SparsityMethod, mlp: SwiGLUMLP, layer_index: int, x: np.ndarray) -> Optional[np.ndarray]:
+    """The MLP output of ``mlp`` under ``method`` for the rows of ``x``
+    ``(T, d_model)``, without the residual, or ``None`` when the numpy path
+    must run.  For DIP-CA the method's caches and hit statistics advance."""
+    if x.dtype != np.float64 or x.ndim != 2 or x.shape[1] != mlp.d_model:
+        return None
+    rows = x.shape[0]
+    layer = bound_layer(method, mlp, layer_index, rows)  # first, so other methods never load the kernel
+    if layer is None:
+        return None
+    kernel = DECODE_MLP.load()
+    if kernel is None:
+        return None
+    x = np.ascontiguousarray(x)
+    out = np.empty(x.shape)
+    hits = kernel(layer[0][3], rows, address(x), address(out))
+    if hits < 0:
+        raise MemoryError("the decode MLP could not allocate its scratch memory")
+    advance(method, layer, rows, hits)
     return out

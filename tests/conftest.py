@@ -18,6 +18,7 @@ from timing_utils import scaled
 
 from repro.data.datasets import DataSplits, make_splits
 from repro.data.tasks import build_task
+from repro.engine.decode_step import DECODE_STEP
 from repro.nn.decode_attn import DECODE_ATTN
 from repro.nn.transformer import CausalLM, TransformerConfig
 from repro.sparsity.cache_aware import CA_STEP
@@ -151,16 +152,27 @@ def compiled_decode_mlp():
     return kernel
 
 
+@pytest.fixture(scope="session")
+def compiled_decode_step():
+    """The compiled one-call decode step; a test that needs it skips when no C compiler builds it."""
+    kernel = DECODE_STEP.load()
+    if kernel is None:
+        pytest.skip("no C compiler: the compiled decode step is unavailable")
+    return kernel
+
+
 @pytest.fixture(params=["kernel", "numpy"])
 def decode_path(request, monkeypatch):
-    """Which path a block's decode steps take: the compiled attention half and
-    DIP/DIP-CA MLP, or numpy (both kernels' loaders forced to ``None``)."""
+    """Which path decode steps take: the compiled attention half, DIP/DIP-CA
+    MLP and one-call step, or numpy (the three kernels' loaders forced to
+    ``None``)."""
+    kernels = (DECODE_ATTN, DECODE_MLP, DECODE_STEP)
     if request.param == "numpy":
-        monkeypatch.setattr(DECODE_ATTN, "load", lambda: None)
-        monkeypatch.setattr(DECODE_MLP, "load", lambda: None)
+        for kernel in kernels:
+            monkeypatch.setattr(kernel, "load", lambda: None)
     else:
-        request.getfixturevalue("compiled_decode_attn")
-        request.getfixturevalue("compiled_decode_mlp")
+        for fixture in ("compiled_decode_attn", "compiled_decode_mlp", "compiled_decode_step"):
+            request.getfixturevalue(fixture)
     return request.param
 
 

@@ -1,0 +1,362 @@
+"""The one-call decode step (``repro.engine.decode_step``) against the
+per-layer path of ``ContinuousBatch.step``: the same logits bit for bit, the
+same DIP-CA state, when it serves a step, its checks and its bindings."""
+
+from __future__ import annotations
+
+import copy
+import dataclasses
+import pickle
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from repro.engine.decode_step import DECODE_STEP, decode_step
+from repro.engine.inference import ContinuousBatch, SparseInferenceEngine
+from repro.nn.decode_attn import DECODE_ATTN
+from repro.nn.transformer import CausalLM, TransformerConfig
+from repro.sparsity.cache_aware import CacheAwareDIP
+from repro.sparsity.decode_mlp import DECODE_MLP
+from repro.sparsity.dip import DynamicInputPruning
+from repro.sparsity.registry import create_method
+from repro.training.lora import LoRAConfig, attach_mlp_adapters, fuse_adapters
+
+CONFIG = TransformerConfig(vocab_size=48, d_model=16, n_layers=3, n_heads=4, n_kv_heads=2, d_ffn=32, max_seq_len=64)
+
+
+@pytest.fixture
+def served(compiled_decode_attn, compiled_decode_mlp, compiled_decode_step, monkeypatch):
+    """Counts the one-call steps the kernel serves."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])  # the step's rows
+        return compiled_decode_step(*args)
+
+    monkeypatch.setattr(DECODE_STEP, "load", lambda: counted)
+    return calls
+
+
+def make_method(name):
+    return DynamicInputPruning(0.5) if name == "dip" else CacheAwareDIP(0.5, gamma=0.2, cache_fraction=0.4)
+
+
+def make_batch(model, method, width, per_layer=False, max_seq_len=None, record_masks=False):
+    engine = SparseInferenceEngine(model, method, record_masks=record_masks)
+    batch = ContinuousBatch.from_engine(engine, max_batch_size=width, max_seq_len=max_seq_len)
+    if per_layer:
+        batch.fused_step = None
+    return batch
+
+
+def admit(batch, lengths, seed=0):
+    """Prefill prompts of ``lengths`` (on numpy: they are wider than the
+    kernels serve) and return their slots and first greedy tokens."""
+    rng = np.random.default_rng(seed)
+    if batch.reset_method is not None:
+        batch.reset_method()
+    slots, logits = batch.admit([rng.integers(1, CONFIG.vocab_size, size=n) for n in lengths])
+    return slots, np.argmax(logits, axis=-1).tolist()
+
+
+def engine_state(engine):
+    method = engine.method
+    if not isinstance(method, CacheAwareDIP):
+        return None
+    caches = {key: (c.cached.copy(), c.frequency.copy(), c.token_index) for key, c in method._caches.items()}
+    return caches, (method.stats.hits, method.stats.misses)
+
+
+def assert_same_state(a, b):
+    if a is None:
+        assert b is None
+        return
+    (caches_a, stats_a), (caches_b, stats_b) = a, b
+    assert caches_a.keys() == caches_b.keys()
+    for key in caches_a:
+        assert np.array_equal(caches_a[key][0], caches_b[key][0]), key
+        assert np.array_equal(caches_a[key][1], caches_b[key][1]), key
+        assert caches_a[key][2] == caches_b[key][2], key
+    assert stats_a == stats_b
+
+
+def kv_state(batch):
+    return [(c.keys.copy(), c.values.copy(), c.lengths.copy(), c.length) for c in batch.caches]
+
+
+def assert_same_kv(a, b):
+    for (keys_a, values_a, lengths_a, length_a), (keys_b, values_b, lengths_b, length_b) in zip(a, b):
+        assert np.array_equal(keys_a, keys_b) and np.array_equal(values_a, values_b)
+        assert np.array_equal(lengths_a, lengths_b) and length_a == length_b
+
+
+def lockstep(batches, slots, tokens, n_steps):
+    """Step every batch ``n_steps`` times on the same tokens (greedy on the
+    first batch) and return each batch's per-step logits."""
+    logits = [[] for _ in batches]
+    for _ in range(n_steps):
+        for out, batch in zip(logits, batches):
+            out.append(batch.step(slots, tokens))
+        tokens = np.argmax(logits[0][-1], axis=-1).tolist()
+    return [np.stack(out) for out in logits]
+
+
+def engine_of(batch):
+    return batch.mlp_override.__self__
+
+
+# ----------------------------------------------------------------- parity
+@pytest.mark.parametrize(
+    "name, lengths, tied",
+    [("dip", [7], True), ("dip", [5, 9], True), ("dip-ca", [8], True), ("dip", [7], False)],
+    ids=["dip-width1", "dip-width2-ragged", "dip-ca-width1", "dip-untied-head"],
+)
+def test_logits_and_state_match_the_per_layer_path(served, name, lengths, tied):
+    model = CausalLM(dataclasses.replace(CONFIG, tie_embeddings=tied), seed=1)
+    fused = make_batch(model, make_method(name), len(lengths))
+    per_layer = make_batch(model, make_method(name), len(lengths), per_layer=True)
+    slots, tokens = admit(fused, lengths)
+    assert admit(per_layer, lengths) == (slots, tokens)
+    fused_engine, per_layer_engine = engine_of(fused), engine_of(per_layer)
+    n_steps = 40
+    for step in range(n_steps):
+        got, want = fused.step(slots, tokens), per_layer.step(slots, tokens)
+        assert np.array_equal(got, want), step
+        assert_same_state(engine_state(fused_engine), engine_state(per_layer_engine))
+        tokens = np.argmax(want, axis=-1).tolist()
+    assert served == [len(lengths)] * n_steps  # every step in one call, none on the per-layer batch
+    assert_same_kv(kv_state(fused), kv_state(per_layer))
+    if name == "dip-ca":
+        assert engine_state(fused_engine)[1][0] > 0  # the caches were hit
+
+
+# --------------------------------------------------------------- dispatch
+def relu_model():
+    return CausalLM(dataclasses.replace(CONFIG, activation="relu"), seed=1)
+
+
+class Ranked(DynamicInputPruning):  # a subclass may rank otherwise
+    pass
+
+
+@pytest.mark.parametrize("case", ["recorder", "dense", "dip-subclass", "width-3", "width-8", "relu"])
+def test_other_steps_take_the_per_layer_path(served, case):
+    model = relu_model() if case == "relu" else CausalLM(CONFIG, seed=1)
+    method = {"dense": create_method("dense", target_density=0.5), "dip-subclass": Ranked(0.5)}.get(case)
+    width = {"width-3": 3, "width-8": 8}.get(case, 1)
+    lengths = [4 + i for i in range(width)]
+
+    def build(per_layer):
+        served_method = make_method("dip") if method is None else copy.deepcopy(method)
+        return make_batch(model, served_method, width, per_layer=per_layer, record_masks=case == "recorder")
+
+    fused, per_layer = build(False), build(True)
+    slots, tokens = admit(fused, lengths)
+    admit(per_layer, lengths)
+    got, want = lockstep([fused, per_layer], slots, tokens, 4)
+    assert np.array_equal(got, want)
+    assert served == []
+    if case == "recorder":  # the decode steps' masks were recorded
+        assert engine_of(fused).recorder.n_recorded_tokens() == sum(lengths) + 4
+
+
+@pytest.mark.parametrize("missing", ["step", "all"])
+def test_without_a_compiler_the_per_layer_path_runs(
+    compiled_decode_attn, compiled_decode_mlp, compiled_decode_step, monkeypatch, missing
+):
+    model = CausalLM(CONFIG, seed=1)
+    reference = make_batch(model, make_method("dip-ca"), 1, per_layer=True)
+    kernels = (DECODE_STEP,) if missing == "step" else (DECODE_STEP, DECODE_ATTN, DECODE_MLP)
+    for kernel in kernels:
+        monkeypatch.setattr(kernel, "load", lambda: None)
+    fused = make_batch(model, make_method("dip-ca"), 1)
+    slots, tokens = admit(fused, [6])
+    assert decode_step(model, engine_of(fused).method, fused.caches, slots, np.asarray([tokens]).T) is None
+    admit(reference, [6])
+    got, want = lockstep([fused, reference], slots, tokens, 5)
+    assert np.array_equal(got, want)
+
+
+def test_the_numpy_side_of_decode_path_turns_the_step_off(decode_path):
+    model = CausalLM(CONFIG, seed=1)
+    batch = make_batch(model, make_method("dip"), 1)
+    slots, tokens = admit(batch, [5])
+    served = decode_step(model, engine_of(batch).method, batch.caches, slots, np.asarray([tokens]).T)
+    assert (served is None) == (decode_path == "numpy")
+
+
+# ------------------------------------------------------------------ checks
+def bad_step(batch, case):
+    """Set up ``case`` on a width-1 batch and return the step's arguments and the error it must raise."""
+    if case == "negative-slot":
+        return ([-1], [3]), ValueError, r"lie in \[0, 1\)"
+    if case == "duplicate-slots":
+        return ([0, 0], [3, 3]), ValueError, "distinct"
+    if case == "kv-overflow":
+        cache = batch.caches[-1]  # a deeper layer than the step's own check reads
+        cache.lengths[0] = cache.max_seq_len
+        return ([0], [3]), RuntimeError, "KV cache overflow"
+    assert case == "past-the-rope-table"
+    return ([0], [3]), ValueError, "exceed the RoPE table length"
+
+
+@pytest.mark.parametrize("case", ["negative-slot", "duplicate-slots", "kv-overflow", "past-the-rope-table"])
+def test_bad_steps_raise_before_any_state_changes(served, case):
+    """Each raises the per-layer path's error; the one-call path raises it
+    before any length, K/V entry or DIP-CA cache changes."""
+    model = CausalLM(CONFIG, seed=1)
+    past_the_table = case == "past-the-rope-table"
+
+    def fail(per_layer):
+        max_seq_len = CONFIG.max_seq_len + 4 if past_the_table else 24
+        batch = make_batch(model, make_method("dip-ca"), 1, per_layer=per_layer, max_seq_len=max_seq_len)
+        slots, tokens = admit(batch, [CONFIG.max_seq_len] if past_the_table else [6])
+        if not past_the_table:
+            batch.step(slots, tokens)
+        args, error, match = bad_step(batch, case)
+        before = kv_state(batch), engine_state(engine_of(batch))
+        with pytest.raises(error, match=match):
+            batch.step(*args)
+        return batch, before
+
+    fail(per_layer=True)
+    batch, (kv, state) = fail(per_layer=False)
+    assert_same_kv(kv_state(batch), kv)
+    assert_same_state(engine_state(engine_of(batch)), state)
+    assert len(served) == (0 if past_the_table else 1)
+
+
+@pytest.mark.parametrize("slots, match", [([-1], r"lie in \[0, 2\)"), ([2], r"lie in \[0, 2\)"), ([1, 1], "distinct")])
+def test_decode_step_checks_each_layer_s_slots(served, slots, match):
+    """The step checks slots itself, through the attention binding's helper,
+    whoever calls it."""
+    model = CausalLM(CONFIG, seed=1)
+    batch = make_batch(model, make_method("dip"), 2)
+    admit(batch, [4, 6])
+    kv = kv_state(batch)
+    with pytest.raises(ValueError, match=match):
+        decode_step(model, engine_of(batch).method, batch.caches, slots, np.ones((len(slots), 1), dtype=np.int64))
+    assert_same_kv(kv_state(batch), kv)
+    assert served == []
+
+
+@pytest.mark.parametrize("done", [0, 3])
+def test_failed_scratch_allocation_raises(compiled_decode_attn, compiled_decode_mlp, monkeypatch, done):
+    """A layer that cannot allocate stops the step: the layers before it
+    have advanced, as they would have on the per-layer path."""
+    model = CausalLM(CONFIG, seed=1)
+    batch = make_batch(model, make_method("dip-ca"), 1)
+    slots, tokens = admit(batch, [5])
+    method = engine_of(batch).method
+    indices = {key: cache.token_index for key, cache in method._caches.items()}
+    monkeypatch.setattr(DECODE_STEP, "load", lambda: lambda *args: done)  # halves run
+    with pytest.raises(MemoryError):
+        batch.step(slots, tokens)
+    # Layer 0 ran whole, layer 1 its attention half only (the kernel stub wrote no lengths).
+    assert [cache.length for cache in batch.caches] == ([6, 6, 5] if done else [5, 5, 5])
+    advanced = {key: cache.token_index - indices[key] for key, cache in method._caches.items()}
+    assert advanced == {key: int(done > 0 and key[0] == 0) for key in advanced}
+
+
+# ---------------------------------------------------------------- bindings
+def replace_weights(model, how):
+    if how == "load_state_dict":
+        model.load_state_dict(CausalLM(CONFIG, seed=2).state_dict())  # every parameter gets a new array
+        return
+    adapters = attach_mlp_adapters(model, LoRAConfig(rank=2, seed=4))
+    rng = np.random.default_rng(5)
+    for layer in adapters:
+        for adapter in (layer.up, layer.gate, layer.down):
+            adapter.B.data = rng.normal(0, 0.2, size=adapter.B.data.shape)
+    fuse_adapters(model, adapters)  # replaces the MLP weights
+
+
+def replace_cache_arrays(batch, how):
+    if how == "kv-cache":
+        cache = batch.caches[1]
+        cache.keys = cache.keys.copy()
+        return
+    for cache in engine_of(batch).method._caches.values():
+        cache.cached = cache.cached.copy()
+
+
+@pytest.mark.parametrize("how", ["load_state_dict", "fuse_adapters", "kv-cache", "lfu-cache"])
+def test_replaced_arrays_are_bound_again(served, how):
+    model = CausalLM(CONFIG, seed=1)
+    batch = make_batch(model, make_method("dip-ca"), 1)
+    slots, tokens = admit(batch, [6])
+    for _ in range(3):
+        tokens = np.argmax(batch.step(slots, tokens), axis=-1).tolist()
+    if how in ("load_state_dict", "fuse_adapters"):
+        replace_weights(model, how)
+    else:
+        replace_cache_arrays(batch, how)
+    reference = copy.deepcopy(batch)  # binds its own arrays on first use
+    reference.fused_step = None
+    got, want = lockstep([batch, reference], slots, tokens, 4)
+    assert np.array_equal(got, want)
+    assert_same_kv(kv_state(batch), kv_state(reference))
+    assert_same_state(engine_state(engine_of(batch)), engine_state(engine_of(reference)))
+    assert len(served) == 3 + 4
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda b: pickle.loads(pickle.dumps(b))], ids=["deepcopy", "pickle"])
+def test_copies_hold_no_addresses_and_decode_on_their_own_state(served, clone):
+    model = CausalLM(CONFIG, seed=1)
+    batch = make_batch(model, make_method("dip-ca"), 1)
+    slots, tokens = admit(batch, [6])
+    tokens = np.argmax(batch.step(slots, tokens), axis=-1).tolist()
+    copied = clone(batch)
+    engine = engine_of(copied)
+    assert engine.model is copied.model and copied.reset_method.__self__ is engine
+    assert all(block._bound is None for block in copied.model.blocks)
+    assert all(cache._bound is None for cache in copied.caches)
+    assert engine.method._bound == {}
+    kv, state = kv_state(batch), engine_state(engine_of(batch))
+    from_copy = copied.step(slots, tokens)
+    assert_same_kv(kv_state(batch), kv)  # the copy wrote only its own state
+    assert_same_state(engine_state(engine_of(batch)), state)
+    assert np.array_equal(batch.step(slots, tokens), from_copy)
+    assert_same_state(engine_state(engine_of(batch)), engine_state(engine))
+    assert len(served) == 3
+
+
+def test_threads_decode_one_model_and_method_on_their_own_batches(served):
+    """Threads whose first steps bind one model's fresh blocks and one DIP
+    method's layers at once, each through its own batch, get the logits each
+    gets alone: a step holds the bindings it checked until its call returns."""
+    model, method = CausalLM(CONFIG, seed=3), make_method("dip")
+
+    def run(seed, admitted=None):
+        batch = make_batch(model, method, 1)
+        slots, tokens = admit(batch, [5], seed=seed)
+        if admitted is not None:  # the threads' first steps bind the fresh blocks at once
+            admitted.wait(timeout=60)
+        return lockstep([batch], slots, tokens, 16)[0]
+
+    expected = [run(seed) for seed in range(4)]
+    results = [None] * len(expected)
+    admitted = threading.Barrier(len(expected))
+
+    def worker(i):
+        results[i] = run(i, admitted)
+
+    for block in model.blocks:
+        block._bound = None
+    method._bound.clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(expected))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for got, want in zip(results, expected):
+        np.testing.assert_array_equal(got, want)
+    assert len(served) == 2 * 16 * len(expected)

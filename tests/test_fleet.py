@@ -173,6 +173,17 @@ class TestInprocFleet:
                 fleet.stream(GenerationRequest(prompt=PROMPT, max_new_tokens=96))
             assert fleet.stats()["requests_failed"] == 0.0
 
+    def test_prompt_outside_the_vocabulary_rejected_before_dispatch(self, reference_session):
+        """Refused here, it cannot fail the requests a worker admits beside it."""
+        want = expected_tokens(reference_session, PROMPT, 4)
+        with make_fleet(decode_workers=1) as fleet:
+            first = fleet.stream(GenerationRequest(prompt=PROMPT, max_new_tokens=4))
+            with pytest.raises(RequestError, match="must lie in"):
+                fleet.stream(GenerationRequest(prompt=(1, 2, 10_000), max_new_tokens=4))
+            second = fleet.stream(GenerationRequest(prompt=PROMPT, max_new_tokens=4))
+            assert list(first.result(60).tokens) == want and list(second.result(60).tokens) == want
+            assert fleet.stats()["requests_failed"] == 0.0
+
     def test_least_loaded_spreads_concurrent_requests(self, reference_session):
         want = expected_tokens(reference_session, PROMPT, 48)
         with make_fleet(decode_workers=2) as fleet:

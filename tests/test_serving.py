@@ -290,6 +290,28 @@ class TestContinuousBatch:
         assert batch.caches[0].lengths.tolist() == [5, 0]
         assert np.array_equal(batch.caches[0].keys, keys)
 
+    def test_prompt_the_model_cannot_embed_is_refused_and_its_neighbours_complete(self, dip_engine):
+        """Admitted together, such a prompt would fail its batch-mates'
+        shared prefill; ``submit`` refuses it instead."""
+        decoder = ContinuousDecoder(ContinuousBatch.from_engine(dip_engine, max_batch_size=4, max_seq_len=32))
+        good = [DecodeRequest(str(i), p, 3) for i, p in enumerate(([1, 2], [3, 4, 5], [6]))]
+        decoder.submit(good[0])
+        decoder.submit(good[1])
+        for prompt, match in (([1, 2, 64], r"lie in \[0, 64\), got 64"), ([-1, 2], "got -1"), ([], "at least one")):
+            with pytest.raises(ValueError, match=match):
+                decoder.submit(DecodeRequest("bad", prompt, 3))
+        decoder.submit(good[2])
+        while not decoder.idle:
+            decoder.admit()
+            decoder.step()
+        for request in good:
+            assert request.error is None and request.finish_reason == "length"
+            want = dip_engine.generate(request.prompt, 3, temperature=0.0)[len(request.prompt):]
+            assert request.tokens == want.tolist()
+        with pytest.raises(ValueError, match="at least one"):
+            batch = ContinuousBatch.from_engine(dip_engine, max_batch_size=2, max_seq_len=32)
+            serve_continuous_greedy(batch, [np.arange(1, 4), np.array([], dtype=np.int64)], [2, 2])
+
     @pytest.mark.parametrize("admission", ["fcfs", "shortest"])
     def test_serve_continuous_matches_sequential(self, dip_engine, ragged_prompts, rng, admission):
         budgets = [int(b) for b in rng.integers(1, 8, size=len(ragged_prompts))]
@@ -484,6 +506,25 @@ class TestScheduler:
                 return result
 
         assert self._run(serve()).n_generated == 7
+
+    def test_prompt_outside_the_vocabulary_is_a_request_error(self, tiny_session):
+        """Refused at submit (HTTP 400), while the requests queued beside it complete."""
+
+        async def serve():
+            config = SchedulerConfig(max_batch_size=4, max_seq_len=48)
+            async with ContinuousBatchingScheduler(tiny_session.share_calibration(), config) as sched:
+                streams = [sched.stream(GenerationRequest(prompt=p, max_new_tokens=3)) for p in ((1, 2), (3, 4, 5))]
+                with pytest.raises(RequestError, match=r"lie in \[0, 64\), got 999"):
+                    sched.stream(GenerationRequest(prompt=(1, 2, 999), max_new_tokens=3))
+                streams.append(sched.stream(GenerationRequest(prompt=(6,), max_new_tokens=3)))
+                return [[token async for token in stream] for stream in streams], sched.stats()
+
+        tokens, stats = self._run(serve())
+        tiny_session.calibrate()
+        for prompt, got in zip(((1, 2), (3, 4, 5), (6,)), tokens):
+            want = tiny_session.engine.generate(np.asarray(prompt), 3, temperature=0.0)[len(prompt):]
+            assert got == want.tolist()
+        assert stats["requests_failed"] == 0 and stats["requests_completed"] == 3
 
     def test_decode_failure_fails_batch_not_scheduler(self, tiny_session):
         """A raising prefill or decode step fails its requests; the loop keeps serving."""

@@ -1,9 +1,10 @@
 """The compiled kernels' loader (``repro.utils.native``) and the checks
 ``CacheAwareDIP`` makes before calling DIP-CA's step.
 
-Every loader case runs for all three kernels: DIP-CA's step
-(``_ca_step.c``), the decode attention (``_decode_attn.c``) and the DIP/DIP-CA
-decode MLP (``_decode_mlp.c``)."""
+Every loader case runs for all four kernels: DIP-CA's step
+(``_ca_step.c``), the decode attention (``_decode_attn.c``), the DIP/DIP-CA
+decode MLP (``_decode_mlp.c``) and the one-call decode step
+(``_decode_step.c``)."""
 
 import copy
 import ctypes
@@ -18,7 +19,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.engine.inference import SparseInferenceEngine
+from repro.engine.decode_step import DECODE_STEP
+from repro.engine.inference import ContinuousBatch, SparseInferenceEngine
 from repro.nn.decode_attn import DECODE_ATTN
 from repro.nn.mlp import GLUMLPConfig, SwiGLUMLP
 from repro.nn.transformer import CausalLM, TransformerConfig
@@ -26,7 +28,7 @@ from repro.sparsity.cache_aware import CA_STEP, CacheAwareDIP
 from repro.sparsity.decode_mlp import DECODE_MLP
 from repro.utils import native
 
-KERNELS = (CA_STEP, DECODE_ATTN, DECODE_MLP)
+KERNELS = (CA_STEP, DECODE_ATTN, DECODE_MLP, DECODE_STEP)
 
 
 @pytest.fixture
@@ -56,7 +58,7 @@ def fresh_loader(monkeypatch, tmp_path, caplog):
 
 
 @pytest.fixture
-def reference(compiled_ca_step, compiled_decode_attn, compiled_decode_mlp, mlp, model):
+def reference(compiled_ca_step, compiled_decode_attn, compiled_decode_mlp, compiled_decode_step, mlp, model):
     """What the compiled kernels serve, taken before ``fresh_loader`` resets the loader."""
     return serve(mlp), decode(model)
 
@@ -74,15 +76,20 @@ def serve(mlp, n_calls=4):
 
 
 def decode(model, n_steps=6):
-    """Logits of a fixed prompt's decode steps under DIP-CA, with its hit counts."""
+    """Logits of a fixed prompt's decode steps under DIP-CA, lock-step and
+    through a ``ContinuousBatch`` (the one-call step), with the hit counts."""
     engine = SparseInferenceEngine(model, CacheAwareDIP(0.5, gamma=0.2, cache_fraction=0.4))
     caches = model.new_kv_caches(16)
     model.forward_array(np.arange(1, 6), kv_caches=caches, mlp_override=engine._mlp_override)
     logits = [
-        model.forward_array(np.asarray([t]), kv_caches=caches, mlp_override=engine._mlp_override)
+        model.forward_array(np.asarray([t]), kv_caches=caches, mlp_override=engine._mlp_override)[-1]
         for t in range(n_steps)
     ]
-    return np.concatenate(logits), (engine.method.stats.hits, engine.method.stats.misses)
+    engine.reset()
+    batch = ContinuousBatch.from_engine(engine, max_batch_size=1, max_seq_len=16)
+    slots, _ = batch.admit([np.arange(1, 6)])
+    logits += [batch.step(slots, [t])[0] for t in range(n_steps)]
+    return np.stack(logits), (engine.method.stats.hits, engine.method.stats.misses)
 
 
 def assert_same_service(got, reference):
@@ -109,7 +116,8 @@ def test_failed_compile_runs_the_numpy_step(reference, fresh_loader, monkeypatch
 
 
 def test_truncated_library_is_never_loaded(
-    compiled_ca_step, compiled_decode_attn, compiled_decode_mlp, fresh_loader, monkeypatch, tmp_path
+    compiled_ca_step, compiled_decode_attn, compiled_decode_mlp, compiled_decode_step, fresh_loader, monkeypatch,
+    tmp_path,
 ):
     # A second cache directory holding only truncated copies under the built names.
     other = tmp_path / "other"
@@ -132,24 +140,29 @@ def test_truncated_library_is_never_loaded(
     assert opened == [True] * len(KERNELS)
 
 
-def test_edited_header_builds_a_new_library(compiled_ca_step, compiled_decode_mlp, fresh_loader, monkeypatch, tmp_path):
-    """Both DIP kernels include the per-row step's header, and its bytes are
-    part of each library's name."""
-    for kernel in (CA_STEP, DECODE_MLP):
+def test_edited_header_builds_a_new_library(
+    compiled_ca_step, compiled_decode_mlp, compiled_decode_step, fresh_loader, monkeypatch, tmp_path
+):
+    """Both DIP kernels and the one-call step include the per-row step's
+    header, and its bytes are part of each library's name."""
+    including = (CA_STEP, DECODE_MLP, DECODE_STEP)
+    for kernel in including:
         assert kernel.load() is not None
     built = sorted(path.name for path in fresh_loader.glob("*.so"))
     header = tmp_path / "_ca_row.h"
     header.write_bytes(CA_STEP.headers[0].read_bytes() + b"/* edited */\n")
-    for kernel in (CA_STEP, DECODE_MLP):
-        monkeypatch.setattr(kernel, "headers", (header,))
+    for kernel in including:
+        headers = tuple(header if path.name == header.name else path for path in kernel.headers)
+        assert header in headers
+        monkeypatch.setattr(kernel, "headers", headers)
         monkeypatch.setattr(kernel, "_function", native._UNSET)
         assert kernel.load() is not None
     rebuilt = sorted(path.name for path in fresh_loader.glob("*.so"))
-    assert len(rebuilt) == len(built) + 2 and set(built) < set(rebuilt)
+    assert len(rebuilt) == len(built) + len(including) and set(built) < set(rebuilt)
 
 
 def test_cache_directory_others_can_write_is_not_used(
-    compiled_ca_step, compiled_decode_attn, compiled_decode_mlp, fresh_loader
+    compiled_ca_step, compiled_decode_attn, compiled_decode_mlp, compiled_decode_step, fresh_loader
 ):
     fresh_loader.mkdir(mode=0o700)
     fresh_loader.chmod(0o777)
