@@ -19,9 +19,15 @@
    the halves run, 2 * n_layers when every layer has run: a layer's
    attention half that cannot allocate its scratch memory leaves its layer
    unwritten, an MLP half leaves it after its attention, and every earlier
-   layer has run whole. */
+   layer has run whole.
+
+   This file is also the one translation unit of the package's C kernels:
+   with _ca_step.c included too, one compiler call builds ca_step,
+   decode_attn, decode_mlp and decode_step into one library
+   (repro.utils.native), so they load all together or not at all. */
 
 #include "../nn/_decode_attn.c"
+#include "../sparsity/_ca_step.c"
 #include "../sparsity/_decode_mlp.c"
 
 /* One layer: the structs the two kernels take. */

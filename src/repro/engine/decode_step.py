@@ -16,8 +16,10 @@ bit those of the per-layer path.
 It serves a step exactly when the per-layer path would send every block's
 attention half to the compiled decode attention and its MLP to the compiled
 decode MLP (method exactly DIP or DIP-CA, SiLU, float64, rows x MLP density
-<= 1, arrays the kernels can use, all three kernels built), and returns
-``None`` otherwise, so the per-layer path runs.
+<= 1, arrays the kernels can use, the kernel library built), and returns
+``None`` otherwise, so the per-layer path runs.  The kernel is a function of
+the one library that holds the other two (:data:`repro.utils.native.LIBRARY`),
+so it loads exactly when they do.
 
 Every check the per-layer bindings make runs for each block before the one
 call, through the helpers they use: :func:`~repro.nn.decode_attn.slot_rows`
@@ -33,29 +35,18 @@ block advances them (:func:`~repro.sparsity.decode_mlp.advance`).
 
 from __future__ import annotations
 
-import ctypes
-from pathlib import Path
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.nn.attention import KVCache
-from repro.nn.decode_attn import DECODE_ATTN, bindings, slot_rows
+from repro.nn.decode_attn import bindings, slot_rows
 from repro.nn.transformer import CausalLM
 from repro.sparsity.base import SparsityMethod
-from repro.sparsity.decode_mlp import DECODE_MLP, advance, bound_layer
+from repro.sparsity.decode_mlp import advance, bound_layer
 from repro.utils.native import CompiledKernel, address
 
-_size, _pointer = ctypes.c_int64, ctypes.c_void_p
-_PACKAGE = Path(__file__).parent.parent
-
-DECODE_STEP = CompiledKernel(
-    Path(__file__).with_name("_decode_step.c"),
-    "decode_step",
-    [_pointer, _size, _size, _pointer, _pointer, _pointer],
-    _size,
-    headers=[_PACKAGE / path for path in ("nn/_decode_attn.c", "sparsity/_decode_mlp.c", "sparsity/_ca_row.h")],
-)
+DECODE_STEP = CompiledKernel("decode_step")
 
 
 def decode_step(
@@ -74,7 +65,7 @@ def decode_step(
             return None
         mlps.append(layer)
     kernel = DECODE_STEP.load()
-    if kernel is None or DECODE_ATTN.load() is None or DECODE_MLP.load() is None:
+    if kernel is None:
         return None
     x = model.embedding.forward_array(ids)  # (batch, 1, d_model)
     if x.dtype != np.float64:

@@ -246,11 +246,12 @@ class SparseInferenceEngine:
             self.recorder = MaskRecorder(len(self.model.blocks))
 
     def logits(self, token_ids: np.ndarray) -> np.ndarray:
-        """Logits for ``(seq,)`` or ``(batch, seq)`` token ids under the sparse model."""
+        """Logits for ``(seq,)`` or ``(batch, seq)`` token ids under the sparse
+        model; ``ValueError`` for an id outside the vocabulary."""
+        ids = np.asarray(token_ids, dtype=np.int64)
+        check_ids(ids, self.model.config.vocab_size)
         with use_backend(self.backend):
-            return self.model.forward_array(
-                np.asarray(token_ids, dtype=np.int64), mlp_override=self._mlp_override
-            )
+            return self.model.forward_array(ids, mlp_override=self._mlp_override)
 
     def sequence_log_likelihood(self, token_ids: np.ndarray, continuation_start: int = 1) -> float:
         """Sum of next-token log-probabilities from ``continuation_start`` onward."""
@@ -322,6 +323,7 @@ class SparseInferenceEngine:
         Normalises each picked logit by ``logsumexp`` directly instead of
         materialising the full ``(batch, L-1, vocab)`` log-softmax array.
         """
+        check_ids(ids, self.model.config.vocab_size)  # the last ids are targets only, never logits inputs
         logits = self.logits(ids[:, :-1])
         targets = ids[:, 1:]
         picked = np.take_along_axis(logits, targets[..., None], axis=-1)[..., 0]
@@ -360,10 +362,13 @@ class SparseInferenceEngine:
         temperature: float = 1.0,
         rng=None,
     ) -> np.ndarray:
-        """Autoregressive sampling with the sparsity method active."""
+        """Autoregressive sampling with the sparsity method active;
+        ``ValueError`` for a prompt id outside the vocabulary."""
+        prompt = np.asarray(list(prompt_ids), dtype=np.int64)
+        check_ids(prompt, self.model.config.vocab_size)
         with use_backend(self.backend):
             return self.model.generate(
-                prompt_ids, max_new_tokens, temperature=temperature, rng=rng, mlp_override=self._mlp_override
+                prompt, max_new_tokens, temperature=temperature, rng=rng, mlp_override=self._mlp_override
             )
 
     def generate_batch(
@@ -384,9 +389,12 @@ class SparseInferenceEngine:
         define token order as part of the method, so they fall back to the
         sequential per-prompt loop — batched decode would interleave prompts
         and change the masks.  The fallback left-pads its per-prompt outputs
-        exactly like the batched path, so both layouts agree.
+        exactly like the batched path, so both layouts agree.  A prompt id
+        outside the vocabulary raises ``ValueError``.
         """
         sequences = _as_prompt_list(prompts)
+        for sequence in sequences:
+            check_ids(sequence, self.model.config.vocab_size)
         if self.method.requires_cache_state:
             outputs = [
                 self.generate(p, max_new_tokens, temperature=temperature, rng=rng) for p in sequences
@@ -437,7 +445,6 @@ class ContinuousBatch:
         mlp_override=None,
         max_batch_size: int = 8,
         max_seq_len: Optional[int] = None,
-        pad_id: int = 0,
         prefix_cache: Optional[PrefixCache] = None,
         backend: BackendLike = None,
     ):
@@ -451,7 +458,6 @@ class ContinuousBatch:
         self.backend = backend
         self.max_batch_size = max_batch_size
         self.max_seq_len = max_seq_len if max_seq_len is not None else model.config.max_seq_len
-        self.pad_id = pad_id
         self.prefix_cache = prefix_cache
         self.caches = model.new_kv_caches(self.max_seq_len, batch_size=max_batch_size)
         self.occupied = np.zeros(max_batch_size, dtype=bool)
@@ -600,7 +606,8 @@ class ContinuousBatch:
         normal ragged prefill — pad keys masked, per-row RoPE positions at
         offset ``P``.  Each prompt's K/V then land in its slot.
         """
-        padded, positions, suffix_bias, lengths = left_pad_ragged([prompts[i][prefix_len:] for i in rows], self.pad_id)
+        # Pads (id 0) fill only key positions the key bias hides.
+        padded, positions, suffix_bias, lengths = left_pad_ragged([prompts[i][prefix_len:] for i in rows])
         end = prefix_len + padded.shape[1]
         staging = self.model.new_kv_caches(max_seq_len=end, batch_size=len(rows))
         prefixes = [matches[i].assemble() if prefix_len else None for i in rows]
@@ -708,6 +715,18 @@ def check_budget(prompt_len: int, max_new_tokens: int, max_seq_len: int) -> None
         )
 
 
+def check_ids(ids: np.ndarray, vocab_size: int) -> None:
+    """Raise ``ValueError`` unless every token id in ``ids`` lies in ``[0, vocab_size)``.
+
+    The embedding indexes its table with the ids, so without this check
+    ``-1`` would silently embed the last vocabulary row.
+    """
+    if ids.size:
+        low, high = int(ids.min()), int(ids.max())
+        if low < 0 or high >= vocab_size:
+            raise ValueError(f"token ids must lie in [0, {vocab_size}), got {low if low < 0 else high}")
+
+
 def check_prompt(prompt: Sequence[int], vocab_size: int) -> None:
     """Raise ``ValueError`` unless ``prompt`` holds at least one token id
     and every id lies in ``[0, vocab_size)``.
@@ -719,9 +738,7 @@ def check_prompt(prompt: Sequence[int], vocab_size: int) -> None:
     ids = np.asarray(prompt)
     if ids.size == 0:
         raise ValueError("prompt must hold at least one token id")
-    low, high = int(ids.min()), int(ids.max())
-    if low < 0 or high >= vocab_size:
-        raise ValueError(f"prompt token ids must lie in [0, {vocab_size}), got {low if low < 0 else high}")
+    check_ids(ids, vocab_size)
 
 
 class DecodeRequest:

@@ -221,28 +221,6 @@ class KVCache:
         self.lengths[slot] = length
         self.length = int(self.lengths.max())
 
-    def seed(self, keys: np.ndarray, values: np.ndarray) -> None:
-        """Pre-load cached K/V for ``P`` tokens so :meth:`append` continues at ``P``.
-
-        ``keys``/``values`` have shape ``(n_kv_heads, P, head_dim)`` (or a
-        leading batch axis matching the cache).  This is the prefix-cache
-        prefill path: the cache behaves exactly as if those ``P`` tokens had
-        just been forwarded, so a subsequent forward of the suffix attends
-        the seeded prefix and picks up RoPE positions at offset ``P``.
-        """
-        if keys.ndim == 3:
-            keys = keys[None]
-            values = values[None]
-        if keys.shape[0] != self.batch_size:
-            raise ValueError(f"cache holds batch_size={self.batch_size} but got batch {keys.shape[0]}")
-        length = keys.shape[2]
-        if length > self.max_seq_len:
-            raise RuntimeError("KV cache overflow")
-        self.keys[:, :, :length] = keys
-        self.values[:, :, :length] = values
-        self.length = length
-        self.lengths[:] = length
-
     def evict_slot(self, slot: int) -> None:
         """Free one cache slot (its K/V become dead; masks must hide it)."""
         self.lengths[slot] = 0

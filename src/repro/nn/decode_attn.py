@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import ctypes
 import operator
-from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
@@ -62,12 +61,7 @@ class _Cache(ctypes.Structure):
     _fields_ = [("max_seq_len", _size)] + [(name, _pointer) for name in ("keys", "values", "lengths")]
 
 
-DECODE_ATTN = CompiledKernel(
-    Path(__file__).with_name("_decode_attn.c"),
-    "decode_attn",
-    [_pointer, _pointer, _size, _pointer, _pointer, _pointer, _size, _pointer],
-    _size,
-)
+DECODE_ATTN = CompiledKernel("decode_attn")
 
 
 def _fits(a: np.ndarray, shape: Tuple[int, ...], dtype: type = np.float64) -> bool:

@@ -83,8 +83,6 @@ class SchedulerConfig:
     admission: str = "fcfs"
     #: KV-cache capacity per slot; ``None`` uses the model's ``max_seq_len``.
     max_seq_len: Optional[int] = None
-    #: Token id used for left-padding ragged admission prefills.
-    pad_id: int = 0
     #: Byte budget of the shared-prompt-head prefix cache; ``0`` disables it.
     #: (Also disabled automatically for cache-state methods, whose masks
     #: depend on token order.)
@@ -254,7 +252,6 @@ class ContinuousBatchingScheduler:
             session.engine,
             max_batch_size=width,
             max_seq_len=self.config.max_seq_len,
-            pad_id=self.config.pad_id,
             prefix_cache=self.prefix_cache,
         )
         self.decoder: ContinuousDecoder[_Entry] = ContinuousDecoder(

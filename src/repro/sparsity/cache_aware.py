@@ -42,9 +42,7 @@ decode steps, ``compute_masks`` mostly runs at prefill.
 
 from __future__ import annotations
 
-import ctypes
 import dataclasses
-from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
@@ -58,15 +56,8 @@ from repro.utils.native import CompiledKernel
 if TYPE_CHECKING:  # imported lazily at runtime: repro.hwsim depends on repro.sparsity
     from repro.hwsim.cache import GroupCache
 
-_pointer, _size = ctypes.c_void_p, ctypes.c_int64
 #: The compiled per-token step over one LFU weight-group cache.
-CA_STEP = CompiledKernel(
-    Path(__file__).with_name("_ca_step.c"),
-    "ca_step",
-    [_pointer, _size, _size, _size, ctypes.c_double, _size, _pointer, _pointer, _pointer, _pointer],
-    ctypes.c_int64,
-    headers=[Path(__file__).with_name("_ca_row.h")],
-)
+CA_STEP = CompiledKernel("ca_step")
 
 
 def cache_aware_scores(magnitudes: np.ndarray, cached_mask: np.ndarray, gamma: float) -> np.ndarray:

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import ctypes
 import operator
-from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Tuple, cast
 
 import numpy as np
@@ -77,10 +76,7 @@ class _MLP(ctypes.Structure):
     ]
 
 
-_HERE = Path(__file__).parent
-DECODE_MLP = CompiledKernel(
-    _HERE / "_decode_mlp.c", "decode_mlp", [_pointer, _size, _pointer, _pointer], _size, headers=[_HERE / "_ca_row.h"]
-)
+DECODE_MLP = CompiledKernel("decode_mlp")
 
 #: The methods the kernel computes exactly; a subclass may rank differently.
 _SERVED = (DynamicInputPruning, CacheAwareDIP)

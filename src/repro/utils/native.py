@@ -1,16 +1,18 @@
-"""Build and load the package's optional C kernels.
+"""Build and load the package's optional C kernels, as one library.
 
-A :class:`CompiledKernel` names one function of one C source shipped with the
-package, plus the headers that source includes.  The system C compiler
-(``cc`` or ``gcc`` on ``PATH``) builds the source once per process, under a
-lock, into the per-user cache directory (``$XDG_CACHE_HOME/repro`` or
-``~/.cache/repro``).  A library's name holds a hash of every file compiled
-into it (the source and its headers), the flags and the machine
-architecture, then a digest of its own bytes, so an edited header builds a
-new library and a file whose bytes do not match its name (a truncated
-build) is never loaded.  :meth:`CompiledKernel.load` returns the function, or
-``None`` when there is no compiler or anything fails; callers then run their
-numpy path.  Failures are logged at DEBUG level only.
+Every kernel is compiled from one translation unit, ``_decode_step.c``,
+which includes the other kernel sources, into one shared library:
+:data:`LIBRARY`.  The system C compiler (``cc`` or ``gcc`` on ``PATH``)
+builds it once per process, under a lock, into the per-user cache directory
+(``$XDG_CACHE_HOME/repro`` or ``~/.cache/repro``).  The library's name holds
+a hash of every file compiled into it (the source and the files it
+includes), the flags and the machine architecture, then a digest of its own
+bytes, so an edited header builds a new library and a file whose bytes do
+not match its name (a truncated build) is never loaded.
+:meth:`KernelLibrary.load` returns every kernel function, or ``None`` when
+there is no compiler or anything fails, so the kernels load all together or
+not at all; callers then run their numpy paths.  A :class:`CompiledKernel`
+is one function's handle.  Failures are logged at DEBUG level only.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import subprocess
 import tempfile
 import threading
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -38,6 +40,17 @@ logger = logging.getLogger(__name__)
 FLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off")
 
 _UNSET: Any = object()
+
+_PACKAGE = Path(__file__).resolve().parent.parent
+_size, _pointer = ctypes.c_int64, ctypes.c_void_p
+
+#: Each kernel's ``ctypes`` argument types; every kernel returns an int64.
+_ARGTYPES: Dict[str, Sequence[Any]] = {
+    "ca_step": [_pointer, _size, _size, _size, ctypes.c_double, _size, _pointer, _pointer, _pointer, _pointer],
+    "decode_attn": [_pointer, _pointer, _size, _pointer, _pointer, _pointer, _size, _pointer],
+    "decode_mlp": [_pointer, _size, _pointer, _pointer],
+    "decode_step": [_pointer, _size, _size, _pointer, _pointer, _pointer],
+}
 
 
 def _digest(data: bytes) -> str:
@@ -52,7 +65,7 @@ def address(a: np.ndarray) -> int:
         return a.ctypes.data
 
 
-def _library(compiler: str, source: Path, headers: Sequence[Path], stem: str) -> Path:
+def _library(compiler: str, source: Path, headers: Sequence[Path]) -> Path:
     """The library for ``source``, its ``headers`` and the flags, compiled
     unless a sound copy exists."""
     directory = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "repro"
@@ -61,15 +74,15 @@ def _library(compiler: str, source: Path, headers: Sequence[Path], stem: str) ->
     if not stat.S_ISDIR(info.st_mode) or info.st_uid != os.getuid() or info.st_mode & 0o022:
         raise PermissionError(f"{directory} is not a directory that only this user can write")
     compiled = b"".join(path.read_bytes() for path in (source, *headers))
-    key = _digest(compiled + " ".join(FLAGS).encode() + platform.machine().encode())
-    for candidate in sorted(directory.glob(f"{stem}-{key}-*.so")):
-        if candidate.name == f"{stem}-{key}-{_digest(candidate.read_bytes())}.so":
+    stem = "kernels-" + _digest(compiled + " ".join(FLAGS).encode() + platform.machine().encode())
+    for candidate in sorted(directory.glob(f"{stem}-*.so")):
+        if candidate.name == f"{stem}-{_digest(candidate.read_bytes())}.so":
             return candidate
-    fd, tmp = tempfile.mkstemp(prefix=f"{stem}-{key}.", suffix=".tmp", dir=directory)
+    fd, tmp = tempfile.mkstemp(prefix=f"{stem}.", suffix=".tmp", dir=directory)
     os.close(fd)
     try:
         subprocess.run([compiler, *FLAGS, "-o", tmp, str(source)], check=True, capture_output=True, timeout=120)
-        final = directory / f"{stem}-{key}-{_digest(Path(tmp).read_bytes())}.so"
+        final = directory / f"{stem}-{_digest(Path(tmp).read_bytes())}.so"
         os.replace(tmp, final)
         return final
     finally:
@@ -77,45 +90,62 @@ def _library(compiler: str, source: Path, headers: Sequence[Path], stem: str) ->
             os.unlink(tmp)
 
 
-class CompiledKernel:
-    """The C function ``symbol`` of ``source``, built on first use.
+class KernelLibrary:
+    """The four kernel functions, compiled from ``source`` on first use.
 
-    ``argtypes``/``restype`` are its ``ctypes`` signature; ``headers`` are
-    the files ``source`` includes, which the library's hash covers too.  The
-    first :meth:`load` builds or loads the library; every later call in the
-    process returns the same result.
+    ``headers`` are the files ``source`` includes, which the library's hash
+    covers too.  The first :meth:`load` builds or loads the library; every
+    later call in the process returns the same result.
     """
 
-    def __init__(
-        self, source: Path, symbol: str, argtypes: Sequence[Any], restype: Any, headers: Sequence[Path] = ()
-    ) -> None:
+    def __init__(self, source: Path, headers: Sequence[Path]) -> None:
         self.source = source
         self.headers = tuple(headers)
-        self.symbol = symbol
-        self.argtypes = list(argtypes)
-        self.restype = restype
-        self._function: Any = _UNSET
+        self._functions: Any = _UNSET
         self._lock = threading.Lock()
 
-    def _load(self) -> Optional[Any]:
+    def _load(self) -> Optional[Dict[str, Any]]:
         compiler = shutil.which("cc") or shutil.which("gcc")
         if compiler is None:
-            logger.debug("no C compiler on PATH; %s runs on numpy", self.symbol)
+            logger.debug("no C compiler on PATH; the kernels run on numpy")
             return None
         try:
-            library = _library(compiler, self.source, self.headers, self.symbol)
-            function = getattr(ctypes.CDLL(str(library)), self.symbol)
+            library = ctypes.CDLL(str(_library(compiler, self.source, self.headers)))
+            functions = {symbol: getattr(library, symbol) for symbol in _ARGTYPES}
         except (OSError, AttributeError, RuntimeError, subprocess.SubprocessError) as exc:
-            logger.debug("compiled %s unavailable (%s); it runs on numpy", self.symbol, exc)
+            logger.debug("compiled kernels unavailable (%s); they run on numpy", exc)
             return None
-        function.argtypes = self.argtypes
-        function.restype = self.restype
-        return function
+        for symbol, function in functions.items():
+            function.argtypes = list(_ARGTYPES[symbol])
+            function.restype = ctypes.c_int64
+        return functions
+
+    def load(self) -> Optional[Dict[str, Any]]:
+        """Every compiled function by name, or ``None`` when unavailable."""
+        if self._functions is _UNSET:
+            with self._lock:
+                if self._functions is _UNSET:
+                    self._functions = self._load()
+        return self._functions
+
+
+#: The one library: ``_decode_step.c`` includes the other kernel sources.
+LIBRARY = KernelLibrary(
+    _PACKAGE / "engine" / "_decode_step.c",
+    [
+        _PACKAGE / path
+        for path in ("nn/_decode_attn.c", "sparsity/_decode_mlp.c", "sparsity/_ca_step.c", "sparsity/_ca_row.h")
+    ],
+)
+
+
+class CompiledKernel:
+    """The handle of one function of :data:`LIBRARY`, named ``symbol``."""
+
+    def __init__(self, symbol: str) -> None:
+        self.symbol = symbol
 
     def load(self) -> Optional[Any]:
-        """The compiled function, or ``None`` when unavailable."""
-        if self._function is _UNSET:
-            with self._lock:
-                if self._function is _UNSET:
-                    self._function = self._load()
-        return self._function
+        """The compiled function, or ``None`` when the library is unavailable."""
+        functions = LIBRARY.load()
+        return None if functions is None else functions[self.symbol]

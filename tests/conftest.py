@@ -18,12 +18,9 @@ from timing_utils import scaled
 
 from repro.data.datasets import DataSplits, make_splits
 from repro.data.tasks import build_task
-from repro.engine.decode_step import DECODE_STEP
-from repro.nn.decode_attn import DECODE_ATTN
 from repro.nn.transformer import CausalLM, TransformerConfig
-from repro.sparsity.cache_aware import CA_STEP
-from repro.sparsity.decode_mlp import DECODE_MLP
 from repro.training.trainer import TrainingConfig, train_language_model
+from repro.utils import native
 
 #: Vocabulary shared by the tiny test corpus and models (60 symbols + 4 specials).
 TEST_VOCAB = 64
@@ -126,53 +123,22 @@ def tiny_task(tiny_splits):
 
 
 @pytest.fixture(scope="session")
-def compiled_ca_step():
-    """DIP-CA's compiled step; a test that needs it skips when no C compiler builds it."""
-    step = CA_STEP.load()
-    if step is None:
-        pytest.skip("no C compiler: the compiled DIP-CA step is unavailable")
-    return step
-
-
-@pytest.fixture(scope="session")
-def compiled_decode_attn():
-    """The compiled decode attention; a test that needs it skips when no C compiler builds it."""
-    kernel = DECODE_ATTN.load()
-    if kernel is None:
-        pytest.skip("no C compiler: the compiled decode attention is unavailable")
-    return kernel
-
-
-@pytest.fixture(scope="session")
-def compiled_decode_mlp():
-    """The compiled DIP/DIP-CA decode MLP; a test that needs it skips when no C compiler builds it."""
-    kernel = DECODE_MLP.load()
-    if kernel is None:
-        pytest.skip("no C compiler: the compiled decode MLP is unavailable")
-    return kernel
-
-
-@pytest.fixture(scope="session")
-def compiled_decode_step():
-    """The compiled one-call decode step; a test that needs it skips when no C compiler builds it."""
-    kernel = DECODE_STEP.load()
-    if kernel is None:
-        pytest.skip("no C compiler: the compiled decode step is unavailable")
-    return kernel
+def compiled_kernels():
+    """The compiled kernels by name; a test that needs them skips when no C compiler builds them."""
+    functions = native.LIBRARY.load()
+    if functions is None:
+        pytest.skip("no C compiler: the compiled kernels are unavailable")
+    return functions
 
 
 @pytest.fixture(params=["kernel", "numpy"])
 def decode_path(request, monkeypatch):
-    """Which path decode steps take: the compiled attention half, DIP/DIP-CA
-    MLP and one-call step, or numpy (the three kernels' loaders forced to
-    ``None``)."""
-    kernels = (DECODE_ATTN, DECODE_MLP, DECODE_STEP)
+    """Which path decode steps take: the compiled kernels, or numpy (the
+    kernel library's loader forced to ``None``)."""
     if request.param == "numpy":
-        for kernel in kernels:
-            monkeypatch.setattr(kernel, "load", lambda: None)
+        monkeypatch.setattr(native.LIBRARY, "load", lambda: None)
     else:
-        for fixture in ("compiled_decode_attn", "compiled_decode_mlp", "compiled_decode_step"):
-            request.getfixturevalue(fixture)
+        request.getfixturevalue("compiled_kernels")
     return request.param
 
 

@@ -119,7 +119,7 @@ def written_positions(cache, slots, lengths):
 class TestKernelAgainstNumpy:
     @given(case=decode_cases())
     @settings(max_examples=120, deadline=None)
-    def test_matches_numpy_path(self, compiled_decode_attn, case):
+    def test_matches_numpy_path(self, compiled_kernels, case):
         block, x, cache, mask, pos, slots = build(case)
         kind = case[4][0]
         before = copy.deepcopy(cache)
@@ -155,7 +155,7 @@ class TestKernelAgainstNumpy:
             assert np.array_equal(h1[0], h[row]) and np.array_equal(mlp_in1[0], mlp_in[row])
 
     @pytest.mark.parametrize("kind", ["slots", "lockstep"])
-    def test_overflow_raises_before_any_write(self, compiled_decode_attn, kind):
+    def test_overflow_raises_before_any_write(self, compiled_kernels, kind):
         rng = np.random.default_rng(0)
         block = make_block(4, 2, 4, rope_len=16, seed=0)
         lengths = [3, 6, 0] if kind == "slots" else [6, 6, 6]
@@ -169,7 +169,7 @@ class TestKernelAgainstNumpy:
         assert np.array_equal(cache.lengths, before.lengths) and cache.length == before.length
 
     @pytest.mark.parametrize("bad", [0, 3, -1], ids=["repeated", "past-the-end", "negative"])
-    def test_bad_slots_raise_before_any_write(self, compiled_decode_attn, bad):
+    def test_bad_slots_raise_before_any_write(self, compiled_kernels, bad):
         rng = np.random.default_rng(2)
         block = make_block(2, 1, 4, rope_len=16, seed=2)
         cache = filled_cache(block, 8, 3, [3, 2, 1], rng)
@@ -180,7 +180,7 @@ class TestKernelAgainstNumpy:
             decode_attention(block, rng.normal(size=(2, 1, 8)), view)
         assert np.array_equal(cache.keys, before.keys) and np.array_equal(cache.lengths, before.lengths)
 
-    def test_bad_bias_raises_before_any_write(self, compiled_decode_attn):
+    def test_bad_bias_raises_before_any_write(self, compiled_kernels):
         rng = np.random.default_rng(1)
         block = make_block(2, 1, 4, rope_len=16, seed=1)
         cache = filled_cache(block, 8, 2, [3, 3], rng)
@@ -215,7 +215,7 @@ class TestKernelAgainstNumpy:
             with pytest.raises(ValueError, match="slot view sets its own"):
                 block.forward_array(x, cache.slot_view([0]), **kwargs)
 
-    def test_other_inputs_take_the_numpy_path(self, compiled_decode_attn):
+    def test_other_inputs_take_the_numpy_path(self, compiled_kernels):
         block = make_block(2, 1, 4, rope_len=16, seed=3)
         cache = filled_cache(block, 8, 1, [2], np.random.default_rng(3))
         assert decode_attention(block, np.zeros((1, 2, 8)), cache) is None  # two tokens: prefill
@@ -237,7 +237,7 @@ def decode(model, caches=None, n_steps=5):
 
 
 @pytest.mark.parametrize("clone", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))], ids=["deepcopy", "pickle"])
-def test_copy_of_a_decoded_model_serves_on_its_own_arrays(compiled_decode_attn, clone):
+def test_copy_of_a_decoded_model_serves_on_its_own_arrays(compiled_kernels, clone):
     model = CausalLM(CONFIG, seed=1)
     caches = model.new_kv_caches(16)
     model.forward_array(np.arange(1, 6), kv_caches=caches)
@@ -255,7 +255,7 @@ def test_copy_of_a_decoded_model_serves_on_its_own_arrays(compiled_decode_attn, 
         assert np.array_equal(ours.keys, theirs.keys) and np.array_equal(ours.lengths, theirs.lengths)
 
 
-def test_replaced_arrays_are_bound_again(compiled_decode_attn):
+def test_replaced_arrays_are_bound_again(compiled_kernels):
     model, other = CausalLM(CONFIG, seed=1), CausalLM(CONFIG, seed=2)
     expected = decode(other)
     decode(model)
@@ -276,7 +276,7 @@ def test_replaced_arrays_are_bound_again(compiled_decode_attn):
         assert np.array_equal(old, snapshot)  # the replaced array saw no write
 
 
-def test_threads_decode_one_model_on_their_own_caches(compiled_decode_attn):
+def test_threads_decode_one_model_on_their_own_caches(compiled_kernels):
     """The kernel runs without the interpreter lock, and a fresh model binds
     its blocks in whichever thread decodes first: threads decoding one model
     at once, each on its own caches, get the logits each gets alone."""

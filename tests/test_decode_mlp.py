@@ -110,7 +110,7 @@ def mlp_cases(draw):
 class TestKernelAgainstNumpy:
     @given(case=mlp_cases())
     @settings(max_examples=150, deadline=None)
-    def test_matches_numpy_path(self, compiled_decode_mlp, case):
+    def test_matches_numpy_path(self, compiled_kernels, case):
         """Interleaved prefill (numpy) and decode (kernel) calls against a
         reference that serves every row alone on numpy: masks, outputs,
         caches, ``token_index`` and hit statistics agree, up to the first row
@@ -151,7 +151,7 @@ class TestKernelAgainstNumpy:
 
     @given(case=mlp_cases())
     @settings(max_examples=60, deadline=None)
-    def test_row_is_the_same_alone_and_in_a_batch(self, compiled_decode_mlp, case):
+    def test_row_is_the_same_alone_and_in_a_batch(self, compiled_kernels, case):
         d_model, d_ffn, name, density, gamma, fraction, _, seed = case
         rng = np.random.default_rng(seed)
         mlp = SwiGLUMLP(GLUMLPConfig(d_model=d_model, d_ffn=d_ffn), seed=seed % 1000)
@@ -173,7 +173,7 @@ def mlp():
 
 class TestDispatch:
     @pytest.mark.parametrize("density, widest", [(0.5, 2), (0.35, 2), (0.25, 4), (1.0, 1)])
-    def test_serves_rows_times_density_at_most_one(self, compiled_decode_mlp, mlp, density, widest):
+    def test_serves_rows_times_density_at_most_one(self, compiled_kernels, mlp, density, widest):
         for name in ("dip", "dip-ca"):
             method = make_method(name, density)
             assert widest * method.expected_density(mlp.d_model, mlp.d_ffn) <= 1.0
@@ -181,7 +181,7 @@ class TestDispatch:
                 served = decode_mlp(method, mlp, 0, np.ones((rows, mlp.d_model))) is not None
                 assert served == (rows <= widest), (name, rows)
 
-    def test_other_calls_take_the_numpy_path(self, compiled_decode_mlp, mlp):
+    def test_other_calls_take_the_numpy_path(self, compiled_kernels, mlp):
         x = np.ones((1, mlp.d_model))
         assert decode_mlp(CacheAwareDIP(0.5), mlp, 0, x.astype(np.float32)) is None
         relu = SwiGLUMLP(GLUMLPConfig(d_model=24, d_ffn=64, activation="relu"), seed=0)
@@ -196,7 +196,7 @@ class TestDispatch:
         for name in ("dense", "cats", "glu", "up"):
             assert decode_mlp(create_method(name, target_density=0.5), mlp, 0, x) is None
 
-    def test_arrays_the_kernel_cannot_use_take_the_numpy_path(self, compiled_decode_mlp, mlp):
+    def test_arrays_the_kernel_cannot_use_take_the_numpy_path(self, compiled_kernels, mlp):
         x = np.random.default_rng(0).normal(size=(1, mlp.d_model))
         method = CacheAwareDIP(0.5)
         assert decode_mlp(method, mlp, 0, x) is not None
@@ -218,7 +218,7 @@ class TestDispatch:
         with pytest.raises(MemoryError):
             decode_mlp(DynamicInputPruning(0.5), mlp, 0, np.ones((1, mlp.d_model)))
 
-    def test_engine_runs_decode_steps_in_the_kernel(self, compiled_decode_mlp, compiled_decode_attn, tiny_model):
+    def test_engine_runs_decode_steps_in_the_kernel(self, compiled_kernels, tiny_model):
         """Prefill and recorded runs compute masks on numpy; decode steps do
         not, and the tokens are those of the numpy path."""
         prompt = np.arange(1, 9)
@@ -244,7 +244,7 @@ def decode(engine, n_steps=5):
 
 @pytest.mark.parametrize("clone", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))], ids=["deepcopy", "pickle"])
 @pytest.mark.parametrize("name", ["dip", "dip-ca"])
-def test_copy_of_a_decoded_method_serves_on_its_own_caches(compiled_decode_mlp, mlp, clone, name):
+def test_copy_of_a_decoded_method_serves_on_its_own_caches(compiled_kernels, mlp, clone, name):
     rng = np.random.default_rng(3)
     method = make_method(name, 0.5, cache_fraction=0.4)
     for _ in range(4):
@@ -261,7 +261,7 @@ def test_copy_of_a_decoded_method_serves_on_its_own_caches(compiled_decode_mlp, 
 
 
 @pytest.mark.parametrize("name", ["dip", "dip-ca"])
-def test_replaced_arrays_are_bound_again(compiled_decode_mlp, compiled_decode_attn, name):
+def test_replaced_arrays_are_bound_again(compiled_kernels, name):
     model, other = CausalLM(CONFIG, seed=1), CausalLM(CONFIG, seed=2)
     engine = SparseInferenceEngine(model, make_method(name, 0.5))
     decode(engine)  # binds every layer

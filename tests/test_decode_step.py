@@ -15,25 +15,24 @@ import pytest
 
 from repro.engine.decode_step import DECODE_STEP, decode_step
 from repro.engine.inference import ContinuousBatch, SparseInferenceEngine
-from repro.nn.decode_attn import DECODE_ATTN
 from repro.nn.transformer import CausalLM, TransformerConfig
 from repro.sparsity.cache_aware import CacheAwareDIP
-from repro.sparsity.decode_mlp import DECODE_MLP
 from repro.sparsity.dip import DynamicInputPruning
 from repro.sparsity.registry import create_method
 from repro.training.lora import LoRAConfig, attach_mlp_adapters, fuse_adapters
+from repro.utils import native
 
 CONFIG = TransformerConfig(vocab_size=48, d_model=16, n_layers=3, n_heads=4, n_kv_heads=2, d_ffn=32, max_seq_len=64)
 
 
 @pytest.fixture
-def served(compiled_decode_attn, compiled_decode_mlp, compiled_decode_step, monkeypatch):
+def served(compiled_kernels, monkeypatch):
     """Counts the one-call steps the kernel serves."""
     calls = []
 
     def counted(*args):
         calls.append(args[2])  # the step's rows
-        return compiled_decode_step(*args)
+        return compiled_kernels["decode_step"](*args)
 
     monkeypatch.setattr(DECODE_STEP, "load", lambda: counted)
     return calls
@@ -162,15 +161,10 @@ def test_other_steps_take_the_per_layer_path(served, case):
         assert engine_of(fused).recorder.n_recorded_tokens() == sum(lengths) + 4
 
 
-@pytest.mark.parametrize("missing", ["step", "all"])
-def test_without_a_compiler_the_per_layer_path_runs(
-    compiled_decode_attn, compiled_decode_mlp, compiled_decode_step, monkeypatch, missing
-):
+def test_without_a_compiler_the_per_layer_path_runs(compiled_kernels, monkeypatch):
     model = CausalLM(CONFIG, seed=1)
     reference = make_batch(model, make_method("dip-ca"), 1, per_layer=True)
-    kernels = (DECODE_STEP,) if missing == "step" else (DECODE_STEP, DECODE_ATTN, DECODE_MLP)
-    for kernel in kernels:
-        monkeypatch.setattr(kernel, "load", lambda: None)
+    monkeypatch.setattr(native.LIBRARY, "load", lambda: None)
     fused = make_batch(model, make_method("dip-ca"), 1)
     slots, tokens = admit(fused, [6])
     assert decode_step(model, engine_of(fused).method, fused.caches, slots, np.asarray([tokens]).T) is None
@@ -243,7 +237,7 @@ def test_decode_step_checks_each_layer_s_slots(served, slots, match):
 
 
 @pytest.mark.parametrize("done", [0, 3])
-def test_failed_scratch_allocation_raises(compiled_decode_attn, compiled_decode_mlp, monkeypatch, done):
+def test_failed_scratch_allocation_raises(compiled_kernels, monkeypatch, done):
     """A layer that cannot allocate stops the step: the layers before it
     have advanced, as they would have on the per-layer path."""
     model = CausalLM(CONFIG, seed=1)

@@ -55,6 +55,22 @@ class TestSparseInferenceEngine:
         engine.reset()
         assert method.stats.hits == 0
 
+    @pytest.mark.parametrize("bad", [-1, 64])
+    def test_ids_outside_the_vocabulary_are_refused(self, trained_tiny_model, bad):
+        """-1 would embed the last vocabulary row; 64 (= vocab_size) has no row."""
+        match = rf"token ids must lie in \[0, 64\), got {bad}"
+        engine = SparseInferenceEngine(trained_tiny_model, DenseBaseline())
+        for ids in ([1, 2, bad, 3], [1, 2, 3, bad]):  # context, and the last target alone
+            with pytest.raises(ValueError, match=match):
+                engine.perplexity([ids])
+            with pytest.raises(ValueError, match=match):
+                engine.sequence_log_likelihood(ids)
+        with pytest.raises(ValueError, match=match):
+            engine.generate([5, bad], 3, temperature=0.0)
+        for method in (DenseBaseline(), CacheAwareDIP(0.5)):  # batched, and DIP-CA's sequential fallback
+            with pytest.raises(ValueError, match=match):
+                SparseInferenceEngine(trained_tiny_model, method).generate_batch([[5, 6], [bad]], 2, temperature=0.0)
+
     def test_mask_recorder_errors(self):
         recorder = MaskRecorder(2)
         with pytest.raises(ValueError):

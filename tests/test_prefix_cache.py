@@ -164,16 +164,6 @@ class TestSeededKVSlots:
         with pytest.raises(RuntimeError, match="overflow"):
             cache.insert_slot(0, suffix_k, suffix_k, prefix=(prefix_k, prefix_k))
 
-    def test_seed_sets_append_position(self):
-        cache = KVCache(n_kv_heads=1, head_dim=2, max_seq_len=6, batch_size=1)
-        cache.seed(np.full((1, 3, 2), 5.0), np.full((1, 3, 2), 6.0))
-        assert cache.length == 3 and cache.lengths.tolist() == [3]
-        k_all, v_all = cache.append(np.full((1, 1, 2), 7.0), np.full((1, 1, 2), 8.0))
-        assert k_all.shape == (1, 4, 2)
-        assert np.array_equal(k_all[0, :, 0], [5, 5, 5, 7])
-        with pytest.raises(RuntimeError, match="overflow"):
-            cache.seed(np.ones((1, 9, 2)), np.ones((1, 9, 2)))
-
 
 @pytest.fixture()
 def shared_head_workload(rng):

@@ -199,7 +199,7 @@ class TestCompiledCAStepProperties:
 
     @given(stream=ca_streams(), levels=st.one_of(st.none(), st.integers(min_value=0, max_value=5)))
     @settings(max_examples=150, deadline=None)
-    def test_matches_numpy_loop_on_tie_free_scores(self, compiled_ca_step, stream, levels):
+    def test_matches_numpy_loop_on_tie_free_scores(self, compiled_kernels, stream, levels):
         """Normal rows, or (``levels``) small-integer rows full of ties: both
         paths keep the lower index among scores tied at the k-th place."""
         n, capacity, fraction, gamma, calls, seed = stream
@@ -226,7 +226,7 @@ class TestCompiledCAStepProperties:
 
     @given(stream=ca_streams(), levels=st.integers(min_value=0, max_value=5))
     @settings(max_examples=150, deadline=None)
-    def test_ties_go_to_the_lower_index(self, compiled_ca_step, stream, levels):
+    def test_ties_go_to_the_lower_index(self, compiled_kernels, stream, levels):
         """Small-integer rows tie often (at gamma 0.2 an uncached 5 ties a cached
         1 only if Eq. 10 rounds as numpy does): the kernel keeps exactly k
         units, none scoring below a dropped one, lower index first among equal

@@ -13,7 +13,7 @@ def ca_path(request, monkeypatch):
     if request.param == "numpy":
         monkeypatch.setattr(CA_STEP, "load", lambda: None)
     else:
-        request.getfixturevalue("compiled_ca_step")
+        request.getfixturevalue("compiled_kernels")
     return request.param
 
 

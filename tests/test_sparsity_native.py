@@ -1,16 +1,18 @@
 """The compiled kernels' loader (``repro.utils.native``) and the checks
 ``CacheAwareDIP`` makes before calling DIP-CA's step.
 
-Every loader case runs for all four kernels: DIP-CA's step
-(``_ca_step.c``), the decode attention (``_decode_attn.c``), the DIP/DIP-CA
-decode MLP (``_decode_mlp.c``) and the one-call decode step
-(``_decode_step.c``)."""
+The loader builds one library from one translation unit holding all four
+kernels: DIP-CA's step (``_ca_step.c``), the decode attention
+(``_decode_attn.c``), the DIP/DIP-CA decode MLP (``_decode_mlp.c``) and the
+one-call decode step (``_decode_step.c``), so each loader case runs once and
+checks all four handles."""
 
 import copy
 import ctypes
 import hashlib
 import logging
 import pickle
+import subprocess
 import sys
 import threading
 import warnings
@@ -44,10 +46,9 @@ def model():
 
 @pytest.fixture
 def fresh_loader(monkeypatch, tmp_path, caplog):
-    """Neither kernel loaded yet in this process, the cache directory under
+    """The library not loaded yet in this process, the cache directory under
     ``tmp_path``, and no warning (nor log record above DEBUG) allowed."""
-    for kernel in KERNELS:
-        monkeypatch.setattr(kernel, "_function", native._UNSET)
+    monkeypatch.setattr(native.LIBRARY, "_functions", native._UNSET)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
     caplog.set_level(logging.DEBUG, logger=native.__name__)
     with warnings.catch_warnings(record=True) as caught:
@@ -58,7 +59,7 @@ def fresh_loader(monkeypatch, tmp_path, caplog):
 
 
 @pytest.fixture
-def reference(compiled_ca_step, compiled_decode_attn, compiled_decode_mlp, compiled_decode_step, mlp, model):
+def reference(compiled_kernels, mlp, model):
     """What the compiled kernels serve, taken before ``fresh_loader`` resets the loader."""
     return serve(mlp), decode(model)
 
@@ -99,6 +100,23 @@ def assert_same_service(got, reference):
     assert hits == expected_hits
 
 
+def test_one_compiler_call_builds_one_library(compiled_kernels, fresh_loader, monkeypatch, mlp, model):
+    """DIP-CA prefill masks, the per-layer decode attention and MLP and the
+    one-call step all run from one library, built by one compiler call."""
+    calls, run = [], subprocess.run
+
+    def counted_run(command, *args, **kwargs):
+        calls.append(command)
+        return run(command, *args, **kwargs)
+
+    monkeypatch.setattr(native.subprocess, "run", counted_run)
+    serve(mlp)
+    decode(model)
+    assert all(kernel.load() is not None for kernel in KERNELS)
+    assert len(calls) == 1
+    assert len(list(fresh_loader.glob("*.so"))) == 1
+
+
 def test_missing_compiler_runs_the_numpy_step(reference, fresh_loader, monkeypatch, mlp, model):
     monkeypatch.setattr(native.shutil, "which", lambda name: None)
     assert [kernel.load() for kernel in KERNELS] == [None] * len(KERNELS)
@@ -106,27 +124,22 @@ def test_missing_compiler_runs_the_numpy_step(reference, fresh_loader, monkeypat
 
 
 def test_failed_compile_runs_the_numpy_step(reference, fresh_loader, monkeypatch, tmp_path, mlp, model):
-    for kernel in KERNELS:
-        broken = tmp_path / kernel.source.name
-        broken.write_text(f"int64_t {kernel.symbol}(void) {{ return }}\n")
-        monkeypatch.setattr(kernel, "source", broken)
+    broken = tmp_path / native.LIBRARY.source.name
+    broken.write_text("int64_t decode_step(void) { return }\n")
+    monkeypatch.setattr(native.LIBRARY, "source", broken)
     assert [kernel.load() for kernel in KERNELS] == [None] * len(KERNELS)
     assert list(fresh_loader.iterdir()) == []
     assert_same_service((serve(mlp), decode(model)), reference)
 
 
-def test_truncated_library_is_never_loaded(
-    compiled_ca_step, compiled_decode_attn, compiled_decode_mlp, compiled_decode_step, fresh_loader, monkeypatch,
-    tmp_path,
-):
-    # A second cache directory holding only truncated copies under the built names.
+def test_truncated_library_is_never_loaded(compiled_kernels, fresh_loader, monkeypatch, tmp_path):
+    # A second cache directory holding only a truncated copy under the built name.
     other = tmp_path / "other"
     (other / "repro").mkdir(parents=True, mode=0o700)
-    for kernel in KERNELS:
-        assert kernel.load() is not None
-        (built,) = fresh_loader.glob(f"{kernel.symbol}-*.so")
-        (other / "repro" / built.name).write_bytes(built.read_bytes()[: built.stat().st_size // 2])
-        monkeypatch.setattr(kernel, "_function", native._UNSET)
+    assert native.LIBRARY.load() is not None
+    (built,) = fresh_loader.glob("*.so")
+    (other / "repro" / built.name).write_bytes(built.read_bytes()[: built.stat().st_size // 2])
+    monkeypatch.setattr(native.LIBRARY, "_functions", native._UNSET)
     monkeypatch.setenv("XDG_CACHE_HOME", str(other))
     opened, cdll = [], ctypes.CDLL
 
@@ -137,33 +150,24 @@ def test_truncated_library_is_never_loaded(
 
     monkeypatch.setattr(ctypes, "CDLL", checked_cdll)
     assert all(kernel.load() is not None for kernel in KERNELS)
-    assert opened == [True] * len(KERNELS)
+    assert opened == [True]
 
 
-def test_edited_header_builds_a_new_library(
-    compiled_ca_step, compiled_decode_mlp, compiled_decode_step, fresh_loader, monkeypatch, tmp_path
-):
-    """Both DIP kernels and the one-call step include the per-row step's
-    header, and its bytes are part of each library's name."""
-    including = (CA_STEP, DECODE_MLP, DECODE_STEP)
-    for kernel in including:
-        assert kernel.load() is not None
-    built = sorted(path.name for path in fresh_loader.glob("*.so"))
-    header = tmp_path / "_ca_row.h"
-    header.write_bytes(CA_STEP.headers[0].read_bytes() + b"/* edited */\n")
-    for kernel in including:
-        headers = tuple(header if path.name == header.name else path for path in kernel.headers)
-        assert header in headers
-        monkeypatch.setattr(kernel, "headers", headers)
-        monkeypatch.setattr(kernel, "_function", native._UNSET)
-        assert kernel.load() is not None
-    rebuilt = sorted(path.name for path in fresh_loader.glob("*.so"))
-    assert len(rebuilt) == len(built) + len(including) and set(built) < set(rebuilt)
+def test_edited_header_builds_a_new_library(compiled_kernels, fresh_loader, monkeypatch, tmp_path):
+    """The library's name covers the per-row step's header, which its source includes."""
+    assert native.LIBRARY.load() is not None
+    (built,) = fresh_loader.glob("*.so")
+    edited = tmp_path / "_ca_row.h"
+    headers = [edited if path.name == edited.name else path for path in native.LIBRARY.headers]
+    edited.write_bytes(native.LIBRARY.headers[headers.index(edited)].read_bytes() + b"/* edited */\n")
+    monkeypatch.setattr(native.LIBRARY, "headers", tuple(headers))
+    monkeypatch.setattr(native.LIBRARY, "_functions", native._UNSET)
+    assert all(kernel.load() is not None for kernel in KERNELS)
+    rebuilt = sorted(fresh_loader.glob("*.so"))
+    assert len(rebuilt) == 2 and built in rebuilt
 
 
-def test_cache_directory_others_can_write_is_not_used(
-    compiled_ca_step, compiled_decode_attn, compiled_decode_mlp, compiled_decode_step, fresh_loader
-):
+def test_cache_directory_others_can_write_is_not_used(compiled_kernels, fresh_loader):
     fresh_loader.mkdir(mode=0o700)
     fresh_loader.chmod(0o777)
     assert [kernel.load() for kernel in KERNELS] == [None] * len(KERNELS)
@@ -171,7 +175,7 @@ def test_cache_directory_others_can_write_is_not_used(
 
 
 @pytest.mark.parametrize("clone", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))], ids=["deepcopy", "pickle"])
-def test_copy_serves_on_its_own_caches(compiled_ca_step, mlp, clone):
+def test_copy_serves_on_its_own_caches(compiled_kernels, mlp, clone):
     rng = np.random.default_rng(3)
     method = CacheAwareDIP(0.5, gamma=0.2, cache_fraction=0.4)
     method.compute_masks(mlp, 0, rng.normal(size=(5, mlp.d_model)))
@@ -187,7 +191,7 @@ def test_copy_serves_on_its_own_caches(compiled_ca_step, mlp, clone):
     assert np.array_equal(copied_masks.down_mask, original_masks.down_mask)
 
 
-def test_copies_serve_concurrently_on_their_own_state(compiled_ca_step):
+def test_copies_serve_concurrently_on_their_own_state(compiled_kernels):
     """Threads serving deep copies at once get the masks each copy gets on its
     own.  The kernel runs without the GIL, so with groups this wide the calls
     overlap; a scratch buffer shared between caches would corrupt them."""
