@@ -14,7 +14,7 @@ setup(
     packages=find_packages(where="src"),
     package_data={"repro": ["py.typed", "sparsity/_ca_step.c", "sparsity/_ca_row.h",
                            "sparsity/_decode_mlp.c", "nn/_decode_attn.c",
-                           "engine/_decode_step.c"]},
+                           "engine/_decode_step.c", "utils/_vector.h"]},
     python_requires=">=3.10",
     install_requires=["numpy>=1.24"],
 )

@@ -135,6 +135,16 @@ class GatherGEMMBackend(NumpyBackend):
         self.stats: Dict[str, int] = {}
         self.reset_stats()
 
+    def __getstate__(self):
+        """Copies and pickles hold the caches and statistics, not the lock."""
+        state = self.__dict__.copy()
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
+
     # ---------------------------------------------------------------- stats
     def reset_stats(self) -> None:
         """Zero the gather/dense decision and cache counters.

@@ -1,29 +1,32 @@
-/* Every block of a narrow DIP or DIP-CA decode step in one call.
+/* Every block of a narrow DIP or DIP-CA decode step, and the head, in one
+   call.
 
-   decode_step is the compiled twin of the block loop of
-   CausalLM.forward_array when each of B rows adds one token through
-   ContinuousBatch's slot views and a DynamicInputPruning or CacheAwareDIP
-   method sends every layer's MLP to decode_mlp.  For each layer l in
-   order, on the hidden states x (B, d_model), it runs
+   decode_step is the compiled twin of CausalLM.forward_array after the
+   embedding when each of B rows adds one token through ContinuousBatch's
+   slot views and a DynamicInputPruning or CacheAwareDIP method sends every
+   layer's MLP to decode_mlp.  For each layer l in order, on the hidden
+   states x (B, d_model), it runs
 
      1. decode_attn (_decode_attn.c) with layer l's block, cache and rows
         (rows + 3 * B * l: each row's slot, write index and RoPE position),
         giving the residual h and the MLP input;
      2. decode_mlp (_decode_mlp.c) on that MLP input, which writes
         hits[l];
-     3. x = h + the MLP output, the add TransformerBlock.forward_array does.
+     3. x = h + the MLP output, the add TransformerBlock.forward_array does;
 
-   Both kernels are the ones the per-layer path calls, included here, and
-   the add rounds as numpy's does, so x ends bit for bit where six
-   per-layer calls leave it.  The caller checks every layer first.  Returns
-   the halves run, 2 * n_layers when every layer has run: a layer's
+   then decode_head (_decode_attn.c) on x, which writes logits (B, vocab).
+   Every kernel is the one the per-layer path calls (CausalLM.logits_array
+   runs decode_head too), included here, and the add rounds as numpy's
+   does, so the logits are bit for bit those of the per-layer calls and the
+   head.  The caller checks every layer first.  Returns the parts run,
+   2 * n_layers + 1 when every layer and the head have run: a layer's
    attention half that cannot allocate its scratch memory leaves its layer
-   unwritten, an MLP half leaves it after its attention, and every earlier
-   layer has run whole.
+   unwritten, an MLP half leaves it after its attention, the head leaves
+   the logits unwritten, and every earlier layer has run whole.
 
    This file is also the one translation unit of the package's C kernels:
    with _ca_step.c included too, one compiler call builds ca_step,
-   decode_attn, decode_mlp and decode_step into one library
+   decode_attn, decode_head, decode_mlp and decode_step into one library
    (repro.utils.native), so they load all together or not at all. */
 
 #include "../nn/_decode_attn.c"
@@ -38,7 +41,7 @@ struct layer {
 };
 
 int64_t decode_step(const struct layer *layers, int64_t n_layers, int64_t B, double *x, const int64_t *rows,
-                    int64_t *hits) {
+                    int64_t *hits, const struct head *head, double *logits) {
     const int64_t n = B * layers[0].block->d_model;
     double *attended = malloc((size_t)(3 * n) * sizeof(double));
     if (attended == NULL) return 0;
@@ -53,5 +56,6 @@ int64_t decode_step(const struct layer *layers, int64_t n_layers, int64_t B, dou
         for (int64_t i = 0; i < n; i++) x[i] = attended[i] + mlp_out[i];
     }
     free(attended);
+    if (done == 2 * n_layers && decode_head(head, B, x, logits) == 0) done++;
     return done;
 }

@@ -1,97 +1,185 @@
-"""Every block of a narrow DIP/DIP-CA decode step in one C call (``_decode_step.c``).
+"""Every block of a narrow DIP/DIP-CA decode step, and the head, in one C call
+(``_decode_step.c``).
 
 :func:`decode_step` serves :meth:`ContinuousBatch.step
 <repro.engine.inference.ContinuousBatch.step>` for a batch built by
 :meth:`~repro.engine.inference.ContinuousBatch.from_engine`.  One call of the
 kernel runs, for each block in order, the compiled attention half
 (:mod:`repro.nn.decode_attn`), the compiled DIP/DIP-CA MLP
-(:mod:`repro.sparsity.decode_mlp`) and the residual add, where the per-layer
-path makes two calls per block and the Python between them.  The embedding
-lookup, the final RMSNorm and the lm_head stay in numpy, the head through
-:meth:`CausalLM.logits_array <repro.nn.transformer.CausalLM.logits_array>`
-as in :meth:`CausalLM.forward_array
-<repro.nn.transformer.CausalLM.forward_array>`, so the logits are bit for
-bit those of the per-layer path.
+(:mod:`repro.sparsity.decode_mlp`) and the residual add, then the final
+RMSNorm and the head (:func:`~repro.nn.decode_attn.decode_head`), where the
+per-layer path makes two calls per block and one for the head, with Python
+between them.  The head is the function :meth:`CausalLM.logits_array
+<repro.nn.transformer.CausalLM.logits_array>` calls on one position, so the
+logits are bit for bit those of the per-layer path.  The embedding lookup
+stays in numpy: step ids are not range-checked, and numpy's indexing refuses
+an id past the table.
 
 It serves a step exactly when the per-layer path would send every block's
-attention half to the compiled decode attention and its MLP to the compiled
-decode MLP (method exactly DIP or DIP-CA, SiLU, float64, rows x MLP density
-<= 1, arrays the kernels can use, the kernel library built), and returns
-``None`` otherwise, so the per-layer path runs.  The kernel is a function of
-the one library that holds the other two (:data:`repro.utils.native.LIBRARY`),
-so it loads exactly when they do.
+attention half to the compiled decode attention, its MLP to the compiled
+decode MLP and its head to the compiled head (method exactly DIP or DIP-CA,
+SiLU, float64, rows x MLP density <= 1, arrays the kernels can use, no
+``lm_head`` bias, the kernel library built), and returns ``None``
+otherwise, so the per-layer path runs.  The kernel is a function of the one
+library that holds the others (:data:`repro.utils.native.LIBRARY`), so it
+loads exactly when they do.
 
-Every check the per-layer bindings make runs for each block before the one
-call, through the helpers they use: :func:`~repro.nn.decode_attn.slot_rows`
-(slot range and distinctness, each layer's lengths against its RoPE table
-and its cache), :func:`~repro.nn.decode_attn.bindings` (weights,
-norms, RoPE tables and cache arrays, bound again when replaced) and
-:func:`~repro.sparsity.decode_mlp.bound_layer` (the MLP weights and DIP-CA's
-cache arrays).  So an error the per-layer path raises is raised before any
-length, K/V entry or DIP-CA cache changes.  DIP-CA's caches,
-``token_index`` and ``CacheHitStats`` advance as one per-layer call per
-block advances them (:func:`~repro.sparsity.decode_mlp.advance`).
+A :class:`StepBinding` holds every layer's bindings and the head's, made
+through the per-layer helpers with every check they make:
+:func:`~repro.nn.decode_attn.bindings` (weights, norms, RoPE tables and cache
+arrays), :func:`~repro.sparsity.decode_mlp.bound_layer` (the MLP weights,
+keep counts and DIP-CA's cache arrays) and
+:func:`~repro.nn.decode_attn.head_binding`.  A caller that passes a
+``holder`` keeps the binding on it (``holder._bound``) between steps, as
+``ContinuousBatch`` does; each step then gathers what the binding was made
+from and compares it by identity, and binds again when an array or scalar
+has been replaced.  So a served step runs that one identity pass, one slot
+check (:func:`~repro.nn.decode_attn.check_slots`), one length, RoPE and
+overflow check per layer (:func:`~repro.nn.decode_attn.slot_positions`), the
+call and one pass of DIP-CA bookkeeping
+(:func:`~repro.sparsity.decode_mlp.advance`).  An error the per-layer path
+raises is raised before any length, K/V entry or DIP-CA cache changes.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+import ctypes
+import operator
+from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
 from repro.nn.attention import KVCache
-from repro.nn.decode_attn import bindings, slot_rows
+from repro.nn.decode_attn import (
+    bindings,
+    block_state,
+    cache_state,
+    check_slots,
+    head_binding,
+    head_state,
+    slot_positions,
+)
 from repro.nn.transformer import CausalLM
 from repro.sparsity.base import SparsityMethod
-from repro.sparsity.decode_mlp import advance, bound_layer
+from repro.sparsity.decode_mlp import SERVED, advance, bound_layer, layer_sources
 from repro.utils.native import CompiledKernel, address
 
 DECODE_STEP = CompiledKernel("decode_step")
 
 
+def _sources(model: CausalLM, method: SparsityMethod, caches: Sequence[KVCache]) -> List[Any]:
+    """Everything a :class:`StepBinding` is made from, in one list: each
+    layer's block, cache and MLP sources, then the head's."""
+    sources: List[Any] = []
+    for block, cache in zip(model.blocks, caches):
+        sources += block_state(block)
+        sources += cache_state(cache)
+        sources += layer_sources(method, block.mlp, block.layer_index)
+    sources += head_state(model)
+    return sources
+
+
+class StepBinding:
+    """The bindings one step's call reads, for every layer and the head.
+
+    ``sources`` is what they were made from (:func:`_sources`); ``structs``
+    holds each layer's ``struct block``, ``struct cache`` and ``struct
+    mlp`` addresses, the array the kernel takes.  The per-layer bindings are
+    held here, so their structs live as long as the binding.
+    """
+
+    __slots__ = ("sources", "attention", "mlps", "head", "structs", "rope_lens", "batch_size", "d_model")
+
+    def __init__(self, sources: List[Any], attention: list, mlps: list, head: tuple) -> None:
+        self.sources, self.attention, self.mlps, self.head = sources, attention, mlps, head
+        addresses = [a for (block, cache), mlp in zip(attention, mlps) for a in (block[2], cache[2], mlp.address)]
+        self.structs = (ctypes.c_void_p * len(addresses))(*addresses)
+        self.rope_lens = [block[0][6].shape[0] for block, _ in attention]  # the bound RoPE tables
+        self.batch_size = min(cache[0][2].shape[0] for _, cache in attention)  # the bound lengths
+        self.d_model = head[1].d_model
+
+
+def _bind(model: CausalLM, method: SparsityMethod, caches: Sequence[KVCache], rows: int) -> Optional[StepBinding]:
+    """A :class:`StepBinding` for ``rows`` rows, or ``None`` when a layer
+    or the head is one the per-layer path runs on numpy."""
+    head = head_binding(model)
+    if head is None:
+        return None
+    attention, mlps, sources = [], [], []
+    for block, cache in zip(model.blocks, caches):
+        mlp = bound_layer(method, block.mlp, block.layer_index, rows)
+        held = bindings(block, cache)
+        if mlp is None or held is None or not held[0][1].d_model == mlp.struct.d_model == head[1].d_model:
+            return None
+        attention.append(held)
+        mlps.append(mlp)
+        sources += held[0][0]
+        sources += held[1][0]
+        sources += mlp.sources
+    sources += head[0]
+    return StepBinding(sources, attention, mlps, head)
+
+
 def decode_step(
-    model: CausalLM, method: SparsityMethod, caches: Sequence[KVCache], slots: List[int], ids: np.ndarray
+    model: CausalLM,
+    method: SparsityMethod,
+    caches: Sequence[KVCache],
+    slots: List[int],
+    ids: np.ndarray,
+    holder: Any = None,
 ) -> Optional[np.ndarray]:
     """Next-token logits ``(len(slots), vocab)`` of ``model`` under
     ``method`` after token ``ids[i, 0]`` is appended to slot ``slots[i]`` of
-    every layer's cache, or ``None`` when the per-layer path must run."""
-    if len(caches) != len(model.blocks):
+    every layer's cache, or ``None`` when the per-layer path must run.
+    ``holder._bound`` keeps the step's binding between calls when a holder
+    is given."""
+    width, config = len(slots), model.config
+    if type(method) not in SERVED or len(caches) != len(model.blocks):
+        return None  # first, so other methods never load a kernel
+    if width * method.expected_density(config.d_model, config.d_ffn) > 1.0:
         return None
-    batch = len(slots)
-    mlps = []
-    for block in model.blocks:  # first, so other methods never load a kernel
-        layer = bound_layer(method, block.mlp, block.layer_index, batch)
-        if layer is None:
-            return None
-        mlps.append(layer)
     kernel = DECODE_STEP.load()
     if kernel is None:
         return None
-    x = model.embedding.forward_array(ids)  # (batch, 1, d_model)
-    if x.dtype != np.float64:
-        return None
-    attentions, structs, rows, tops = [], [], [], []  # the bindings stay referenced through the call
-    for block, cache, mlp in zip(model.blocks, caches, mlps):
-        layer_rows, top = slot_rows(block, cache, slots)
-        attention = bindings(block, cache)
-        if attention is None:
+    bound = None if holder is None else holder._bound
+    sources = _sources(model, method, caches)
+    if bound is None or len(sources) != len(bound.sources) or not all(map(operator.is_, sources, bound.sources)):
+        bound = _bind(model, method, caches, width)
+        if holder is not None:
+            holder._bound = bound
+        if bound is None:
             return None
-        attentions.append(attention)
-        structs += (attention[0][2], attention[1][2], mlp[0][3])
-        rows += layer_rows
-        tops.append(top)
 
+    check_slots(slots, bound.batch_size)
+    rows: List[int] = []
+    tops = []
+    for cache, rope_len in zip(caches, bound.rope_lens):
+        written, top = slot_positions(cache, slots, rope_len)
+        rows += slots
+        rows += written
+        rows += written
+        tops.append(top)
+    x = model.embedding.forward_array(ids)  # (width, 1, d_model)
+    if x.dtype != np.float64 or x.shape[-1] != bound.d_model:
+        return None
     n_layers = len(tops)
-    structs_array = np.array(structs, dtype=np.uintp)
-    rows_array = np.array(rows, dtype=np.int64)
-    hits = np.zeros(n_layers, dtype=np.int64)
-    x = np.ascontiguousarray(x)
-    done = kernel(address(structs_array), n_layers, batch, address(x), address(rows_array), address(hits))
-    for layer_index, (cache, mlp, top, layer_hits) in enumerate(zip(caches, mlps, tops, hits.tolist())):
-        if 2 * layer_index < done:
-            cache.length = max(cache.length, top + 1)
-        if 2 * layer_index + 1 < done:
-            advance(method, mlp, batch, layer_hits)
-    if done < 2 * n_layers:
+    hits = (ctypes.c_int64 * n_layers)()
+    logits = np.empty((width, bound.head[1].vocab))
+    done = kernel(
+        bound.structs,
+        n_layers,
+        width,
+        address(x),
+        (ctypes.c_int64 * len(rows))(*rows),
+        hits,
+        bound.head[2],
+        address(logits),
+    )
+    attended, mlps = min((done + 1) // 2, n_layers), min(done // 2, n_layers)  # the layers' halves that ran
+    for cache, top in zip(caches[:attended], tops):
+        if cache.length <= top:
+            cache.length = top + 1
+    advance(method, bound.mlps[:mlps], width, hits[:mlps])
+    if done <= 2 * n_layers:
         raise MemoryError("the one-call decode step could not allocate its scratch memory")
-    return model.logits_array(x)[:, -1, :]
+    return logits

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.backend import BackendLike, use_backend
 from repro.engine.decode_step import decode_step
-from repro.nn.attention import KVCache
+from repro.nn.embedding import check_ids, check_prompt
 from repro.nn.prefix_cache import PrefixCache, PrefixMatch
 from repro.nn.transformer import CausalLM, TransformerBlock, _sample_token, left_pad_ragged
 from repro.sparsity.base import MLPMasks, SparsityMethod, masks_mlp_density
@@ -233,10 +233,13 @@ class SparseInferenceEngine:
             out = out.reshape(batch, seq, d_model)
         return out
 
-    def _fused_step(self, caches: List[KVCache], slots: List[int], ids: np.ndarray) -> Optional[np.ndarray]:
-        # Every block of a narrow DIP/DIP-CA step in one compiled call; like
-        # the compiled decode MLP, it yields no masks to record.
-        return None if self.recorder is not None else decode_step(self.model, self.method, caches, slots, ids)
+    def _fused_step(self, batch: "ContinuousBatch", slots: List[int], ids: np.ndarray) -> Optional[np.ndarray]:
+        # Every block of a narrow DIP/DIP-CA step in one compiled call, the
+        # binding kept on the batch; like the compiled decode MLP, it yields
+        # no masks to record.
+        if self.recorder is not None:
+            return None
+        return decode_step(self.model, self.method, batch.caches, slots, ids, batch)
 
     # ------------------------------------------------------------------- API
     def reset(self) -> None:
@@ -322,7 +325,10 @@ class SparseInferenceEngine:
 
         Normalises each picked logit by ``logsumexp`` directly instead of
         materialising the full ``(batch, L-1, vocab)`` log-softmax array.
+        ``ValueError`` for sequences shorter than two tokens.
         """
+        if ids.shape[1] < 2:
+            raise ValueError("a sequence needs at least two tokens to have a target")
         check_ids(ids, self.model.config.vocab_size)  # the last ids are targets only, never logits inputs
         logits = self.logits(ids[:, :-1])
         targets = ids[:, 1:]
@@ -363,9 +369,10 @@ class SparseInferenceEngine:
         rng=None,
     ) -> np.ndarray:
         """Autoregressive sampling with the sparsity method active;
-        ``ValueError`` for a prompt id outside the vocabulary."""
+        ``ValueError`` for an empty prompt or an id outside the vocabulary
+        (:meth:`CausalLM.generate <repro.nn.transformer.CausalLM.generate>`
+        checks it)."""
         prompt = np.asarray(list(prompt_ids), dtype=np.int64)
-        check_ids(prompt, self.model.config.vocab_size)
         with use_backend(self.backend):
             return self.model.generate(
                 prompt, max_new_tokens, temperature=temperature, rng=rng, mlp_override=self._mlp_override
@@ -439,6 +446,11 @@ class ContinuousBatch:
     tokens admitted vs. actually forwarded, so callers can report savings.
     """
 
+    #: The one-call decode step's binding of this batch's model, method and
+    #: caches (:mod:`repro.engine.decode_step`).  Holds addresses, so copies
+    #: and pickles start without it.
+    _bound = None
+
     def __init__(
         self,
         model: CausalLM,
@@ -468,11 +480,17 @@ class ContinuousBatch:
         #: Run before every admission: :meth:`from_engine` sets it to
         #: ``engine.reset`` for cache-state methods.
         self.reset_method: Optional[Callable[[], None]] = None
-        #: Tried first by every :meth:`step` as ``fused_step(caches, slots,
-        #: ids)``: :meth:`from_engine` sets it to the engine's one-call step
-        #: (:mod:`repro.engine.decode_step`), which returns the step's logits,
-        #: or ``None`` when the per-layer path must run.
-        self.fused_step: Optional[Callable[[List[KVCache], List[int], np.ndarray], Optional[np.ndarray]]] = None
+        #: Tried first by every :meth:`step` as ``fused_step(batch, slots,
+        #: ids)``, outside the backend scope: :meth:`from_engine` sets it to
+        #: the engine's one-call step (:mod:`repro.engine.decode_step`), which
+        #: returns the step's logits, or ``None`` when the per-layer path must
+        #: run.
+        self.fused_step: Optional[Callable[["ContinuousBatch", List[int], np.ndarray], Optional[np.ndarray]]] = None
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_bound", None)
+        return state
 
     @classmethod
     def from_engine(cls, engine: SparseInferenceEngine, **kwargs) -> "ContinuousBatch":
@@ -539,8 +557,10 @@ class ContinuousBatch:
         and packed by suffix length.  Every prefilled prompt is published
         back to the cache (whole blocks only) so later admissions can share
         its head.  ``cache_prefix[i]=False`` opts prompt ``i`` out of both
-        lookup and publication.  A forward that raises fails the whole
-        admission: no slot is taken and no prefill counter moves.
+        lookup and publication.  An empty prompt or an id outside the
+        vocabulary raises ``ValueError`` before any forward, and a forward
+        that raises fails the whole admission: no slot is taken and no
+        prefill counter moves.
         """
         prompts = [np.asarray(p, dtype=np.int64).reshape(-1) for p in prompts]
         n = len(prompts)
@@ -548,6 +568,7 @@ class ContinuousBatch:
         if n > len(free):
             raise ValueError(f"cannot admit {n} prompts into {len(free)} free slots")
         for prompt in prompts:
+            check_prompt(prompt, self.model.config.vocab_size)
             check_budget(len(prompt), 1, self.max_seq_len)
         if cache_prefix is not None and len(cache_prefix) != n:
             raise ValueError("cache_prefix must have one entry per prompt")
@@ -655,8 +676,8 @@ class ContinuousBatch:
         ``tokens[i]`` is appended to ``slots[i]`` — slots may sit at different
         sequence lengths.  Each layer's slot view gives every slot its own
         RoPE position and hides the key positions past its length.  A step
-        the ``fused_step`` serves builds no slot views and no per-layer
-        forward; its logits are the same bits.
+        the ``fused_step`` serves builds no slot views, no per-layer forward
+        and no backend scope; its logits are the same bits.
         """
         slots = [int(s) for s in slots]
         if not slots:
@@ -667,12 +688,13 @@ class ContinuousBatch:
             if not self.occupied[slot]:
                 raise ValueError(f"slot {slot} is not occupied")
         ids = np.asarray(tokens, dtype=np.int64).reshape(len(slots), 1)
-        if int(self.caches[0].lengths[slots].max()) + 1 > self.max_seq_len:
+        lengths = self.caches[0].lengths.tolist()
+        if max(lengths[slot] for slot in slots) + 1 > self.max_seq_len:
             raise RuntimeError("KV cache overflow; evict finished slots or raise max_seq_len")
-        with use_backend(self.backend):
-            logits = None if self.fused_step is None else self.fused_step(self.caches, slots, ids)
-            if logits is None:
-                slot_ids = np.asarray(slots, dtype=np.int64)
+        logits = None if self.fused_step is None else self.fused_step(self, slots, ids)
+        if logits is None:
+            slot_ids = np.asarray(slots, dtype=np.int64)
+            with use_backend(self.backend):
                 logits = self.model.forward_array(
                     ids,
                     kv_caches=[cache.slot_view(slot_ids) for cache in self.caches],
@@ -713,32 +735,6 @@ def check_budget(prompt_len: int, max_new_tokens: int, max_seq_len: int) -> None
             f"prompt of {prompt_len} tokens + max_new_tokens={max_new_tokens} exceeds "
             f"max_seq_len={max_seq_len}; at most {room + 1} new tokens fit"
         )
-
-
-def check_ids(ids: np.ndarray, vocab_size: int) -> None:
-    """Raise ``ValueError`` unless every token id in ``ids`` lies in ``[0, vocab_size)``.
-
-    The embedding indexes its table with the ids, so without this check
-    ``-1`` would silently embed the last vocabulary row.
-    """
-    if ids.size:
-        low, high = int(ids.min()), int(ids.max())
-        if low < 0 or high >= vocab_size:
-            raise ValueError(f"token ids must lie in [0, {vocab_size}), got {low if low < 0 else high}")
-
-
-def check_prompt(prompt: Sequence[int], vocab_size: int) -> None:
-    """Raise ``ValueError`` unless ``prompt`` holds at least one token id
-    and every id lies in ``[0, vocab_size)``.
-
-    Prompts admitted together prefill in shared forwards, so one id the
-    embedding cannot look up would fail every prompt beside it; such a
-    prompt is refused up front instead.
-    """
-    ids = np.asarray(prompt)
-    if ids.size == 0:
-        raise ValueError("prompt must hold at least one token id")
-    check_ids(ids, vocab_size)
 
 
 class DecodeRequest:
@@ -839,8 +835,10 @@ class ContinuousDecoder(Generic[RequestT]):
 
     def admit(self) -> List[RequestT]:
         """Prefill queued requests into the free slots and sample their first token."""
+        if not self.waiting:
+            return []
         n_free = len(self.batch.free_slots())
-        if not self.waiting or not n_free:
+        if not n_free:
             return []
         if self.admission == "shortest":
             self.waiting.sort(key=lambda r: len(r.prompt))

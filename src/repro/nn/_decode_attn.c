@@ -1,4 +1,5 @@
-/* The attention half of a TransformerBlock for one decode step.
+/* The attention half of a TransformerBlock for one decode step, and the
+   model's head.
 
    decode_attn is the compiled twin of what TransformerBlock.forward_array
    does with numpy when each of B rows adds one token through a KV cache:
@@ -14,34 +15,31 @@
      3. rotates q and k at position p;
      4. writes k and v at [s, :, w] of the cache and sets lengths[s] = w + 1;
      5. for each query head, takes a softmax over keys 0..w of its KV head,
-        adding bias[b * bias_stride + j] to key j's score when bias is set;
+        adding bias[b * bias_stride + j] to key j's score when bias is set:
+        the scores less their largest, exponentiated in one vectorised loop
+        (exp_in_place, _vector.h), then summed in key order;
      6. forms the context vector, its O projection and the residual h[b];
      7. normalises h[b] with mlp_norm into mlp_in[b].
 
-   out holds h then mlp_in, each (B, d_model).  A row never reads another
-   row's results, and every sum runs in an order fixed by the geometry
-   alone, so a row's numbers do not depend on B or its neighbours.  They
-   agree with numpy to rounding, not bit for bit: numpy sums in other
-   orders and its exp differs.  repro.utils.native builds it with
-   -ffp-contract=off and without -ffast-math; the hot loops are compiled
-   once per vector width and picked at load time.  The caller checks every
-   dtype, shape, index and bias first.  Returns 0, or -1 when scratch memory
-   cannot be allocated, before anything is written. */
+   out holds h then mlp_in, each (B, d_model).  decode_head is the twin of
+   CausalLM.logits_array on one position per row: the final RMSNorm of each
+   row of x, then its logits against the (vocab, d_model) head weight (the
+   tied embedding, or an lm_head without bias), read in place.
+
+   A row never reads another row's results, and every sum runs in an order
+   fixed by the geometry alone, so a row's numbers do not depend on B or its
+   neighbours.  They agree with numpy to rounding, not bit for bit: numpy
+   sums in other orders and its exp differs.  repro.utils.native builds them
+   with -ffp-contract=off and without -ffast-math; the hot loops are
+   compiled once per vector width and picked at load time.  The caller
+   checks every dtype, shape, index and bias first.  Both return 0, or -1
+   when scratch memory cannot be allocated, before anything is written. */
 
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 
-#if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
-#if __has_attribute(target_clones)
-#define VECTOR_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
-#endif
-#endif
-#ifndef VECTOR_CLONES
-#define VECTOR_CLONES
-#endif
-
-#define INLINE static inline __attribute__((always_inline))
+#include "../utils/_vector.h"
 
 struct block {
     int64_t d_model, n_heads, n_kv_heads, head_dim;
@@ -130,10 +128,9 @@ int64_t decode_attn(const struct block *blk, const struct cache *kv, int64_t B, 
                 if (row_bias != NULL) score[j] += row_bias[j];
                 top = score[j] > top ? score[j] : top;
             }
-            for (int64_t j = 0; j <= w; j++) {
-                score[j] = exp(score[j] - top);
-                total += score[j];
-            }
+            for (int64_t j = 0; j <= w; j++) score[j] -= top;
+            exp_in_place(score, w + 1);
+            for (int64_t j = 0; j <= w; j++) total += score[j];
             for (int64_t i = 0; i < hd; i++) ch[i] = 0.0;
             for (int64_t j = 0; j <= w; j++) {
                 const double weight = score[j] / total;
@@ -147,5 +144,22 @@ int64_t decode_attn(const struct block *blk, const struct cache *kv, int64_t B, 
         rmsnorm(h + b * d, blk->mlp_norm, blk->mlp_eps, d, mlp_in + b * d);
     }
     free(scratch);
+    return 0;
+}
+
+struct head {
+    int64_t d_model, vocab;
+    double eps;
+    const double *norm, *weight;
+};
+
+VECTOR_CLONES
+int64_t decode_head(const struct head *hd, int64_t B, const double *x, double *logits) {
+    const int64_t d = hd->d_model;
+    double *normed = malloc((size_t)(B * d) * sizeof(double));
+    if (normed == NULL) return -1;
+    for (int64_t b = 0; b < B; b++) rmsnorm(x + b * d, hd->norm, hd->eps, d, normed + b * d);
+    gemv(hd->weight, normed, B, hd->vocab, d, logits);
+    free(normed);
     return 0;
 }

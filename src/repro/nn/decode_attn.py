@@ -1,4 +1,4 @@
-"""The attention half of a decode step in one C call (``_decode_attn.c``).
+"""The attention half of a decode step, and the head, in C calls (``_decode_attn.c``).
 
 :func:`decode_attention` serves :meth:`TransformerBlock.forward_array
 <repro.nn.transformer.TransformerBlock.forward_array>` whenever a forward
@@ -17,15 +17,24 @@ Each row's cache row, write index and RoPE position come from the cache:
   ``cache.length``; ``position_ids`` override its RoPE position and an
   ``attention_mask`` (left-pad key bias) is added to its scores.
 
-It returns ``None`` when the kernel cannot serve a call (no compiler, not
+:func:`decode_head` serves :meth:`CausalLM.logits_array
+<repro.nn.transformer.CausalLM.logits_array>` for every input of one
+position per row (decode steps, and prefill's ``last_only`` logits): the
+final RMSNorm, then the tied embedding or an ``lm_head`` without bias, in
+one call.  The one-call decode step (:mod:`repro.engine.decode_step`) runs
+the same function after its last block, so both paths give the same logits.
+
+Both return ``None`` when the kernel cannot serve a call (no compiler, not
 float64, another shape, weights it cannot read in place), and the numpy path
 runs instead; that path also stays the reference the tests compare against.
 Results agree with it to rounding, not bit for bit.  Everything the kernel
-indexes by is checked here first: a slot view's rows by :func:`slot_rows`,
-the arrays by :func:`bindings`, the two checks the one-call decode
-step (:mod:`repro.engine.decode_step`) runs for each block too.  Weight and
-cache addresses are bound once per block and cache, re-bound when an array
-is replaced, and never copied or pickled.
+indexes by is checked here first: a slot view's slots by
+:func:`check_slots` and their positions by :func:`slot_positions`, the
+arrays by :func:`bindings` and :func:`head_binding`, the helpers the
+one-call decode step runs too.  Weight and cache addresses are bound once
+per block, cache and model, with every dtype, shape and contiguity check
+made then; later calls compare the arrays and scalars by identity and bind
+again when one is replaced.  Bindings are never copied or pickled.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ from repro.nn.attention import KVCache, KVCacheSlotView
 from repro.utils.native import CompiledKernel, address
 
 if TYPE_CHECKING:
-    from repro.nn.transformer import TransformerBlock
+    from repro.nn.transformer import CausalLM, TransformerBlock
 
 _size, _double, _pointer = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 
@@ -61,41 +70,50 @@ class _Cache(ctypes.Structure):
     _fields_ = [("max_seq_len", _size)] + [(name, _pointer) for name in ("keys", "values", "lengths")]
 
 
+class _Head(ctypes.Structure):
+    """``struct head``: the final norm and the ``(vocab, d_model)`` head weight."""
+
+    _fields_ = [("d_model", _size), ("vocab", _size), ("eps", _double), ("norm", _pointer), ("weight", _pointer)]
+
+
 DECODE_ATTN = CompiledKernel("decode_attn")
+DECODE_HEAD = CompiledKernel("decode_head")
 
 
 def _fits(a: np.ndarray, shape: Tuple[int, ...], dtype: type = np.float64) -> bool:
     return a.dtype == dtype and a.shape == shape and a.flags.c_contiguous
 
 
-def _block_state(block: "TransformerBlock") -> tuple:
-    """Everything the block's binding reads, compared by identity on each call."""
-    attention = block.attention
-    return (
-        attention.q_proj.weight.data,
-        attention.k_proj.weight.data,
-        attention.v_proj.weight.data,
-        attention.o_proj.weight.data,
-        block.attention_norm.weight.data,
-        block.mlp_norm.weight.data,
-        attention.rope.cos,
-        attention.rope.sin,
-        block.attention_norm.eps,
-        block.mlp_norm.eps,
-        attention.q_proj.bias,
-        attention.k_proj.bias,
-        attention.v_proj.bias,
-        attention.o_proj.bias,
-    )
+#: Everything a block's binding reads, compared by identity on each call.
+block_state = operator.attrgetter(
+    "attention.q_proj.weight.data",
+    "attention.k_proj.weight.data",
+    "attention.v_proj.weight.data",
+    "attention.o_proj.weight.data",
+    "attention_norm.weight.data",
+    "mlp_norm.weight.data",
+    "attention.rope.cos",
+    "attention.rope.sin",
+    "attention_norm.eps",
+    "mlp_norm.eps",
+    "attention.q_proj.bias",
+    "attention.k_proj.bias",
+    "attention.v_proj.bias",
+    "attention.o_proj.bias",
+    "attention.config",
+)
+
+#: The arrays a cache's binding reads, compared by identity on each call.
+cache_state = operator.attrgetter("keys", "values", "lengths")
 
 
 def _bind_block(block: "TransformerBlock", state: tuple) -> Optional[tuple]:
     """``(state, struct, address)`` for ``block``, or ``None`` if the kernel cannot read its weights."""
-    cfg = block.attention.config
+    cfg = state[14]
     rope = block.attention.rope
     d, kv_dim, table = cfg.d_model, cfg.n_kv_heads * cfg.head_dim, (rope.max_seq_len, cfg.head_dim // 2)
     shapes = ((d, d), (kv_dim, d), (kv_dim, d), (d, d), (d,), (d,), table, table)
-    if any(bias is not None for bias in state[10:]) or not all(map(_fits, state[:8], shapes)):
+    if any(bias is not None for bias in state[10:14]) or not all(map(_fits, state[:8], shapes)):
         return None
     struct = _Block(
         d,
@@ -110,9 +128,8 @@ def _bind_block(block: "TransformerBlock", state: tuple) -> Optional[tuple]:
     return state, struct, ctypes.addressof(struct)
 
 
-def _bind_cache(cache: KVCache) -> Optional[tuple]:
+def _bind_cache(cache: KVCache, arrays: tuple) -> Optional[tuple]:
     """``(arrays, struct, address)`` for ``cache``, or ``None`` if the kernel cannot write it in place."""
-    arrays = (cache.keys, cache.values, cache.lengths)
     shape = (cache.batch_size, cache.n_kv_heads, cache.max_seq_len, cache.head_dim)
     if not (
         _fits(arrays[0], shape)
@@ -125,25 +142,28 @@ def _bind_cache(cache: KVCache) -> Optional[tuple]:
     return arrays, struct, ctypes.addressof(struct)
 
 
-def slot_rows(block: "TransformerBlock", cache: KVCache, slots: List[int]) -> Tuple[List[int], int]:
-    """The kernel's ``rows`` for a slot-view step of ``block`` over
-    ``cache``'s ``slots`` (each row's slot, then its write index, then its
-    RoPE position: the slot's length) and the longest slot's length.
+def check_slots(slots: List[int], batch_size: int) -> None:
+    """Raise ``ValueError``, as a slot view does, unless ``slots`` are
+    distinct and lie in ``[0, batch_size)``."""
+    if min(slots) < 0 or max(slots) >= batch_size or len(set(slots)) != len(slots):
+        raise ValueError(f"slot indices must be distinct and lie in [0, {batch_size})")
 
-    Raises as the numpy path would, before anything is written, for slots
-    that repeat or lie outside the cache, a length past the RoPE table and
-    a full slot.
+
+def slot_positions(cache: KVCache, slots: List[int], rope_len: int) -> Tuple[List[int], int]:
+    """Each slot's write index and RoPE position in ``cache`` (its length)
+    and the longest, for slots :func:`check_slots` has passed.
+
+    Raises as the numpy path would, before anything is written, for a length
+    past the RoPE table of ``rope_len`` positions and a full slot.
     """
-    if min(slots) < 0 or max(slots) >= cache.batch_size or len(set(slots)) != len(slots):
-        raise ValueError(f"slot indices must be distinct and lie in [0, {cache.batch_size})")
     lengths = cache.lengths.tolist()
     written = [lengths[slot] for slot in slots]
     top = max(written)
-    if top >= block.attention.rope.max_seq_len or min(written) < 0:
+    if top >= rope_len or min(written) < 0:
         raise ValueError("position_ids exceed the RoPE table length")
     if top + 1 > cache.max_seq_len:
         raise RuntimeError("KV cache overflow")
-    return slots + written + written, top
+    return written, top
 
 
 def bindings(block: "TransformerBlock", cache: KVCache) -> Optional[Tuple[tuple, tuple]]:
@@ -153,21 +173,74 @@ def bindings(block: "TransformerBlock", cache: KVCache) -> Optional[Tuple[tuple,
     in place.  Each binding is made again when one of the arrays it holds
     has been replaced.  A caller holds the bindings until its kernel call
     returns: another thread may bind the block again meanwhile."""
-    cfg = block.attention.config
+    state = block_state(block)
+    cfg = state[14]
     if cache.n_kv_heads != cfg.n_kv_heads or cache.head_dim != cfg.head_dim:
         return None
-    state = _block_state(block)
     bound = block._bound
     if bound is None or not all(map(operator.is_, state, bound[0])):
         bound = block._bound = _bind_block(block, state)
         if bound is None:
             return None
+    arrays = cache_state(cache)
     held = cache._bound
-    if held is None or not all(map(operator.is_, held[0], (cache.keys, cache.values, cache.lengths))):
-        held = cache._bound = _bind_cache(cache)
+    if held is None or not all(map(operator.is_, arrays, held[0])):
+        held = cache._bound = _bind_cache(cache, arrays)
         if held is None:
             return None
     return bound, held
+
+
+def head_state(model: "CausalLM") -> tuple:
+    """Everything the head's binding reads, compared by identity on each call."""
+    norm, head = model.final_norm, model.lm_head
+    if head is None:
+        return norm.weight.data, model.embedding.weight.data, norm.eps, None
+    return norm.weight.data, head.weight.data, norm.eps, head.bias
+
+
+def _bind_head(state: tuple) -> Optional[tuple]:
+    """``(state, struct, address)`` for the head, or ``None`` if the kernel cannot serve it."""
+    norm, weight, eps, bias = state
+    if bias is not None or norm.ndim != 1 or weight.ndim != 2:
+        return None
+    d_model, vocab = norm.shape[0], weight.shape[0]
+    if not (_fits(norm, (d_model,)) and _fits(weight, (vocab, d_model))):
+        return None
+    struct = _Head(d_model, vocab, eps, norm.ctypes.data, weight.ctypes.data)
+    return state, struct, ctypes.addressof(struct)
+
+
+def head_binding(model: "CausalLM") -> Optional[tuple]:
+    """The kernel's binding of ``model``'s final norm and head, ``(state,
+    struct, address)`` with the address of its ``struct head``, or ``None``
+    when it cannot read them in place (an ``lm_head`` with a bias, say).
+    Made again when an array it holds has been replaced; held by a caller
+    until its kernel call returns, as :func:`bindings` is."""
+    state = head_state(model)
+    bound = model._bound
+    if bound is None or not all(map(operator.is_, state, bound[0])):
+        bound = model._bound = _bind_head(state)
+    return bound
+
+
+def decode_head(model: "CausalLM", x: np.ndarray) -> Optional[np.ndarray]:
+    """Logits ``(..., vocab)`` of ``model`` for the hidden states ``x``
+    ``(..., d_model)`` of one position per row: the final RMSNorm, then the
+    head.  ``None`` when the numpy path must run."""
+    if x.dtype != np.float64 or x.size == 0:
+        return None
+    kernel = DECODE_HEAD.load()
+    if kernel is None:
+        return None
+    bound = head_binding(model)
+    if bound is None or x.shape[-1] != bound[1].d_model:
+        return None
+    x = np.ascontiguousarray(x)
+    out = np.empty(x.shape[:-1] + (bound[1].vocab,))
+    if kernel(bound[2], x.size // x.shape[-1], address(x), address(out)) != 0:
+        raise MemoryError("the decode head could not allocate its scratch memory")
+    return out
 
 
 def decode_attention(
@@ -197,7 +270,9 @@ def decode_attention(
         cache, slots = kv_cache.cache, kv_cache.slots.tolist()
         if len(slots) != batch:
             return None
-        rows, top = slot_rows(block, cache, slots)
+        check_slots(slots, cache.batch_size)
+        written, top = slot_positions(cache, slots, block.attention.rope.max_seq_len)
+        rows = slots + written + written
     elif isinstance(kv_cache, KVCache):
         cache, top, rope_len = kv_cache, kv_cache.length, block.attention.rope.max_seq_len
         if cache.batch_size != batch:

@@ -1,6 +1,8 @@
-"""Token embedding layer."""
+"""Token embedding layer, and the checks on the token ids it looks up."""
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -39,3 +41,30 @@ class Embedding(Module):
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Embedding(vocab={self.num_embeddings}, dim={self.embedding_dim})"
+
+
+def check_ids(ids: np.ndarray, vocab_size: int) -> None:
+    """Raise ``ValueError`` unless every token id in ``ids`` lies in ``[0, vocab_size)``.
+
+    The embedding indexes its table with the ids, so without this check
+    ``-1`` would silently embed the last vocabulary row.
+    """
+    if ids.size:
+        low, high = int(ids.min()), int(ids.max())
+        if low < 0 or high >= vocab_size:
+            raise ValueError(f"token ids must lie in [0, {vocab_size}), got {low if low < 0 else high}")
+
+
+def check_prompt(prompt: Sequence[int], vocab_size: int) -> None:
+    """Raise ``ValueError`` unless ``prompt`` holds at least one token id
+    and every id lies in ``[0, vocab_size)``.
+
+    Prompts admitted together prefill in shared forwards, so one id the
+    embedding cannot look up would fail every prompt beside it; such a
+    prompt is refused up front instead, as :meth:`CausalLM.generate
+    <repro.nn.transformer.CausalLM.generate>` refuses it.
+    """
+    ids = np.asarray(prompt)
+    if ids.size == 0:
+        raise ValueError("prompt must hold at least one token id")
+    check_ids(ids, vocab_size)

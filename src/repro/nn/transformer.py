@@ -1,8 +1,9 @@
 """Decoder-only transformer (causal LM) built from attention + gated MLP blocks.
 
 Decode steps run each block's attention half in one call of a compiled
-kernel when one is built (:mod:`repro.nn.decode_attn`); every other forward,
-and every forward on a host without a C compiler, runs on numpy.
+kernel when one is built (:mod:`repro.nn.decode_attn`), and so does the head
+of every input of one position per row; every other forward, and every
+forward on a host without a C compiler, runs on numpy.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor, no_grad
 from repro.backend import active_backend
 from repro.nn.attention import MASKED_BIAS, AttentionConfig, GroupedQueryAttention, KVCache
-from repro.nn.decode_attn import decode_attention
-from repro.nn.embedding import Embedding
+from repro.nn.decode_attn import decode_attention, decode_head
+from repro.nn.embedding import Embedding, check_prompt
 from repro.nn.linear import Linear
 from repro.nn.mlp import GLUMLPConfig, SwiGLUMLP
 from repro.nn.module import Module, ModuleList
@@ -198,6 +199,11 @@ class TransformerBlock(Module):
 class CausalLM(Module):
     """Decoder-only causal language model."""
 
+    #: The compiled head's view of the final norm and head weights (see
+    #: :mod:`repro.nn.decode_attn`).  Holds addresses, so copies and pickles
+    #: start without it.
+    _bound = None
+
     def __init__(self, config: TransformerConfig, seed=None):
         super().__init__()
         self.config = config
@@ -211,6 +217,11 @@ class CausalLM(Module):
             self.lm_head = None
         else:
             self.lm_head = Linear(config.d_model, config.vocab_size, seed=spawn_rng(rng, "head"))
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_bound", None)
+        return state
 
     # ---------------------------------------------------------------- training
     def forward(self, token_ids: np.ndarray, mlp_override=None) -> Tensor:
@@ -283,9 +294,18 @@ class CausalLM(Module):
     def logits_array(self, x: np.ndarray, last_only: bool = False) -> np.ndarray:
         """Logits of the last block's hidden states ``x`` ``(..., seq,
         d_model)``: the final RMSNorm, then the lm_head or, tied, the
-        embedding.  ``last_only`` projects the final position only.  The
-        one-call decode step (:mod:`repro.engine.decode_step`) ends here
-        too, so its logits are those of :meth:`forward_array`."""
+        embedding.  ``last_only`` projects the final position only.
+
+        One position per row (a decode step, or ``last_only``) runs in one
+        call of the compiled head when it is built
+        (:func:`~repro.nn.decode_attn.decode_head`), the function the
+        one-call decode step (:mod:`repro.engine.decode_step`) ends with, so
+        both give the same logits; longer inputs, an ``lm_head`` with a bias
+        and hosts without a compiler run on numpy."""
+        if last_only or x.shape[-2] == 1:
+            logits = decode_head(self, x[..., -1:, :])
+            if logits is not None:
+                return logits
         x = self.final_norm.forward_array(x)
         if last_only:
             x = x[..., -1:, :]
@@ -306,9 +326,11 @@ class CausalLM(Module):
         rng: SeedLike = None,
         mlp_override: Optional[Callable[..., np.ndarray]] = None,
     ) -> np.ndarray:
-        """Autoregressive sampling (greedy when ``temperature == 0``)."""
+        """Autoregressive sampling (greedy when ``temperature == 0``);
+        ``ValueError`` for an empty prompt or an id outside the vocabulary."""
         rng = new_rng(rng)
         prompt = np.asarray(list(prompt_ids), dtype=np.int64)
+        check_prompt(prompt, self.config.vocab_size)
         max_len = len(prompt) + max_new_tokens
         caches = self.new_kv_caches(max_seq_len=max_len)
         with no_grad():

@@ -12,8 +12,8 @@
         eviction on the input cache;
      2. sums up and gate over the kept rows of w_up and w_gate, in ascending
         row order;
-     3. forms glu = up * SiLU(gate), with SiLU(a) = (0.5 * (tanh(a / 2) + 1))
-        * a as repro.autograd.functional.silu_array computes it;
+     3. forms glu = up * SiLU(gate), with SiLU(a) = a / (1 + exp(-a)), the
+        exponentials in one vectorised loop (exp_in_place, _vector.h);
      4. runs ca_row on glu against the down group;
      5. sums the MLP output over the kept rows of w_down, in ascending order.
 
@@ -21,7 +21,9 @@
    never reads another row's results, and every sum runs in an order fixed
    by its masks alone, so a row's numbers do not depend on B or its
    neighbours.  They agree with numpy to rounding, not bit for bit: numpy
-   sums in other orders.  repro.utils.native builds it with
+   sums in other orders, and its SiLU is (0.5 * (tanh(a / 2) + 1)) * a.  SiLU
+   stays finite for any finite gate: exp_in_place saturates at exp(709)
+   instead of overflowing.  repro.utils.native builds it with
    -ffp-contract=off and without -ffast-math; the row loops are compiled
    once per vector width and picked at load time.  The caller checks every
    dtype, shape, k and cache array first.  Returns the hits over both
@@ -30,16 +32,8 @@
 
 #include <stdlib.h>
 
+#include "../utils/_vector.h"
 #include "_ca_row.h"
-
-#if defined(__x86_64__) && defined(__GLIBC__) && defined(__has_attribute)
-#if __has_attribute(target_clones)
-#define VECTOR_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
-#endif
-#endif
-#ifndef VECTOR_CLONES
-#define VECTOR_CLONES
-#endif
 
 /* One weight group: the units kept per row and, for DIP-CA, its LFU cache
    (cached == NULL for plain DIP). */
@@ -77,7 +71,10 @@ int64_t decode_mlp(const struct mlp *m, int64_t B, const double *x, double *out)
                 gate[j] += a * wg[j];
             }
         }
-        for (int64_t j = 0; j < f; j++) up[j] *= (0.5 * (tanh(0.5 * gate[j]) + 1.0)) * gate[j];
+        double *e = scratch; /* ca_row's scratch, free until the down mask */
+        for (int64_t j = 0; j < f; j++) e[j] = -gate[j];
+        exp_in_place(e, f);
+        for (int64_t j = 0; j < f; j++) up[j] *= gate[j] / (1.0 + e[j]);
 
         hits += ca_row(up, f, dn->k, m->gamma, dn->capacity, dn->cached, dn->frequency, scratch, kept_down);
         double *restrict o = out;

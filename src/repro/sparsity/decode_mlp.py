@@ -29,17 +29,19 @@ Outputs agree with numpy to rounding, not bit for bit; masks agree except
 where two scores tie to rounding.  DIP-CA's caches, ``token_index`` and
 ``CacheHitStats`` advance as ``compute_masks`` would advance them, so prefill
 on numpy and decode here share one cache state.  Weight addresses, cache
-arrays and keep counts are bound once per method and layer and compared by
-identity on every call, so a replaced array is bound again; copies and
-pickles of a method start without bindings.  Every dtype, shape, keep count
-and cache array is checked before each call.
+arrays and keep counts are bound once per method and layer, with every
+dtype, shape, contiguity, writability and keep-count check made then, as the
+compiled decode attention binds its blocks; later calls compare what the
+binding was made from (:func:`layer_sources`) by identity and bind again
+when an array or scalar has been replaced.  Copies and pickles of a method
+start without bindings.
 """
 
 from __future__ import annotations
 
 import ctypes
 import operator
-from typing import TYPE_CHECKING, Optional, Tuple, cast
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple, cast
 
 import numpy as np
 
@@ -79,7 +81,7 @@ class _MLP(ctypes.Structure):
 DECODE_MLP = CompiledKernel("decode_mlp")
 
 #: The methods the kernel computes exactly; a subclass may rank differently.
-_SERVED = (DynamicInputPruning, CacheAwareDIP)
+SERVED = (DynamicInputPruning, CacheAwareDIP)
 
 
 _FLOAT64, _BOOL, _INT64 = np.dtype(np.float64), np.dtype(np.bool_), np.dtype(np.int64)
@@ -90,86 +92,99 @@ def _fits(a: np.ndarray, shape: Tuple[int, ...], dtype: np.dtype = _FLOAT64) -> 
 
 
 def _writable(a: np.ndarray, shape: Tuple[int, ...], dtype: np.dtype) -> bool:
-    flags = a.flags
-    return a.dtype == dtype and a.shape == shape and flags.c_contiguous and flags.writeable
+    return _fits(a, shape, dtype) and a.flags.writeable
 
 
-def _checked(arrays: tuple, scalars: tuple) -> bool:
-    """Whether the kernel can read the weights and write the caches in place."""
-    d_model, d_ffn, k_in, k_down = scalars[:4]
-    if not (0 <= k_in <= d_model and 0 <= k_down <= d_ffn):
-        return False
-    w_up, w_gate, w_down, in_cached, in_frequency, down_cached, down_frequency = arrays
+class BoundLayer:
+    """One method's binding of one layer: what it was made from
+    (``sources``), the kernel's ``struct mlp`` and its ``address``, DIP-CA's
+    input and down caches (empty for DIP) and the units ``kept`` per row
+    over both groups."""
+
+    __slots__ = ("sources", "struct", "address", "caches", "kept")
+
+    def __init__(self, sources: tuple, struct: _MLP, caches: Tuple["LFUCache", ...], kept: int) -> None:
+        self.sources, self.struct, self.address = sources, struct, ctypes.addressof(struct)
+        self.caches, self.kept = caches, kept
+
+
+_mlp_state = operator.attrgetter("config", "up.data", "gate.data", "down.data")
+_cache_state = operator.attrgetter("cached", "frequency", "capacity_units")
+
+
+def layer_sources(method: SparsityMethod, mlp: SwiGLUMLP, layer_index: int) -> tuple:
+    """Everything the binding of ``method`` for ``mlp`` reads, compared by
+    identity on each call: the MLP's config and weights, the method's
+    allocation (its keep fractions) and gamma and, for DIP-CA, the layer's
+    input and down caches with their arrays and capacities."""
+    sources = _mlp_state(mlp) + (cast(DynamicInputPruning, method).allocation, method.gamma)
+    if type(method) is CacheAwareDIP:
+        dip_ca = cast(CacheAwareDIP, method)
+        inputs = dip_ca._cache_for(layer_index, "input", mlp.d_model)
+        down = dip_ca._cache_for(layer_index, "down", mlp.d_ffn)
+        sources += (inputs, down) + _cache_state(inputs) + _cache_state(down)
+    return sources
+
+
+def _bind(sources: tuple) -> Optional[BoundLayer]:
+    """The binding made from ``sources``, or ``None`` if the kernel cannot
+    read the weights, write the caches in place or keep that many units."""
+    config, w_up, w_gate, w_down, allocation, gamma = sources[:6]
+    d_model, d_ffn = config.d_model, config.d_ffn
+    ks = (keep_count(allocation.input_density, d_model), keep_count(allocation.down_density, d_ffn))
+    if config.activation != "silu" or not (0 <= ks[0] <= d_model and 0 <= ks[1] <= d_ffn):
+        return None
     if not (_fits(w_up, (d_model, d_ffn)) and _fits(w_gate, (d_model, d_ffn)) and _fits(w_down, (d_ffn, d_model))):
-        return False
-    if in_cached is None:  # plain DIP: no caches
-        return True
-    return (
-        _writable(in_cached, (d_model,), _BOOL)
-        and _writable(in_frequency, (d_model,), _INT64)
-        and _writable(down_cached, (d_ffn,), _BOOL)
-        and _writable(down_frequency, (d_ffn,), _INT64)
-    )
+        return None
+    groups = [_Group(k, 0, 0, 0) for k in ks]  # plain DIP: no caches
+    caches = sources[6:8]
+    for i, n_units in enumerate((d_model, d_ffn) if caches else ()):  # DIP-CA's input, then down cache
+        cached, frequency, capacity = sources[8 + 3 * i : 11 + 3 * i]
+        if not (_writable(cached, (n_units,), _BOOL) and _writable(frequency, (n_units,), _INT64)):
+            return None
+        groups[i] = _Group(ks[i], capacity, cached.ctypes.data, frequency.ctypes.data)
+    struct = _MLP(d_model, d_ffn, gamma, w_up.ctypes.data, w_gate.ctypes.data, w_down.ctypes.data, *groups)
+    return BoundLayer(sources, struct, caches, ks[0] + ks[1])
 
 
-def _bind(arrays: tuple, scalars: tuple) -> tuple:
-    """``(arrays, scalars, struct, address)`` of one method's layer."""
-    d_model, d_ffn, k_in, k_down, gamma, capacity_in, capacity_down = scalars
-    groups = [
-        _Group(k, capacity, *(0 if a is None else a.ctypes.data for a in pair))
-        for k, capacity, pair in ((k_in, capacity_in, arrays[3:5]), (k_down, capacity_down, arrays[5:]))
-    ]
-    struct = _MLP(d_model, d_ffn, gamma, *(a.ctypes.data for a in arrays[:3]), *groups)
-    return arrays, scalars, struct, ctypes.addressof(struct)
+def bound_layer(method: SparsityMethod, mlp: SwiGLUMLP, layer_index: int, rows: int) -> Optional[BoundLayer]:
+    """The binding of ``method`` for ``mlp`` when the kernel serves ``rows``
+    rows of its float64 input, or ``None``.
 
-
-def bound_layer(method: SparsityMethod, mlp: SwiGLUMLP, layer_index: int, rows: int) -> Optional[tuple]:
-    """``(binding, caches, keep counts)`` of ``method`` for ``mlp`` when
-    the kernel serves ``rows`` rows of its float64 input, or ``None``.
-
-    ``binding[3]`` is the address of the kernel's ``struct mlp``, which the
-    binding keeps alive; ``caches`` are DIP-CA's input and down caches of
-    the layer (empty for DIP).  The binding is made again when an array it
-    holds has been replaced or a keep count changed.
+    The binding is made, and checked, when none is held for the layer or
+    when one of its :func:`layer_sources` has been replaced; a binding that
+    cannot be made is not kept, so the next call checks again.  A caller
+    holds the binding until its kernel call returns: another thread may
+    bind the layer again meanwhile.
     """
-    if type(method) not in _SERVED or mlp.config.activation != "silu":
+    if type(method) not in SERVED or rows * method.expected_density(mlp.d_model, mlp.d_ffn) > 1.0:
         return None
-    d_model, d_ffn = mlp.d_model, mlp.d_ffn
-    if rows * method.expected_density(d_model, d_ffn) > 1.0:
-        return None
-    dip = cast(DynamicInputPruning, method)
-    arrays: tuple = (mlp.w_up, mlp.w_gate, mlp.w_down)
-    ks = (keep_count(dip.input_keep_fraction, d_model), keep_count(dip.neuron_keep_fraction, d_ffn))
-    scalars: tuple = (d_model, d_ffn, *ks, dip.gamma)
-    caches: Tuple["LFUCache", ...] = ()
-    if isinstance(dip, CacheAwareDIP):
-        inputs = cast("LFUCache", dip._cache_for(layer_index, "input", d_model))
-        down = cast("LFUCache", dip._cache_for(layer_index, "down", d_ffn))
-        caches = (inputs, down)
-        arrays += (inputs.cached, inputs.frequency, down.cached, down.frequency)
-        scalars += (inputs.capacity_units, down.capacity_units)
-    else:
-        arrays += (None,) * 4
-        scalars += (0, 0)
-    if not _checked(arrays, scalars):
-        return None
-    bound = dip._bound.get(layer_index)
-    if bound is None or bound[1] != scalars or not all(map(operator.is_, arrays, bound[0])):
-        bound = dip._bound[layer_index] = _bind(arrays, scalars)
-    return bound, caches, ks
+    sources = layer_sources(method, mlp, layer_index)
+    held = cast(DynamicInputPruning, method)._bound
+    bound = held.get(layer_index)
+    if bound is None or not all(map(operator.is_, sources, bound.sources)):
+        bound = _bind(sources)
+        if bound is not None:
+            held[layer_index] = bound
+    return bound
 
 
-def advance(method: SparsityMethod, layer: tuple, rows: int, hits: int) -> None:
+def advance(method: SparsityMethod, layers: Sequence[BoundLayer], rows: int, hits: Sequence[int]) -> None:
     """Advance DIP-CA's ``token_index`` and hit statistics after the kernel
-    served ``rows`` rows of ``layer`` (from :func:`bound_layer`) with
-    ``hits`` hits; the kernel has updated the caches themselves."""
-    _, caches, ks = layer
-    if caches:
-        for cache in caches:
+    served ``rows`` rows of each of ``layers`` (from :func:`bound_layer`),
+    ``hits[i]`` hits on layer ``i``; the kernel has updated the caches
+    themselves."""
+    if type(method) is not CacheAwareDIP:
+        return
+    kept = 0
+    for layer in layers:
+        for cache in layer.caches:
             cache.token_index += rows
-        stats = cast(CacheAwareDIP, method).stats
-        stats.hits += hits
-        stats.misses += rows * (ks[0] + ks[1]) - hits
+        kept += layer.kept
+    total = sum(hits)
+    stats = cast(CacheAwareDIP, method).stats
+    stats.hits += total
+    stats.misses += rows * kept - total
 
 
 def decode_mlp(method: SparsityMethod, mlp: SwiGLUMLP, layer_index: int, x: np.ndarray) -> Optional[np.ndarray]:
@@ -187,8 +202,8 @@ def decode_mlp(method: SparsityMethod, mlp: SwiGLUMLP, layer_index: int, x: np.n
         return None
     x = np.ascontiguousarray(x)
     out = np.empty(x.shape)
-    hits = kernel(layer[0][3], rows, address(x), address(out))
+    hits = kernel(layer.address, rows, address(x), address(out))
     if hits < 0:
         raise MemoryError("the decode MLP could not allocate its scratch memory")
-    advance(method, layer, rows, hits)
+    advance(method, (layer,), rows, (hits,))
     return out

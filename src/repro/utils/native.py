@@ -48,8 +48,9 @@ _size, _pointer = ctypes.c_int64, ctypes.c_void_p
 _ARGTYPES: Dict[str, Sequence[Any]] = {
     "ca_step": [_pointer, _size, _size, _size, ctypes.c_double, _size, _pointer, _pointer, _pointer, _pointer],
     "decode_attn": [_pointer, _pointer, _size, _pointer, _pointer, _pointer, _size, _pointer],
+    "decode_head": [_pointer, _size, _pointer, _pointer],
     "decode_mlp": [_pointer, _size, _pointer, _pointer],
-    "decode_step": [_pointer, _size, _size, _pointer, _pointer, _pointer],
+    "decode_step": [_pointer, _size, _size, _pointer, _pointer, _pointer, _pointer, _pointer],
 }
 
 
@@ -91,7 +92,7 @@ def _library(compiler: str, source: Path, headers: Sequence[Path]) -> Path:
 
 
 class KernelLibrary:
-    """The four kernel functions, compiled from ``source`` on first use.
+    """The kernel functions, compiled from ``source`` on first use.
 
     ``headers`` are the files ``source`` includes, which the library's hash
     covers too.  The first :meth:`load` builds or loads the library; every
@@ -134,7 +135,13 @@ LIBRARY = KernelLibrary(
     _PACKAGE / "engine" / "_decode_step.c",
     [
         _PACKAGE / path
-        for path in ("nn/_decode_attn.c", "sparsity/_decode_mlp.c", "sparsity/_ca_step.c", "sparsity/_ca_row.h")
+        for path in (
+            "nn/_decode_attn.c",
+            "sparsity/_decode_mlp.c",
+            "sparsity/_ca_step.c",
+            "sparsity/_ca_row.h",
+            "utils/_vector.h",
+        )
     ],
 )
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import asyncio
 import copy
+import dataclasses
 import pickle
 import sys
 import threading
@@ -16,12 +17,14 @@ from hypothesis import strategies as st
 
 from repro.engine.inference import ContinuousBatch, SparseInferenceEngine, serve_continuous_greedy
 from repro.nn.attention import MASKED_BIAS, KVCache
-from repro.nn.decode_attn import decode_attention
+from repro.nn.decode_attn import decode_attention, decode_head
+from repro.nn.module import Parameter
 from repro.nn.transformer import CausalLM, TransformerBlock, TransformerConfig
 from repro.pipeline.session import SparseSession
 from repro.serving import ContinuousBatchingScheduler, GenerationRequest, SchedulerConfig
 from repro.sparsity.base import DenseBaseline
 from repro.sparsity.registry import REGISTRY
+from repro.utils import native
 
 HEADS = [(4, 2), (2, 1), (2, 2)]  # (n_heads, n_kv_heads); (2, 1) is the tiny config's
 
@@ -215,6 +218,26 @@ class TestKernelAgainstNumpy:
             with pytest.raises(ValueError, match="slot view sets its own"):
                 block.forward_array(x, cache.slot_view([0]), **kwargs)
 
+    def test_pad_keys_weigh_nothing(self, compiled_kernels):
+        """A left-padded row of a lock-step cache (pad keys under
+        MASKED_BIAS, its own position_ids) gives the bits the same row gives
+        in a cache without the pads: each pad's exponential is exactly 0."""
+        rng = np.random.default_rng(5)
+        block = make_block(4, 2, 10, rope_len=32, seed=5)
+        cfg = block.attention.config
+        pads, length = 6, 9
+        padded = filled_cache(block, 24, 2, [pads + length] * 2, rng)  # row 0: pads, then its keys
+        plain = KVCache(cfg.n_kv_heads, cfg.head_dim, 24, batch_size=1)
+        plain.keys[0, :, :length] = padded.keys[0, :, pads : pads + length]
+        plain.values[0, :, :length] = padded.values[0, :, pads : pads + length]
+        plain.lengths[:] = plain.length = length
+        x = rng.normal(size=(2, 1, cfg.d_model))
+        mask = np.zeros((2, pads + length + 1))
+        mask[0, :pads] = MASKED_BIAS
+        h, mlp_in = kernel_half(block, x, padded, mask, np.array([[length], [pads + length]]))
+        h_plain, mlp_in_plain = kernel_half(block, x[:1], plain)
+        assert np.array_equal(h[0], h_plain[0]) and np.array_equal(mlp_in[0], mlp_in_plain[0])
+
     def test_other_inputs_take_the_numpy_path(self, compiled_kernels):
         block = make_block(2, 1, 4, rope_len=16, seed=3)
         cache = filled_cache(block, 8, 1, [2], np.random.default_rng(3))
@@ -226,6 +249,54 @@ class TestKernelAgainstNumpy:
 
 # ----------------------------------------------------------------- bindings
 CONFIG = TransformerConfig(vocab_size=32, d_model=16, n_layers=2, n_heads=4, n_kv_heads=2, d_ffn=32, max_seq_len=24)
+
+
+# --------------------------------------------------------------------- head
+def head_model(tied, seed=4):
+    model = CausalLM(dataclasses.replace(CONFIG, tie_embeddings=tied), seed=seed)
+    model.final_norm.weight.data = np.random.default_rng(seed).uniform(0.5, 1.5, CONFIG.d_model)
+    return model
+
+
+@pytest.mark.parametrize("tied", [True, False], ids=["tied", "lm_head"])
+def test_head_matches_numpy_and_serves_one_position(compiled_kernels, monkeypatch, tied):
+    """The compiled head agrees with numpy within 1e-12, a row's logits do
+    not depend on its neighbours, and ``logits_array`` sends it every input
+    of one position per row, ``last_only`` prefill included."""
+    model = head_model(tied)
+    rng = np.random.default_rng(5)
+    x, sequence = rng.normal(size=(3, 1, CONFIG.d_model)), rng.normal(size=(3, 4, CONFIG.d_model))
+    got = decode_head(model, x)
+    assert got.shape == (3, 1, CONFIG.vocab_size)
+    for row in range(3):
+        assert np.array_equal(decode_head(model, x[row]), got[row])
+    assert np.array_equal(model.logits_array(x), got)
+    assert np.array_equal(model.logits_array(sequence, last_only=True), decode_head(model, sequence[:, -1:]))
+    monkeypatch.setattr(native.LIBRARY, "load", lambda: None)  # the numpy path
+    np.testing.assert_allclose(got, model.logits_array(x), rtol=0, atol=1e-12)
+
+
+def test_a_head_with_a_bias_takes_the_numpy_path(compiled_kernels):
+    model = head_model(tied=False)
+    model.lm_head.bias = Parameter(np.arange(CONFIG.vocab_size, dtype=np.float64))
+    x = np.random.default_rng(6).normal(size=(2, 1, CONFIG.d_model))
+    assert decode_head(model, x) is None
+    normed = model.final_norm.forward_array(x)
+    np.testing.assert_allclose(model.logits_array(x), normed @ model.lm_head.weight.data.T + model.lm_head.bias.data)
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))], ids=["deepcopy", "pickle"])
+def test_copies_drop_the_head_binding_and_replaced_arrays_are_bound_again(compiled_kernels, clone):
+    model, other = head_model(tied=True), head_model(tied=True, seed=7)
+    x = np.random.default_rng(8).normal(size=(2, 1, CONFIG.d_model))
+    expected = decode_head(model, x)
+    assert model._bound is not None
+    copied = clone(model)
+    assert copied._bound is None
+    model.embedding.weight.data[:] = 0.0  # the original's bound weights, zeroed in place
+    assert np.array_equal(decode_head(copied, x), expected)
+    model.load_state_dict(other.state_dict())  # every parameter gets a new array
+    assert np.array_equal(decode_head(model, x), decode_head(other, x))
 
 
 def decode(model, caches=None, n_steps=5):

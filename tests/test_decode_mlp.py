@@ -4,6 +4,7 @@ the numpy path it replaces for narrow calls, its dispatch and its bindings."""
 from __future__ import annotations
 
 import copy
+import dataclasses
 import pickle
 
 import numpy as np
@@ -16,7 +17,8 @@ from repro.nn.mlp import GLUMLPConfig, SwiGLUMLP
 from repro.nn.transformer import CausalLM, TransformerConfig
 from repro.sparsity.base import keep_count
 from repro.sparsity.cache_aware import CacheAwareDIP, cache_aware_scores
-from repro.sparsity.decode_mlp import DECODE_MLP, decode_mlp
+from repro.sparsity import decode_mlp as decode_mlp_module
+from repro.sparsity.decode_mlp import DECODE_MLP, bound_layer, decode_mlp
 from repro.sparsity.dip import DynamicInputPruning
 from repro.training.lora import LoRAConfig, attach_mlp_adapters, fuse_adapters
 
@@ -213,6 +215,23 @@ class TestDispatch:
         with pytest.raises(ValueError, match=rf"\({mlp.d_model},\)"):  # the numpy path refuses it
             numpy_mlp(method, wider, np.ones((1, wider.d_model)))
 
+    @pytest.mark.parametrize("name", ["dip", "dip-ca"])
+    def test_large_gates_and_zero_rows(self, compiled_kernels, mlp, name):
+        """Gate values of several thousand (the negative ones push exp past
+        its clamp) and an all-zero row: the output stays finite and matches
+        numpy within 1e-12 of its largest magnitude."""
+        rng = np.random.default_rng(6)
+        rows = [rng.normal(size=(1, mlp.d_model)) * scale for scale in (500.0, 2000.0, 5000.0)]
+        served, reference = make_method(name, 0.5), make_method(name, 0.5)
+        largest_gate = 0.0
+        for x in rows + [np.zeros((1, mlp.d_model))]:
+            want, masks = numpy_mlp(reference, mlp, x)
+            largest_gate = max(largest_gate, np.abs((x * masks.input_mask) @ mlp.w_gate).max())
+            got = kernel_mlp(served, mlp, x)
+            assert np.isfinite(got).all()
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert largest_gate > 2000.0
+
     def test_failed_scratch_allocation_raises(self, monkeypatch, mlp):
         monkeypatch.setattr(DECODE_MLP, "load", lambda: lambda *args: -1)
         with pytest.raises(MemoryError):
@@ -258,6 +277,25 @@ def test_copy_of_a_decoded_method_serves_on_its_own_caches(compiled_kernels, mlp
     assert_same_state(cache_state(method), before)  # the copy wrote only its own caches
     assert np.array_equal(kernel_mlp(method, mlp, x), from_copy)
     assert_same_state(cache_state(method), cache_state(copied))
+
+
+@pytest.mark.parametrize("name", ["dip", "dip-ca"])
+def test_a_binding_is_checked_once_and_compared_by_identity(monkeypatch, mlp, name):
+    """The checks run when a layer is bound; later calls compare what the
+    binding was made from and bind again when an array or scalar changed."""
+    method = make_method(name, 0.5)
+    bound = bound_layer(method, mlp, 0, 1)
+    checks = []
+    fits = decode_mlp_module._fits
+    monkeypatch.setattr(decode_mlp_module, "_fits", lambda *args: checks.append(args) or fits(*args))
+    assert bound_layer(method, mlp, 0, 1) is bound and checks == []
+    mlp.down.data = mlp.w_down.copy()
+    rebound = bound_layer(method, mlp, 0, 1)
+    assert rebound is not bound and checks and rebound.sources[3] is mlp.w_down
+    method.allocation = dataclasses.replace(method.allocation, down_density=0.25)
+    kept = keep_count(method.input_keep_fraction, mlp.d_model) + keep_count(0.25, mlp.d_ffn)
+    assert bound_layer(method, mlp, 0, 1).kept == kept != rebound.kept
+    assert bound_layer(method, mlp, 0, 3) is None  # rows x density > 1
 
 
 @pytest.mark.parametrize("name", ["dip", "dip-ca"])

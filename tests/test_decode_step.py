@@ -4,6 +4,7 @@ same DIP-CA state, when it serves a step, its checks and its bindings."""
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
 import pickle
@@ -13,11 +14,15 @@ import threading
 import numpy as np
 import pytest
 
-from repro.engine.decode_step import DECODE_STEP, decode_step
+from repro.backend import active_backend
+from repro.engine import inference
+from repro.engine.decode_step import DECODE_STEP, StepBinding, decode_step
 from repro.engine.inference import ContinuousBatch, SparseInferenceEngine
+from repro.nn import decode_attn
 from repro.nn.transformer import CausalLM, TransformerConfig
 from repro.sparsity.cache_aware import CacheAwareDIP
 from repro.sparsity.dip import DynamicInputPruning
+from repro.sparsity import decode_mlp
 from repro.sparsity.registry import create_method
 from repro.training.lora import LoRAConfig, attach_mlp_adapters, fuse_adapters
 from repro.utils import native
@@ -43,7 +48,12 @@ def make_method(name):
 
 
 def make_batch(model, method, width, per_layer=False, max_seq_len=None, record_masks=False):
-    engine = SparseInferenceEngine(model, method, record_masks=record_masks)
+    # Each batch gets its own instance of the ambient backend: the gather
+    # backend serves a mask masked-dense on its first sighting and from a
+    # gathered plan afterwards, so two batches sharing one instance would
+    # round their prefills differently and could not be compared bit for bit.
+    backend = type(active_backend())()
+    engine = SparseInferenceEngine(model, method, record_masks=record_masks, backend=backend)
     batch = ContinuousBatch.from_engine(engine, max_batch_size=width, max_seq_len=max_seq_len)
     if per_layer:
         batch.fused_step = None
@@ -315,6 +325,62 @@ def test_copies_hold_no_addresses_and_decode_on_their_own_state(served, clone):
     assert np.array_equal(batch.step(slots, tokens), from_copy)
     assert_same_state(engine_state(engine_of(batch)), engine_state(engine))
     assert len(served) == 3
+
+
+def test_a_batch_binds_once_and_again_when_a_source_changes(served, monkeypatch):
+    """A served step checks slots and positions, not arrays: the batch's one
+    binding holds every layer and the head, and is made again, through the
+    per-layer helpers' checks, when an array or scalar has been replaced."""
+    model = CausalLM(CONFIG, seed=1)
+    batch = make_batch(model, make_method("dip-ca"), 1)
+    slots, tokens = admit(batch, [6])
+    tokens = np.argmax(batch.step(slots, tokens), axis=-1).tolist()
+    bound = batch._bound
+    assert isinstance(bound, StepBinding)
+    checks = []
+    for module in (decode_attn, decode_mlp):
+        fits = module._fits
+        monkeypatch.setattr(module, "_fits", lambda *args, fits=fits: checks.append(args) or fits(*args))
+    tokens = np.argmax(batch.step(slots, tokens), axis=-1).tolist()
+    assert batch._bound is bound and checks == []
+    for replace in (
+        lambda: setattr(model.final_norm, "eps", 1e-5),  # a scalar of the head
+        lambda: setattr(model.blocks[2].mlp.gate, "data", model.blocks[2].mlp.w_gate.copy()),
+        lambda: setattr(engine_of(batch).method, "gamma", 0.3),
+    ):
+        replace()
+        reference = copy.deepcopy(batch)
+        reference.fused_step = None
+        got, want = lockstep([batch, reference], slots, tokens, 1)
+        assert np.array_equal(got, want)
+        assert batch._bound is not bound and checks
+        bound, checks[:] = batch._bound, []
+    assert len(served) == 2 + 3
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda b: pickle.loads(pickle.dumps(b))], ids=["deepcopy", "pickle"])
+def test_copies_drop_the_step_and_head_bindings(served, clone):
+    model = CausalLM(CONFIG, seed=1)
+    batch = make_batch(model, make_method("dip"), 1)
+    slots, tokens = admit(batch, [6])
+    batch.step(slots, tokens)
+    assert batch._bound is not None and model._bound is not None
+    copied = clone(batch)
+    assert copied._bound is None and copied.model._bound is None
+    assert np.array_equal(copied.step(slots, tokens), batch.step(slots, tokens))
+
+
+def test_the_one_call_step_runs_outside_the_backend_scope(served, monkeypatch):
+    model = CausalLM(CONFIG, seed=1)
+    batch = make_batch(model, make_method("dip"), 1)
+    slots, tokens = admit(batch, [6])
+    scopes = []
+    monkeypatch.setattr(inference, "use_backend", lambda backend: scopes.append(backend) or contextlib.nullcontext())
+    batch.step(slots, tokens)
+    assert scopes == [] and len(served) == 1
+    batch.fused_step = None
+    batch.step(slots, tokens)
+    assert scopes == [batch.backend]
 
 
 def test_threads_decode_one_model_and_method_on_their_own_batches(served):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.engine.inference import MaskRecorder, SparseInferenceEngine
+from repro.engine.inference import ContinuousBatch, MaskRecorder, SparseInferenceEngine
 from repro.engine.throughput import throughput_for_method
 from repro.hwsim.device import APPLE_A18
 from repro.hwsim.trace import SyntheticTraceConfig
@@ -70,6 +70,30 @@ class TestSparseInferenceEngine:
         for method in (DenseBaseline(), CacheAwareDIP(0.5)):  # batched, and DIP-CA's sequential fallback
             with pytest.raises(ValueError, match=match):
                 SparseInferenceEngine(trained_tiny_model, method).generate_batch([[5, 6], [bad]], 2, temperature=0.0)
+
+    @pytest.mark.parametrize("bad", [-1, 64])
+    def test_the_oracle_and_admission_refuse_ids_outside_the_vocabulary(self, trained_tiny_model, bad):
+        """``CausalLM.generate`` would embed -1 as the last vocabulary row,
+        and an admission would prefill it into a slot."""
+        match = rf"token ids must lie in \[0, 64\), got {bad}"
+        with pytest.raises(ValueError, match=match):
+            trained_tiny_model.generate([5, bad], 2, temperature=0.0)
+        batch = ContinuousBatch.from_engine(SparseInferenceEngine(trained_tiny_model, DenseBaseline()))
+        with pytest.raises(ValueError, match=match):
+            batch.admit([np.array([1, 2]), np.array([1, bad, 3])])
+        assert not batch.occupied.any() and batch.slot_prefill == {}
+        assert batch.prefill_tokens_total == batch.prefill_tokens_forwarded == 0
+
+    def test_empty_prompts_and_one_token_sequences_are_refused(self, trained_tiny_model):
+        """Each would reach an empty softmax; the error says what is missing."""
+        engine = SparseInferenceEngine(trained_tiny_model, DenseBaseline())
+        for generate in (engine.generate, trained_tiny_model.generate):
+            with pytest.raises(ValueError, match="prompt must hold at least one token id"):
+                generate([], 2)
+        with pytest.raises(ValueError, match="at least two tokens to have a target"):
+            engine.perplexity([[5]])
+        with pytest.raises(ValueError, match="at least two tokens to have a target"):
+            engine.sequence_log_likelihood([5])
 
     def test_mask_recorder_errors(self):
         recorder = MaskRecorder(2)

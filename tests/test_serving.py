@@ -312,6 +312,12 @@ class TestContinuousBatch:
             batch = ContinuousBatch.from_engine(dip_engine, max_batch_size=2, max_seq_len=32)
             serve_continuous_greedy(batch, [np.arange(1, 4), np.array([], dtype=np.int64)], [2, 2])
 
+    def test_admit_with_nothing_waiting_looks_for_no_slots(self, dip_engine, monkeypatch):
+        batch = ContinuousBatch.from_engine(dip_engine, max_batch_size=2, max_seq_len=32)
+        decoder = ContinuousDecoder(batch)
+        monkeypatch.setattr(batch, "free_slots", lambda: pytest.fail("free_slots built with nothing waiting"))
+        assert decoder.admit() == []
+
     @pytest.mark.parametrize("admission", ["fcfs", "shortest"])
     def test_serve_continuous_matches_sequential(self, dip_engine, ragged_prompts, rng, admission):
         budgets = [int(b) for b in rng.integers(1, 8, size=len(ragged_prompts))]

@@ -1,17 +1,18 @@
 """The compiled kernels' loader (``repro.utils.native``) and the checks
 ``CacheAwareDIP`` makes before calling DIP-CA's step.
 
-The loader builds one library from one translation unit holding all four
-kernels: DIP-CA's step (``_ca_step.c``), the decode attention
+The loader builds one library from one translation unit holding every
+kernel: DIP-CA's step (``_ca_step.c``), the decode attention and the head
 (``_decode_attn.c``), the DIP/DIP-CA decode MLP (``_decode_mlp.c``) and the
 one-call decode step (``_decode_step.c``), so each loader case runs once and
-checks all four handles."""
+checks every handle."""
 
 import copy
 import ctypes
 import hashlib
 import logging
 import pickle
+import re
 import subprocess
 import sys
 import threading
@@ -23,14 +24,14 @@ import pytest
 
 from repro.engine.decode_step import DECODE_STEP
 from repro.engine.inference import ContinuousBatch, SparseInferenceEngine
-from repro.nn.decode_attn import DECODE_ATTN
+from repro.nn.decode_attn import DECODE_ATTN, DECODE_HEAD
 from repro.nn.mlp import GLUMLPConfig, SwiGLUMLP
 from repro.nn.transformer import CausalLM, TransformerConfig
 from repro.sparsity.cache_aware import CA_STEP, CacheAwareDIP
 from repro.sparsity.decode_mlp import DECODE_MLP
 from repro.utils import native
 
-KERNELS = (CA_STEP, DECODE_ATTN, DECODE_MLP, DECODE_STEP)
+KERNELS = (CA_STEP, DECODE_ATTN, DECODE_HEAD, DECODE_MLP, DECODE_STEP)
 
 
 @pytest.fixture
@@ -165,6 +166,23 @@ def test_edited_header_builds_a_new_library(compiled_kernels, fresh_loader, monk
     assert all(kernel.load() is not None for kernel in KERNELS)
     rebuilt = sorted(fresh_loader.glob("*.so"))
     assert len(rebuilt) == 2 and built in rebuilt
+
+
+def test_the_library_hash_covers_every_included_file():
+    """``LIBRARY.headers``, kept by hand, names exactly the files the source
+    includes, directly or through another include: an edit to a file left
+    out would load a stale cached library."""
+    include = re.compile(r'^\s*#\s*include\s+"([^"]+)"', re.MULTILINE)
+    found, todo = [], [native.LIBRARY.source]
+    while todo:
+        path = todo.pop()
+        for name in include.findall(path.read_text()):
+            included = (path.parent / name).resolve()
+            if included not in found:
+                found.append(included)
+                todo.append(included)
+    headers = [path.resolve() for path in native.LIBRARY.headers]
+    assert sorted(headers) == sorted(found)
 
 
 def test_cache_directory_others_can_write_is_not_used(compiled_kernels, fresh_loader):
