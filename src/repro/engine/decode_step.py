@@ -29,11 +29,11 @@ through the per-layer helpers with every check they make:
 :func:`~repro.nn.decode_attn.bindings` (weights, norms, RoPE tables and cache
 arrays), :func:`~repro.sparsity.decode_mlp.bound_layer` (the MLP weights,
 keep counts and DIP-CA's cache arrays) and
-:func:`~repro.nn.decode_attn.head_binding`.  A caller that passes a
-``holder`` keeps the binding on it (``holder._bound``) between steps, as
-``ContinuousBatch`` does; each step then gathers what the binding was made
-from and compares it by identity, and binds again when an array or scalar
-has been replaced.  So a served step runs that one identity pass, one slot
+:func:`~repro.nn.decode_attn.head_binding`.  The batch keeps it
+(``batch._bound``) between steps; each step gathers what it was made from
+and compares it by identity, and binds again when an array or scalar has
+been replaced (:func:`~repro.utils.native.current_binding`, the rule every
+binding follows).  So a served step runs that one identity pass, one slot
 check (:func:`~repro.nn.decode_attn.check_slots`), one length, RoPE and
 overflow check per layer (:func:`~repro.nn.decode_attn.slot_positions`), the
 call and one pass of DIP-CA bookkeeping
@@ -44,13 +44,14 @@ raises is raised before any length, K/V entry or DIP-CA cache changes.
 from __future__ import annotations
 
 import ctypes
-import operator
-from typing import Any, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.nn.attention import KVCache
 from repro.nn.decode_attn import (
+    BoundBlock,
+    BoundCache,
     bindings,
     block_state,
     cache_state,
@@ -61,8 +62,11 @@ from repro.nn.decode_attn import (
 )
 from repro.nn.transformer import CausalLM
 from repro.sparsity.base import SparsityMethod
-from repro.sparsity.decode_mlp import SERVED, advance, bound_layer, layer_sources
-from repro.utils.native import CompiledKernel, address
+from repro.sparsity.decode_mlp import SERVED, BoundLayer, advance, bound_layer, layer_sources
+from repro.utils.native import Binding, CompiledKernel, address, current_binding
+
+if TYPE_CHECKING:  # repro.engine.inference imports this module
+    from repro.engine.inference import ContinuousBatch
 
 DECODE_STEP = CompiledKernel("decode_step")
 
@@ -79,61 +83,61 @@ def _sources(model: CausalLM, method: SparsityMethod, caches: Sequence[KVCache])
     return sources
 
 
-class StepBinding:
+class StepBinding(Binding):
     """The bindings one step's call reads, for every layer and the head.
 
-    ``sources`` is what they were made from (:func:`_sources`); ``structs``
-    holds each layer's ``struct block``, ``struct cache`` and ``struct
-    mlp`` addresses, the array the kernel takes.  The per-layer bindings are
-    held here, so their structs live as long as the binding.
+    ``struct`` is the array the kernel takes: each layer's ``struct
+    block``, ``struct cache`` and ``struct mlp`` addresses.  The bindings
+    they belong to are held here (``layers``, ``head``), so those structs
+    live as long as this one; ``mlps`` are the layers' MLP bindings in
+    order.  ``rope_lens`` and ``batch_size`` are what the step's checks read:
+    each block's RoPE table length and the fewest slots of any cache.
     """
 
-    __slots__ = ("sources", "attention", "mlps", "head", "structs", "rope_lens", "batch_size", "d_model")
+    __slots__ = ("layers", "mlps", "head", "rope_lens", "batch_size")
 
-    def __init__(self, sources: List[Any], attention: list, mlps: list, head: tuple) -> None:
-        self.sources, self.attention, self.mlps, self.head = sources, attention, mlps, head
-        addresses = [a for (block, cache), mlp in zip(attention, mlps) for a in (block[2], cache[2], mlp.address)]
-        self.structs = (ctypes.c_void_p * len(addresses))(*addresses)
-        self.rope_lens = [block[0][6].shape[0] for block, _ in attention]  # the bound RoPE tables
-        self.batch_size = min(cache[0][2].shape[0] for _, cache in attention)  # the bound lengths
-        self.d_model = head[1].d_model
+    def __init__(
+        self, sources: List[Any], layers: List[Tuple[BoundBlock, BoundCache, BoundLayer]], head: Binding
+    ) -> None:
+        addresses = [bound.address for layer in layers for bound in layer]
+        super().__init__(sources, (ctypes.c_void_p * len(addresses))(*addresses))
+        self.layers, self.head = layers, head
+        self.mlps = [mlp for _, _, mlp in layers]
+        self.rope_lens = [block.rope_len for block, _, _ in layers]
+        self.batch_size = min(cache.batch_size for _, cache, _ in layers)
 
 
-def _bind(model: CausalLM, method: SparsityMethod, caches: Sequence[KVCache], rows: int) -> Optional[StepBinding]:
-    """A :class:`StepBinding` for ``rows`` rows, or ``None`` when a layer
-    or the head is one the per-layer path runs on numpy."""
+def _bind(
+    sources: List[Any], model: CausalLM, method: SparsityMethod, caches: Sequence[KVCache], rows: int
+) -> Optional[StepBinding]:
+    """The :class:`StepBinding` made from ``sources`` (:func:`_sources`) for
+    ``rows`` rows, or ``None`` when a layer or the head is one the per-layer
+    path runs on numpy."""
     head = head_binding(model)
     if head is None:
         return None
-    attention, mlps, sources = [], [], []
+    layers: List[Tuple[BoundBlock, BoundCache, BoundLayer]] = []
     for block, cache in zip(model.blocks, caches):
         mlp = bound_layer(method, block.mlp, block.layer_index, rows)
-        held = bindings(block, cache)
-        if mlp is None or held is None or not held[0][1].d_model == mlp.struct.d_model == head[1].d_model:
+        attention = bindings(block, cache)
+        if mlp is None or attention is None:
             return None
-        attention.append(held)
-        mlps.append(mlp)
-        sources += held[0][0]
-        sources += held[1][0]
-        sources += mlp.sources
-    sources += head[0]
-    return StepBinding(sources, attention, mlps, head)
+        block_bound, cache_bound = attention
+        if not block_bound.struct.d_model == mlp.struct.d_model == head.struct.d_model:
+            return None
+        layers.append((block_bound, cache_bound, mlp))
+    return StepBinding(sources, layers, head)
 
 
 def decode_step(
-    model: CausalLM,
-    method: SparsityMethod,
-    caches: Sequence[KVCache],
-    slots: List[int],
-    ids: np.ndarray,
-    holder: Any = None,
+    method: SparsityMethod, batch: "ContinuousBatch", slots: List[int], ids: np.ndarray
 ) -> Optional[np.ndarray]:
-    """Next-token logits ``(len(slots), vocab)`` of ``model`` under
+    """Next-token logits ``(len(slots), vocab)`` of ``batch``'s model under
     ``method`` after token ``ids[i, 0]`` is appended to slot ``slots[i]`` of
-    every layer's cache, or ``None`` when the per-layer path must run.
-    ``holder._bound`` keeps the step's binding between calls when a holder
-    is given."""
-    width, config = len(slots), model.config
+    every layer's cache, or ``None`` when the per-layer path must run.  The
+    step's binding is kept on the batch (``batch._bound``)."""
+    model, caches, width = batch.model, batch.caches, len(slots)
+    config = model.config
     if type(method) not in SERVED or len(caches) != len(model.blocks):
         return None  # first, so other methods never load a kernel
     if width * method.expected_density(config.d_model, config.d_ffn) > 1.0:
@@ -141,14 +145,14 @@ def decode_step(
     kernel = DECODE_STEP.load()
     if kernel is None:
         return None
-    bound = None if holder is None else holder._bound
-    sources = _sources(model, method, caches)
-    if bound is None or len(sources) != len(bound.sources) or not all(map(operator.is_, sources, bound.sources)):
-        bound = _bind(model, method, caches, width)
-        if holder is not None:
-            holder._bound = bound
-        if bound is None:
-            return None
+    bound = current_binding(
+        vars(batch),
+        "_bound",
+        _sources(model, method, caches),
+        lambda sources: _bind(sources, model, method, caches, width),
+    )
+    if bound is None:
+        return None
 
     check_slots(slots, bound.batch_size)
     rows: List[int] = []
@@ -160,19 +164,20 @@ def decode_step(
         rows += written
         tops.append(top)
     x = model.embedding.forward_array(ids)  # (width, 1, d_model)
-    if x.dtype != np.float64 or x.shape[-1] != bound.d_model:
+    head = bound.head.struct
+    if x.dtype != np.float64 or x.shape[-1] != head.d_model:
         return None
     n_layers = len(tops)
     hits = (ctypes.c_int64 * n_layers)()
-    logits = np.empty((width, bound.head[1].vocab))
+    logits = np.empty((width, head.vocab))
     done = kernel(
-        bound.structs,
+        bound.address,
         n_layers,
         width,
         address(x),
         (ctypes.c_int64 * len(rows))(*rows),
         hits,
-        bound.head[2],
+        bound.head.address,
         address(logits),
     )
     attended, mlps = min((done + 1) // 2, n_layers), min(done // 2, n_layers)  # the layers' halves that ran

@@ -239,7 +239,7 @@ class SparseInferenceEngine:
         # no masks to record.
         if self.recorder is not None:
             return None
-        return decode_step(self.model, self.method, batch.caches, slots, ids, batch)
+        return decode_step(self.method, batch, slots, ids)
 
     # ------------------------------------------------------------------- API
     def reset(self) -> None:

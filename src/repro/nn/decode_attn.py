@@ -34,19 +34,20 @@ arrays by :func:`bindings` and :func:`head_binding`, the helpers the
 one-call decode step runs too.  Weight and cache addresses are bound once
 per block, cache and model, with every dtype, shape and contiguity check
 made then; later calls compare the arrays and scalars by identity and bind
-again when one is replaced.  Bindings are never copied or pickled.
+again when one is replaced (:func:`~repro.utils.native.current_binding`).
+Bindings are never copied or pickled.
 """
 
 from __future__ import annotations
 
 import ctypes
 import operator
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.nn.attention import KVCache, KVCacheSlotView
-from repro.utils.native import CompiledKernel, address
+from repro.utils.native import Binding, CompiledKernel, address, current_binding
 
 if TYPE_CHECKING:
     from repro.nn.transformer import CausalLM, TransformerBlock
@@ -107,39 +108,63 @@ block_state = operator.attrgetter(
 cache_state = operator.attrgetter("keys", "values", "lengths")
 
 
-def _bind_block(block: "TransformerBlock", state: tuple) -> Optional[tuple]:
-    """``(state, struct, address)`` for ``block``, or ``None`` if the kernel cannot read its weights."""
-    cfg = state[14]
-    rope = block.attention.rope
-    d, kv_dim, table = cfg.d_model, cfg.n_kv_heads * cfg.head_dim, (rope.max_seq_len, cfg.head_dim // 2)
+class BoundBlock(Binding):
+    """A block's binding: its ``struct block``, and ``rope_len``, the
+    positions its RoPE tables hold."""
+
+    __slots__ = ("rope_len",)
+
+    def __init__(self, sources: Sequence, struct: _Block, rope_len: int) -> None:
+        super().__init__(sources, struct)
+        self.rope_len = rope_len
+
+
+class BoundCache(Binding):
+    """A cache's binding: its ``struct cache``, and ``batch_size``, the
+    slots its arrays hold."""
+
+    __slots__ = ("batch_size",)
+
+    def __init__(self, sources: Sequence, struct: _Cache, batch_size: int) -> None:
+        super().__init__(sources, struct)
+        self.batch_size = batch_size
+
+
+def _bind_block(block: "TransformerBlock", state: Sequence) -> Optional[BoundBlock]:
+    """The binding made from ``block``'s :data:`block_state`, or ``None`` if
+    the kernel cannot read its weights."""
+    wq, wk, wv, wo, attention_norm, mlp_norm, cos, sin, attention_eps, mlp_eps, *biases, cfg = state
+    arrays, rope_len = (wq, wk, wv, wo, attention_norm, mlp_norm, cos, sin), block.attention.rope.max_seq_len
+    d, kv_dim, table = cfg.d_model, cfg.n_kv_heads * cfg.head_dim, (rope_len, cfg.head_dim // 2)
     shapes = ((d, d), (kv_dim, d), (kv_dim, d), (d, d), (d,), (d,), table, table)
-    if any(bias is not None for bias in state[10:14]) or not all(map(_fits, state[:8], shapes)):
+    if any(bias is not None for bias in biases) or not all(map(_fits, arrays, shapes)):
         return None
     struct = _Block(
         d,
         cfg.n_heads,
         cfg.n_kv_heads,
         cfg.head_dim,
-        state[8],
-        state[9],
+        attention_eps,
+        mlp_eps,
         1.0 / np.sqrt(cfg.head_dim),
-        *(a.ctypes.data for a in state[:8]),
+        *(a.ctypes.data for a in arrays),
     )
-    return state, struct, ctypes.addressof(struct)
+    return BoundBlock(state, struct, rope_len)
 
 
-def _bind_cache(cache: KVCache, arrays: tuple) -> Optional[tuple]:
-    """``(arrays, struct, address)`` for ``cache``, or ``None`` if the kernel cannot write it in place."""
+def _bind_cache(cache: KVCache, arrays: Sequence) -> Optional[BoundCache]:
+    """The binding made from ``cache``'s :data:`cache_state`, or ``None`` if
+    the kernel cannot write it in place."""
+    keys, values, lengths = arrays
     shape = (cache.batch_size, cache.n_kv_heads, cache.max_seq_len, cache.head_dim)
     if not (
-        _fits(arrays[0], shape)
-        and _fits(arrays[1], shape)
-        and _fits(arrays[2], (cache.batch_size,), np.int64)
+        _fits(keys, shape)
+        and _fits(values, shape)
+        and _fits(lengths, (cache.batch_size,), np.int64)
         and all(a.flags.writeable for a in arrays)
     ):
         return None
-    struct = _Cache(cache.max_seq_len, *(a.ctypes.data for a in arrays))
-    return arrays, struct, ctypes.addressof(struct)
+    return BoundCache(arrays, _Cache(cache.max_seq_len, *(a.ctypes.data for a in arrays)), cache.batch_size)
 
 
 def check_slots(slots: List[int], batch_size: int) -> None:
@@ -166,29 +191,19 @@ def slot_positions(cache: KVCache, slots: List[int], rope_len: int) -> Tuple[Lis
     return written, top
 
 
-def bindings(block: "TransformerBlock", cache: KVCache) -> Optional[Tuple[tuple, tuple]]:
-    """The kernel's bindings of ``block`` and ``cache``, each ``(arrays,
-    struct, address)`` with the address of its ``struct block`` or ``struct
-    cache``, or ``None`` when it cannot read the weights or write the cache
-    in place.  Each binding is made again when one of the arrays it holds
-    has been replaced.  A caller holds the bindings until its kernel call
-    returns: another thread may bind the block again meanwhile."""
-    state = block_state(block)
-    cfg = state[14]
+def bindings(block: "TransformerBlock", cache: KVCache) -> Optional[Tuple[BoundBlock, BoundCache]]:
+    """The kernel's bindings of ``block`` and ``cache``, or ``None`` when it
+    cannot read the weights or write the cache in place.  Each is held on
+    its block or cache and made again when something it was made from has
+    been replaced (:func:`~repro.utils.native.current_binding`)."""
+    cfg = block.attention.config
     if cache.n_kv_heads != cfg.n_kv_heads or cache.head_dim != cfg.head_dim:
         return None
-    bound = block._bound
-    if bound is None or not all(map(operator.is_, state, bound[0])):
-        bound = block._bound = _bind_block(block, state)
-        if bound is None:
-            return None
-    arrays = cache_state(cache)
-    held = cache._bound
-    if held is None or not all(map(operator.is_, arrays, held[0])):
-        held = cache._bound = _bind_cache(cache, arrays)
-        if held is None:
-            return None
-    return bound, held
+    bound = current_binding(vars(block), "_bound", block_state(block), lambda state: _bind_block(block, state))
+    if bound is None:
+        return None
+    held = current_binding(vars(cache), "_bound", cache_state(cache), lambda arrays: _bind_cache(cache, arrays))
+    return None if held is None else (bound, held)
 
 
 def head_state(model: "CausalLM") -> tuple:
@@ -199,29 +214,23 @@ def head_state(model: "CausalLM") -> tuple:
     return norm.weight.data, head.weight.data, norm.eps, head.bias
 
 
-def _bind_head(state: tuple) -> Optional[tuple]:
-    """``(state, struct, address)`` for the head, or ``None`` if the kernel cannot serve it."""
+def _bind_head(state: Sequence) -> Optional[Binding]:
+    """The binding made from :func:`head_state`, its ``struct head``, or
+    ``None`` if the kernel cannot serve the head."""
     norm, weight, eps, bias = state
     if bias is not None or norm.ndim != 1 or weight.ndim != 2:
         return None
     d_model, vocab = norm.shape[0], weight.shape[0]
     if not (_fits(norm, (d_model,)) and _fits(weight, (vocab, d_model))):
         return None
-    struct = _Head(d_model, vocab, eps, norm.ctypes.data, weight.ctypes.data)
-    return state, struct, ctypes.addressof(struct)
+    return Binding(state, _Head(d_model, vocab, eps, norm.ctypes.data, weight.ctypes.data))
 
 
-def head_binding(model: "CausalLM") -> Optional[tuple]:
-    """The kernel's binding of ``model``'s final norm and head, ``(state,
-    struct, address)`` with the address of its ``struct head``, or ``None``
-    when it cannot read them in place (an ``lm_head`` with a bias, say).
-    Made again when an array it holds has been replaced; held by a caller
-    until its kernel call returns, as :func:`bindings` is."""
-    state = head_state(model)
-    bound = model._bound
-    if bound is None or not all(map(operator.is_, state, bound[0])):
-        bound = model._bound = _bind_head(state)
-    return bound
+def head_binding(model: "CausalLM") -> Optional[Binding]:
+    """The kernel's binding of ``model``'s final norm and head, or ``None``
+    when it cannot read them in place (an ``lm_head`` with a bias, say);
+    held on the model under the rule :func:`bindings` follows."""
+    return current_binding(vars(model), "_bound", head_state(model), _bind_head)
 
 
 def decode_head(model: "CausalLM", x: np.ndarray) -> Optional[np.ndarray]:
@@ -234,11 +243,11 @@ def decode_head(model: "CausalLM", x: np.ndarray) -> Optional[np.ndarray]:
     if kernel is None:
         return None
     bound = head_binding(model)
-    if bound is None or x.shape[-1] != bound[1].d_model:
+    if bound is None or x.shape[-1] != bound.struct.d_model:
         return None
     x = np.ascontiguousarray(x)
-    out = np.empty(x.shape[:-1] + (bound[1].vocab,))
-    if kernel(bound[2], x.size // x.shape[-1], address(x), address(out)) != 0:
+    out = np.empty(x.shape[:-1] + (bound.struct.vocab,))
+    if kernel(bound.address, x.size // x.shape[-1], address(x), address(out)) != 0:
         raise MemoryError("the decode head could not allocate its scratch memory")
     return out
 
@@ -305,13 +314,14 @@ def decode_attention(
     bound = bindings(block, cache)
     if bound is None:
         return None
+    block_bound, cache_bound = bound
 
     rows = np.array(rows, dtype=np.int64)  # slot, write index and position of each row
     x = np.ascontiguousarray(x)
     out = np.empty((2,) + x.shape)
     status = kernel(
-        bound[0][2],
-        bound[1][2],
+        block_bound.address,
+        cache_bound.address,
         batch,
         address(x),
         address(rows),

@@ -33,8 +33,9 @@ arrays and keep counts are bound once per method and layer, with every
 dtype, shape, contiguity, writability and keep-count check made then, as the
 compiled decode attention binds its blocks; later calls compare what the
 binding was made from (:func:`layer_sources`) by identity and bind again
-when an array or scalar has been replaced.  Copies and pickles of a method
-start without bindings.
+when an array or scalar has been replaced
+(:func:`~repro.utils.native.current_binding`).  Copies and pickles of a
+method start without bindings.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from repro.nn.mlp import SwiGLUMLP
 from repro.sparsity.base import SparsityMethod, keep_count
 from repro.sparsity.cache_aware import CacheAwareDIP
 from repro.sparsity.dip import DynamicInputPruning
-from repro.utils.native import CompiledKernel, address
+from repro.utils.native import Binding, CompiledKernel, address, current_binding
 
 if TYPE_CHECKING:  # imported lazily at runtime: repro.hwsim depends on repro.sparsity
     from repro.hwsim.cache import LFUCache
@@ -95,16 +96,15 @@ def _writable(a: np.ndarray, shape: Tuple[int, ...], dtype: np.dtype) -> bool:
     return _fits(a, shape, dtype) and a.flags.writeable
 
 
-class BoundLayer:
-    """One method's binding of one layer: what it was made from
-    (``sources``), the kernel's ``struct mlp`` and its ``address``, DIP-CA's
-    input and down caches (empty for DIP) and the units ``kept`` per row
-    over both groups."""
+class BoundLayer(Binding):
+    """One method's binding of one layer: its ``struct mlp``, DIP-CA's input
+    and down caches (empty for DIP) and the units ``kept`` per row over both
+    groups."""
 
-    __slots__ = ("sources", "struct", "address", "caches", "kept")
+    __slots__ = ("caches", "kept")
 
     def __init__(self, sources: tuple, struct: _MLP, caches: Tuple["LFUCache", ...], kept: int) -> None:
-        self.sources, self.struct, self.address = sources, struct, ctypes.addressof(struct)
+        super().__init__(sources, struct)
         self.caches, self.kept = caches, kept
 
 
@@ -151,22 +151,14 @@ def bound_layer(method: SparsityMethod, mlp: SwiGLUMLP, layer_index: int, rows: 
     """The binding of ``method`` for ``mlp`` when the kernel serves ``rows``
     rows of its float64 input, or ``None``.
 
-    The binding is made, and checked, when none is held for the layer or
-    when one of its :func:`layer_sources` has been replaced; a binding that
-    cannot be made is not kept, so the next call checks again.  A caller
-    holds the binding until its kernel call returns: another thread may
-    bind the layer again meanwhile.
+    The binding is held on the method per layer and made, and checked, again
+    when one of its :func:`layer_sources` has been replaced
+    (:func:`~repro.utils.native.current_binding`).
     """
     if type(method) not in SERVED or rows * method.expected_density(mlp.d_model, mlp.d_ffn) > 1.0:
         return None
-    sources = layer_sources(method, mlp, layer_index)
     held = cast(DynamicInputPruning, method)._bound
-    bound = held.get(layer_index)
-    if bound is None or not all(map(operator.is_, sources, bound.sources)):
-        bound = _bind(sources)
-        if bound is not None:
-            held[layer_index] = bound
-    return bound
+    return current_binding(held, layer_index, layer_sources(method, mlp, layer_index), _bind)
 
 
 def advance(method: SparsityMethod, layers: Sequence[BoundLayer], rows: int, hits: Sequence[int]) -> None:

@@ -21,7 +21,7 @@ and ``sparse_forward`` are the numpy path and the reference.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional
+from typing import Any, Dict, Hashable, Optional
 
 import numpy as np
 
@@ -56,7 +56,7 @@ class DynamicInputPruning(SparsityMethod):
         #: The compiled kernels' bindings (:mod:`repro.sparsity.decode_mlp`
         #: per layer; DIP-CA's step per layer and group).  They hold
         #: addresses, so copies and pickles start without them.
-        self._bound: Dict[Hashable, tuple] = {}
+        self._bound: Dict[Hashable, Any] = {}
 
     def __getstate__(self):
         """Copies and pickles leave out the compiled kernels' addresses; a

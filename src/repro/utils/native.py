@@ -13,6 +13,10 @@ not match its name (a truncated build) is never loaded.
 there is no compiler or anything fails, so the kernels load all together or
 not at all; callers then run their numpy paths.  A :class:`CompiledKernel`
 is one function's handle.  Failures are logged at DEBUG level only.
+
+A :class:`Binding` is a kernel's view of some arrays and scalars, checked
+when it is made; :func:`current_binding` is the one rule for when a held
+binding is used again.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import logging
+import operator
 import os
 import platform
 import shutil
@@ -28,7 +33,7 @@ import subprocess
 import tempfile
 import threading
 from pathlib import Path
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, Hashable, MutableMapping, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -156,3 +161,42 @@ class CompiledKernel:
         """The compiled function, or ``None`` when the library is unavailable."""
         functions = LIBRARY.load()
         return None if functions is None else functions[self.symbol]
+
+
+class Binding:
+    """A kernel's view of some arrays and scalars: what it was made from
+    (``sources``), the ``struct`` the kernel reads, made after every dtype,
+    shape and value check it needs, and the struct's ``address``.  It holds
+    addresses, so its holders drop it from copies and pickles."""
+
+    __slots__ = ("sources", "struct", "address")
+
+    def __init__(self, sources: Sequence[Any], struct: Any) -> None:
+        self.sources, self.struct, self.address = sources, struct, ctypes.addressof(struct)
+
+
+_Bound = TypeVar("_Bound", bound=Binding)
+
+
+def current_binding(
+    holder: MutableMapping[Any, Any],
+    key: Hashable,
+    sources: Sequence[Any],
+    bind: Callable[[Sequence[Any]], Optional[_Bound]],
+) -> Optional[_Bound]:
+    """The binding ``holder[key]`` if it was made from ``sources``, the same
+    objects in the same order, else ``bind(sources)``, stored there: a new
+    binding, or ``None`` when the kernel cannot use them.  So a binding's
+    checks run once, when it is made, and a replaced array or scalar is
+    bound, and checked, again.
+
+    ``holder`` is a dict: an object's ``vars()``, written directly so that a
+    module's ``__setattr__`` hook does not run on every call, or a method's
+    per-layer bindings.  The caller holds the returned binding until its
+    kernel call returns: another thread may replace ``holder[key]``
+    meanwhile."""
+    held = holder.get(key)
+    if held is not None and len(held.sources) == len(sources) and all(map(operator.is_, sources, held.sources)):
+        return held
+    bound = holder[key] = bind(sources)
+    return bound

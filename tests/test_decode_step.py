@@ -177,7 +177,7 @@ def test_without_a_compiler_the_per_layer_path_runs(compiled_kernels, monkeypatc
     monkeypatch.setattr(native.LIBRARY, "load", lambda: None)
     fused = make_batch(model, make_method("dip-ca"), 1)
     slots, tokens = admit(fused, [6])
-    assert decode_step(model, engine_of(fused).method, fused.caches, slots, np.asarray([tokens]).T) is None
+    assert decode_step(engine_of(fused).method, fused, slots, np.asarray([tokens]).T) is None
     admit(reference, [6])
     got, want = lockstep([fused, reference], slots, tokens, 5)
     assert np.array_equal(got, want)
@@ -187,7 +187,7 @@ def test_the_numpy_side_of_decode_path_turns_the_step_off(decode_path):
     model = CausalLM(CONFIG, seed=1)
     batch = make_batch(model, make_method("dip"), 1)
     slots, tokens = admit(batch, [5])
-    served = decode_step(model, engine_of(batch).method, batch.caches, slots, np.asarray([tokens]).T)
+    served = decode_step(engine_of(batch).method, batch, slots, np.asarray([tokens]).T)
     assert (served is None) == (decode_path == "numpy")
 
 
@@ -241,7 +241,7 @@ def test_decode_step_checks_each_layer_s_slots(served, slots, match):
     admit(batch, [4, 6])
     kv = kv_state(batch)
     with pytest.raises(ValueError, match=match):
-        decode_step(model, engine_of(batch).method, batch.caches, slots, np.ones((len(slots), 1), dtype=np.int64))
+        decode_step(engine_of(batch).method, batch, slots, np.ones((len(slots), 1), dtype=np.int64))
     assert_same_kv(kv_state(batch), kv)
     assert served == []
 

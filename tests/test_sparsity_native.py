@@ -185,6 +185,26 @@ def test_the_library_hash_covers_every_included_file():
     assert sorted(headers) == sorted(found)
 
 
+def test_a_binding_is_used_again_only_for_the_same_sources():
+    """``current_binding`` keeps a binding for the very objects it was made
+    from, in order, and binds again for a replaced, reordered, equal-valued
+    or extra source; a source the kernel cannot use gives, and stores,
+    ``None``."""
+    a, b = np.zeros(3), np.ones(3)
+    holder, made = {}, []
+
+    def bind(sources):
+        made.append(sources)
+        return None if len(sources) > 3 else native.Binding(sources, ctypes.c_int64(len(sources)))
+
+    held = native.current_binding(holder, "bound", (a, b), bind)
+    assert native.current_binding(holder, "bound", [a, b], bind) is held is holder["bound"] and len(made) == 1
+    for n, sources in enumerate(((b, a), (a, b.copy()), (a,), (a, b, 0.5)), start=2):
+        rebound = native.current_binding({"bound": held}, "bound", sources, bind)
+        assert rebound is not held and rebound.sources is sources and len(made) == n
+    assert native.current_binding(holder, "bound", (a, b, 0.5, 0.5), bind) is None and holder["bound"] is None
+
+
 def test_cache_directory_others_can_write_is_not_used(compiled_kernels, fresh_loader):
     fresh_loader.mkdir(mode=0o700)
     fresh_loader.chmod(0o777)
