@@ -190,11 +190,10 @@ def current_binding(
     checks run once, when it is made, and a replaced array or scalar is
     bound, and checked, again.
 
-    ``holder`` is a dict: an object's ``vars()``, written directly so that a
-    module's ``__setattr__`` hook does not run on every call, or a method's
-    per-layer bindings.  The caller holds the returned binding until its
-    kernel call returns: another thread may replace ``holder[key]``
-    meanwhile."""
+    ``holder`` is the dict the binding is kept in: an object's ``vars()``
+    or a method's per-layer bindings.  A binding still current is not
+    stored again.  The caller holds the returned binding until its kernel
+    call returns: another thread may replace ``holder[key]`` meanwhile."""
     held = holder.get(key)
     if held is not None and len(held.sources) == len(sources) and all(map(operator.is_, sources, held.sources)):
         return held
