@@ -4,14 +4,18 @@ Builds a phi3-mini-shaped model (d_model 3072, d_ffn 8192, 32 query and 32
 KV heads, vocab 256, float64, random init; 2 layers, 1 with ``--fast``) and
 times one token at a time:
 
-* **one layer's MLP**, through ``SparseInferenceEngine._mlp_override`` (the
-  served dispatch point), and
-* **a whole decode step**, one token through every block and the lm_head
-  with the KV cache rewound to an 8-token prompt before each step,
+* **one layer's MLP**, through ``SparseInferenceEngine._mlp_override`` on
+  numpy and through :func:`~repro.sparsity.decode_mlp.decode_mlp` on the
+  compiled kernel, and
+* **a whole decode step**, one token through a width-1 ``ContinuousBatch``
+  (the served path) with its slot rewound to an 8-token prompt before each
+  step: the one-call step (:mod:`repro.engine.decode_step`) on the kernel,
+  and with it switched off the per-layer path, whose MLP runs on numpy.
+  The attention and the head run compiled on both sides, so the step ratio
+  isolates the MLP,
 
 for numpy dense and for ``dip`` and ``dip-ca`` at MLP densities 0.25, 0.35
-and 0.5, each on numpy (the decode MLP's loader forced to ``None``) and on
-the compiled kernel (:mod:`repro.sparsity.decode_mlp`).  Every case runs
+and 0.5, each on numpy and on the compiled kernel.  Every case runs
 its tokens back to back inside each round and the cases alternate within a
 round, after a warm-up round; the record holds the median and quartiles of
 the per-round ms per token, and each kernel case's ``speedup_vs_numpy_dense``
@@ -38,23 +42,22 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
-import contextlib  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
-from typing import Callable, Dict, Iterator, List  # noqa: E402
+from typing import Callable, Dict, List  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from repro.engine.inference import SparseInferenceEngine  # noqa: E402
+from repro.engine.inference import ContinuousBatch, SparseInferenceEngine  # noqa: E402
 from repro.hwsim.memory import build_layout  # noqa: E402
 from repro.nn.transformer import CausalLM, TransformerConfig  # noqa: E402
 from repro.sparsity.base import DenseBaseline, keep_count  # noqa: E402
 from repro.sparsity.cache_aware import CacheAwareDIP  # noqa: E402
-from repro.sparsity.decode_mlp import DECODE_MLP  # noqa: E402
+from repro.sparsity.decode_mlp import DECODE_MLP, decode_mlp  # noqa: E402
 from repro.sparsity.dip import DynamicInputPruning  # noqa: E402
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -76,18 +79,6 @@ def paper_config(n_layers: int) -> TransformerConfig:
     )
 
 
-@contextlib.contextmanager
-def kernel(on: bool) -> Iterator[None]:
-    """Run the decode MLP on the compiled kernel, or force its numpy path."""
-    load = DECODE_MLP.load
-    if not on:
-        DECODE_MLP.load = lambda: None  # type: ignore[method-assign]
-    try:
-        yield
-    finally:
-        DECODE_MLP.load = load  # type: ignore[method-assign]
-
-
 def cases(model: CausalLM) -> Dict[str, tuple]:
     """``label -> (engine, kernel on)``; each engine owns its method's state."""
     out: Dict[str, tuple] = {"dense/numpy": (SparseInferenceEngine(model, DenseBaseline()), False)}
@@ -107,26 +98,29 @@ def mlp_runner(engine: SparseInferenceEngine, on: bool, xs: List[np.ndarray]) ->
     block = engine.model.blocks[0]
 
     def run() -> None:
-        with kernel(on):
-            for x in xs:
+        for x in xs:
+            if not on:
                 engine._mlp_override(block, x)
+            elif decode_mlp(engine.method, block.mlp, block.layer_index, x) is None:
+                raise RuntimeError("the compiled decode MLP declined a case it must serve")
 
     return run
 
 
 def step_runner(engine: SparseInferenceEngine, on: bool, tokens: List[int]) -> Callable[[], None]:
-    model = engine.model
-    caches = model.new_kv_caches(max_seq_len=PROMPT_TOKENS + 1)
-    with kernel(on):
-        model.forward_array(np.arange(PROMPT_TOKENS), kv_caches=caches, mlp_override=engine._mlp_override)
+    batch = ContinuousBatch.from_engine(engine, max_batch_size=1, max_seq_len=PROMPT_TOKENS + 1)
+    if not on:
+        batch.fused_step = None  # the per-layer path: compiled attention and head, the MLP on numpy
+    slots, _ = batch.admit([np.arange(PROMPT_TOKENS)])
 
     def run() -> None:
-        with kernel(on):
-            for token in tokens:
-                for cache in caches:  # every step decodes position PROMPT_TOKENS
-                    cache.length = PROMPT_TOKENS
-                    cache.lengths[:] = PROMPT_TOKENS
-                model.forward_array(np.asarray([token]), kv_caches=caches, mlp_override=engine._mlp_override)
+        for token in tokens:
+            for cache in batch.caches:  # every step decodes position PROMPT_TOKENS
+                cache.lengths[slots] = PROMPT_TOKENS
+                cache.length = PROMPT_TOKENS
+            batch.step(slots, [token])
+        if on and batch._bound is None:
+            raise RuntimeError("the one-call decode step declined a case it must serve")
 
     return run
 

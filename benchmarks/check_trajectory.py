@@ -42,9 +42,7 @@ TRACKED_METRICS = {
     "BENCH_serving.json": {
         "fleet.isolation.ttft_isolation_fraction": "higher",
         "fleet.scaling.speedup_vs_one_worker": "higher",
-        "strategies.continuous.speedup_vs_lockstep": "higher",
         "strategies.continuous.speedup_vs_sequential": "higher",
-        "strategies.lockstep.speedup_vs_sequential": "higher",
     },
     "BENCH_latency_slo.json": {
         "observability.speedup_vs_untraced": "higher",

@@ -3,22 +3,21 @@
 
    decode_step is the compiled twin of CausalLM.forward_array after the
    embedding when each of B rows adds one token through ContinuousBatch's
-   slot views and a DynamicInputPruning or CacheAwareDIP method sends every
-   layer's MLP to decode_mlp.  For each layer l in order, on the hidden
-   states x (B, d_model), it runs
+   slot views under a DynamicInputPruning or CacheAwareDIP method.  For each
+   layer l in order, on the hidden states x (B, d_model), it runs
 
      1. decode_attn (_decode_attn.c) with layer l's block, cache and rows
-        (rows + 3 * B * l: each row's slot, write index and RoPE position),
-        giving the residual h and the MLP input;
+        (rows + 2 * B * l: each row's slot, then its write index, which is
+        also its RoPE position), giving the residual h and the MLP input;
      2. decode_mlp (_decode_mlp.c) on that MLP input, which writes
         hits[l];
      3. x = h + the MLP output, the add TransformerBlock.forward_array does;
 
    then decode_head (_decode_attn.c) on x, which writes logits (B, vocab).
-   Every kernel is the one the per-layer path calls (CausalLM.logits_array
-   runs decode_head too), included here, and the add rounds as numpy's
-   does, so the logits are bit for bit those of the per-layer calls and the
-   head.  The caller checks every layer first.  Returns the parts run,
+   Every kernel is the one the per-layer calls run (decode_attn and
+   decode_head serve ContinuousBatch.step's per-layer path too), included
+   here, and the add rounds as numpy's does, so the logits are bit for bit
+   those of the per-layer calls and the head.  The caller checks every layer first.  Returns the parts run,
    2 * n_layers + 1 when every layer and the head have run: a layer's
    attention half that cannot allocate its scratch memory leaves its layer
    unwritten, an MLP half leaves it after its attention, the head leaves
@@ -47,8 +46,8 @@ int64_t decode_step(const struct layer *layers, int64_t n_layers, int64_t B, dou
     if (attended == NULL) return 0;
     double *mlp_in = attended + n, *mlp_out = attended + 2 * n;
     int64_t done = 0;
-    for (int64_t l = 0; l < n_layers; l++, rows += 3 * B) {
-        if (decode_attn(layers[l].block, layers[l].cache, B, x, rows, NULL, 0, attended) != 0) break;
+    for (int64_t l = 0; l < n_layers; l++, rows += 2 * B) {
+        if (decode_attn(layers[l].block, layers[l].cache, B, x, rows, attended) != 0) break;
         done++;
         hits[l] = decode_mlp(layers[l].mlp, B, mlp_in, mlp_out);
         if (hits[l] < 0) break;

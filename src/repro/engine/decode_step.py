@@ -7,22 +7,21 @@
 kernel runs, for each block in order, the compiled attention half
 (:mod:`repro.nn.decode_attn`), the compiled DIP/DIP-CA MLP
 (:mod:`repro.sparsity.decode_mlp`) and the residual add, then the final
-RMSNorm and the head (:func:`~repro.nn.decode_attn.decode_head`), where the
-per-layer path makes two calls per block and one for the head, with Python
-between them.  The head is the function :meth:`CausalLM.logits_array
-<repro.nn.transformer.CausalLM.logits_array>` calls on one position, so the
-logits are bit for bit those of the per-layer path.  The embedding lookup
-stays in numpy: step ids are not range-checked, and numpy's indexing refuses
-an id past the table.
+RMSNorm and the head (:func:`~repro.nn.decode_attn.decode_head`).  Its
+logits are, bit for bit, those of the same kernels called one by one
+(``decode_attention``, ``decode_mlp`` and the add per block, then
+``decode_head``), without the Python between the calls.  The embedding
+lookup stays in numpy: step ids are not range-checked, and numpy's indexing
+refuses an id past the table.
 
-It serves a step exactly when the per-layer path would send every block's
-attention half to the compiled decode attention, its MLP to the compiled
-decode MLP and its head to the compiled head (method exactly DIP or DIP-CA,
-SiLU, float64, rows x MLP density <= 1, arrays the kernels can use, no
+It serves a step exactly when every block's attention half, its MLP and
+the head can run in those kernels (method exactly DIP or DIP-CA, SiLU,
+float64, rows x MLP density <= 1, arrays the kernels can use, no
 ``lm_head`` bias, the kernel library built), and returns ``None``
-otherwise, so the per-layer path runs.  The kernel is a function of the one
-library that holds the others (:data:`repro.utils.native.LIBRARY`), so it
-loads exactly when they do.
+otherwise, so the per-layer path runs: the compiled attention and head on
+the step's slot views, the MLP on numpy.  The kernel is a function of the
+one library that holds the others (:data:`repro.utils.native.LIBRARY`), so
+it loads exactly when they do.
 
 A :class:`StepBinding` holds every layer's bindings and the head's, made
 through the per-layer helpers with every check they make:
@@ -160,8 +159,7 @@ def decode_step(
     for cache, rope_len in zip(caches, bound.rope_lens):
         written, top = slot_positions(cache, slots, rope_len)
         rows += slots
-        rows += written
-        rows += written
+        rows += written  # each row's write index, which is also its RoPE position
         tops.append(top)
     x = model.embedding.forward_array(ids)  # (width, 1, d_model)
     head = bound.head.struct

@@ -10,9 +10,12 @@ about the batch dimension.  Flattening is C-ordered
 old sequence-by-sequence loop; even the stateful cache-aware method therefore
 produces identical masks batched and sequential.
 
-Request-level decoding has one driver, :class:`ContinuousDecoder`, over the
-slot-wise :class:`ContinuousBatch`; the serving scheduler, the fleet decode
-worker and :func:`serve_continuous_greedy` are thin shells over it.
+Decoding has one core, the slot-wise :class:`ContinuousBatch`.  Requests
+reach it through one driver, :class:`ContinuousDecoder`, of which the
+serving scheduler, the fleet decode worker and :func:`serve_continuous_greedy`
+are thin shells; :meth:`SparseInferenceEngine.generate_batch` steps it
+directly.  :meth:`SparseInferenceEngine.generate` runs the numpy oracle,
+:meth:`CausalLM.generate <repro.nn.transformer.CausalLM.generate>`.
 """
 
 from __future__ import annotations
@@ -23,11 +26,10 @@ import numpy as np
 
 from repro.backend import BackendLike, use_backend
 from repro.engine.decode_step import decode_step
-from repro.nn.embedding import check_ids, check_prompt
+from repro.nn.embedding import check_budget, check_ids, check_length, check_prompt
 from repro.nn.prefix_cache import PrefixCache, PrefixMatch
 from repro.nn.transformer import CausalLM, TransformerBlock, _sample_token, left_pad_ragged
 from repro.sparsity.base import MLPMasks, SparsityMethod, masks_mlp_density
-from repro.sparsity.decode_mlp import decode_mlp
 from repro.utils.logging import get_logger
 from repro.utils.numerics import logsumexp
 from repro.utils.rng import SeedLike, new_rng
@@ -190,11 +192,10 @@ class SparseInferenceEngine:
 
     The engine uses the model's array (inference) path and replaces every
     MLP call with ``method.sparse_forward``; attention, norms and embeddings
-    are untouched, exactly as in the paper.  A DIP or DIP-CA call of few
-    enough rows (a decode step) runs in the compiled decode MLP instead
-    (:mod:`repro.sparsity.decode_mlp`), unless masks are being recorded;
-    such a step of a :class:`ContinuousBatch` runs every block in one call
-    (:mod:`repro.engine.decode_step`).
+    are untouched, exactly as in the paper.  A narrow DIP or DIP-CA decode
+    step of a :class:`ContinuousBatch` runs every block, its MLP in the
+    compiled decode MLP, in one call instead (:mod:`repro.engine.decode_step`),
+    unless masks are being recorded.
     """
 
     def __init__(
@@ -221,14 +222,10 @@ class SparseInferenceEngine:
         if batched:
             batch, seq, d_model = normed.shape
             normed = normed.reshape(batch * seq, d_model)
-        # A narrow DIP/DIP-CA step runs in one compiled call that reads only
-        # the kept weight rows; it yields no masks to record.
-        out = None if self.recorder is not None else decode_mlp(self.method, block.mlp, block.layer_index, normed)
-        if out is None:
-            masks = self.method.compute_masks(block.mlp, block.layer_index, normed)
-            if self.recorder is not None:
-                self.recorder.record(block.layer_index, masks)
-            out = self.method.sparse_forward(block.mlp, block.layer_index, normed, masks)
+        masks = self.method.compute_masks(block.mlp, block.layer_index, normed)
+        if self.recorder is not None:
+            self.recorder.record(block.layer_index, masks)
+        out = self.method.sparse_forward(block.mlp, block.layer_index, normed, masks)
         if batched:
             out = out.reshape(batch, seq, d_model)
         return out
@@ -368,58 +365,58 @@ class SparseInferenceEngine:
         temperature: float = 1.0,
         rng=None,
     ) -> np.ndarray:
-        """Autoregressive sampling with the sparsity method active;
-        ``ValueError`` for an empty prompt or an id outside the vocabulary
-        (:meth:`CausalLM.generate <repro.nn.transformer.CausalLM.generate>`
-        checks it)."""
+        """Autoregressive sampling with the sparsity method active, through
+        the numpy oracle :meth:`CausalLM.generate
+        <repro.nn.transformer.CausalLM.generate>`, which raises
+        ``ValueError`` before any forward for an empty prompt, an id outside
+        the vocabulary or a budget the model cannot hold."""
         prompt = np.asarray(list(prompt_ids), dtype=np.int64)
         with use_backend(self.backend):
             return self.model.generate(
                 prompt, max_new_tokens, temperature=temperature, rng=rng, mlp_override=self._mlp_override
             )
 
-    def generate_batch(
-        self,
-        prompts,
-        max_new_tokens: int,
-        temperature: float = 1.0,
-        rng=None,
-        pad_id: int = 0,
-    ) -> np.ndarray:
-        """Batched sampling across (possibly ragged) prompts.
+    def generate_batch(self, prompts, max_new_tokens: int, temperature: float = 1.0, rng=None) -> np.ndarray:
+        """Sampling across (possibly ragged) prompts through one
+        :class:`ContinuousBatch`; the result is ``(batch, max_prompt_len +
+        max_new_tokens)``, each row right-aligned behind zeros.
 
-        Ragged prompts are left-padded with ``pad_id`` and decoded in
-        lock-step behind an attention mask; the result is ``(batch,
-        max_prompt_len + max_new_tokens)`` with each row right-aligned.
-
-        Methods whose masks depend on a cache state (DIP-CA, Algorithm 1)
-        define token order as part of the method, so they fall back to the
-        sequential per-prompt loop — batched decode would interleave prompts
-        and change the masks.  The fallback left-pads its per-prompt outputs
-        exactly like the batched path, so both layouts agree.  A prompt id
-        outside the vocabulary raises ``ValueError``.
+        The prompts are admitted together into a batch as wide as their
+        count, and it steps until the budget is spent.  Methods whose masks
+        depend on a cache state (DIP-CA, Algorithm 1) define token order as
+        part of the method, so they decode at width 1 instead, prompt after
+        prompt with no reset between.  Greedy rows are :meth:`generate`'s
+        (for DIP-CA, after the prompts before it).  Sampled tokens come from
+        one ``rng``, step by step, each step's rows in input order.  An
+        empty prompt, an id outside the vocabulary, a negative budget or one
+        the model cannot hold raises ``ValueError`` before any forward.
         """
         sequences = _as_prompt_list(prompts)
+        if not sequences:
+            raise ValueError("generate_batch needs at least one prompt")
+        config = self.model.config
         for sequence in sequences:
-            check_ids(sequence, self.model.config.vocab_size)
-        if self.method.requires_cache_state:
-            outputs = [
-                self.generate(p, max_new_tokens, temperature=temperature, rng=rng) for p in sequences
-            ]
-            longest = max(len(p) for p in sequences)
-            stacked = np.full((len(outputs), longest + max_new_tokens), int(pad_id), dtype=np.int64)
-            for i, out in enumerate(outputs):
-                stacked[i, longest + max_new_tokens - len(out) :] = out
-            return stacked
-        with use_backend(self.backend):
-            return self.model.generate_batch(
-                sequences,
-                max_new_tokens,
-                temperature=temperature,
-                rng=rng,
-                mlp_override=self._mlp_override,
-                pad_id=pad_id,
-            )
+            check_prompt(sequence, config.vocab_size)
+            check_length(len(sequence), max_new_tokens, config.max_seq_len)
+        rng = new_rng(rng)
+        longest = max(len(p) for p in sequences)
+        out = np.zeros((len(sequences), longest + max_new_tokens), dtype=np.int64)
+        for row, sequence in zip(out, sequences):
+            row[longest - len(sequence) : longest] = sequence
+        if max_new_tokens == 0:
+            return out
+        width = 1 if self.method.requires_cache_state else len(sequences)
+        batch = ContinuousBatch.from_engine(self, max_batch_size=width, max_seq_len=longest + max_new_tokens)
+        for start in range(0, len(sequences), width):
+            rows = np.arange(start, min(start + width, len(sequences)))
+            slots, logits = batch.admit([sequences[i] for i in rows])
+            for column in range(longest, longest + max_new_tokens):
+                if column > longest:
+                    logits = batch.step(slots, out[rows, column - 1])
+                out[rows, column] = [_sample_token(row, temperature, rng) for row in logits]
+            for slot in slots:
+                batch.evict(slot)
+        return out
 
 
 class ContinuousBatch:
@@ -511,7 +508,7 @@ class ContinuousBatch:
                 raise ValueError(
                     f"method '{engine.method.name}' requires cache state (token order is part of "
                     "the method); continuous batching would change its masks — use "
-                    "max_batch_size=1 or engine.generate_batch's sequential fallback"
+                    "max_batch_size=1, as engine.generate_batch does"
                 )
             if kwargs.get("prefix_cache") is not None:
                 raise ValueError(
@@ -714,27 +711,6 @@ class ContinuousBatch:
 #: or shortest prompt first (minimises padded prefill width when many ragged
 #: prompts are queued).
 ADMISSION_POLICIES = ("fcfs", "shortest")
-
-
-def check_budget(prompt_len: int, max_new_tokens: int, max_seq_len: int) -> None:
-    """Raise ``ValueError`` unless a prompt and its token budget fit one slot.
-
-    A slot's KV cache fills to ``prompt_len + max_new_tokens - 1`` (the final
-    sampled token is never fed back), so anything larger is refused up front
-    instead of overflowing mid-decode.
-    """
-    if max_new_tokens <= 0:
-        raise ValueError("max_new_tokens must be positive")
-    room = max_seq_len - prompt_len
-    if room <= 0:
-        raise ValueError(
-            f"prompt of {prompt_len} tokens leaves no decode room in max_seq_len={max_seq_len}"
-        )
-    if max_new_tokens - 1 > room:
-        raise ValueError(
-            f"prompt of {prompt_len} tokens + max_new_tokens={max_new_tokens} exceeds "
-            f"max_seq_len={max_seq_len}; at most {room + 1} new tokens fit"
-        )
 
 
 class DecodeRequest:

@@ -2,20 +2,20 @@
    model's head.
 
    decode_attn is the compiled twin of what TransformerBlock.forward_array
-   does with numpy when each of B rows adds one token through a KV cache:
+   does with numpy when each of B rows adds one token through a slot view of
+   a KV cache (ContinuousBatch.step):
 
      h      = x + O(attention(RoPE(Q n), RoPE(K n), V n)),  n = RMSNorm(x; attention_norm)
      mlp_in = RMSNorm(h; mlp_norm)
 
-   For each row b, in order, with cache row s = rows[b], write index
-   w = rows[B + b] and RoPE position p = rows[2 * B + b], it
+   For each row b, in order, with cache row s = rows[b] and write index
+   w = rows[B + b], which is also its RoPE position, it
 
      1. normalises x[b] with attention_norm;
      2. forms q, k and v from the stored (out, in) weights, read in place;
-     3. rotates q and k at position p;
+     3. rotates q and k at position w;
      4. writes k and v at [s, :, w] of the cache and sets lengths[s] = w + 1;
-     5. for each query head, takes a softmax over keys 0..w of its KV head,
-        adding bias[b * bias_stride + j] to key j's score when bias is set:
+     5. for each query head, takes a softmax over keys 0..w of its KV head:
         the scores less their largest, exponentiated in one vectorised loop
         (exp_in_place, _vector.h), then summed in key order;
      6. forms the context vector, its O projection and the residual h[b];
@@ -32,8 +32,8 @@
    sums in other orders and its exp differs.  repro.utils.native builds them
    with -ffp-contract=off and without -ffast-math; the hot loops are
    compiled once per vector width and picked at load time.  The caller
-   checks every dtype, shape, index and bias first.  Both return 0, or -1
-   when scratch memory cannot be allocated, before anything is written. */
+   checks every dtype, shape and index first.  Both return 0, or -1 when
+   scratch memory cannot be allocated, before anything is written. */
 
 #include <math.h>
 #include <stdint.h>
@@ -92,7 +92,7 @@ INLINE void rope(double *v, int64_t heads, int64_t head_dim, const double *cos, 
 
 VECTOR_CLONES
 int64_t decode_attn(const struct block *blk, const struct cache *kv, int64_t B, const double *x,
-                    const int64_t *rows, const double *bias, int64_t bias_stride, double *out) {
+                    const int64_t *rows, double *out) {
     const int64_t d = blk->d_model, hd = blk->head_dim, n_kv = blk->n_kv_heads, seq = kv->max_seq_len;
     const int64_t kv_dim = n_kv * hd, group = blk->n_heads / n_kv, half = hd / 2;
     double *scratch = malloc((size_t)(B * (3 * d + 2 * kv_dim) + seq) * sizeof(double));
@@ -105,10 +105,10 @@ int64_t decode_attn(const struct block *blk, const struct cache *kv, int64_t B, 
     gemv(blk->wk, normed, B, kv_dim, d, k);
     gemv(blk->wv, normed, B, kv_dim, d, v);
     for (int64_t b = 0; b < B; b++) {
-        const int64_t s = rows[b], w = rows[B + b], p = rows[2 * B + b];
+        const int64_t s = rows[b], w = rows[B + b];
         double *qb = q + b * d, *kb = k + b * kv_dim, *vb = v + b * kv_dim, *cb = context + b * d;
-        rope(qb, blk->n_heads, hd, blk->cos + p * half, blk->sin + p * half);
-        rope(kb, n_kv, hd, blk->cos + p * half, blk->sin + p * half);
+        rope(qb, blk->n_heads, hd, blk->cos + w * half, blk->sin + w * half);
+        rope(kb, n_kv, hd, blk->cos + w * half, blk->sin + w * half);
 
         double *keys = kv->keys + s * n_kv * seq * hd, *values = kv->values + s * n_kv * seq * hd;
         for (int64_t g = 0; g < n_kv; g++)
@@ -118,14 +118,12 @@ int64_t decode_attn(const struct block *blk, const struct cache *kv, int64_t B, 
             }
         kv->lengths[s] = w + 1;
 
-        const double *row_bias = bias != NULL ? bias + b * bias_stride : NULL;
         for (int64_t head = 0; head < blk->n_heads; head++) {
             const double *qh = qb + head * hd;
             const double *kh = keys + (head / group) * seq * hd, *vh = values + (head / group) * seq * hd;
             double *ch = cb + head * hd, top = -INFINITY, total = 0.0;
             for (int64_t j = 0; j <= w; j++) {
                 score[j] = dot(qh, kh + j * hd, hd) * blk->scale;
-                if (row_bias != NULL) score[j] += row_bias[j];
                 top = score[j] > top ? score[j] : top;
             }
             for (int64_t j = 0; j <= w; j++) score[j] -= top;

@@ -1,41 +1,33 @@
 """The attention half of a decode step, and the head, in C calls (``_decode_attn.c``).
 
 :func:`decode_attention` serves :meth:`TransformerBlock.forward_array
-<repro.nn.transformer.TransformerBlock.forward_array>` whenever a forward
-adds one token per row through a KV cache: the slot views of
-``ContinuousBatch.step`` and the lock-step caches of ``CausalLM.generate``
-and ``generate_batch``.  One call of the kernel runs the attention norm, the
-Q/K/V products on the stored weights, RoPE, the K/V write, the softmax over
-each row's visible keys, the O projection with its residual and the MLP
-norm.  The MLP itself stays with the caller.
+<repro.nn.transformer.TransformerBlock.forward_array>` for the slot views of
+a ``ContinuousBatch.step`` and nothing else: one new token per slot, each
+slot written at and rotated by its own length, seeing keys ``0..length`` of
+its own row.  One call of the kernel runs the attention norm, the Q/K/V
+products on the stored weights, RoPE, the K/V write, the softmax over each
+row's visible keys, the O projection with its residual and the MLP norm.
+The MLP itself stays with the caller.
 
-Each row's cache row, write index and RoPE position come from the cache:
+:func:`decode_head` serves :meth:`CausalLM.forward_array
+<repro.nn.transformer.CausalLM.forward_array>` for the same steps: the final
+RMSNorm, then the tied embedding or an ``lm_head`` without bias, in one call.
+The one-call decode step (:mod:`repro.engine.decode_step`) runs the same
+function after its last block, so both paths give the same logits.
 
-- **Slot views.** Slot ``s`` writes at and rotates by its own length, and
-  sees keys ``0..length``; the view is the only source of both.
-- **Lock-step caches.** Row ``b`` is slot ``b`` and writes at
-  ``cache.length``; ``position_ids`` override its RoPE position and an
-  ``attention_mask`` (left-pad key bias) is added to its scores.
-
-:func:`decode_head` serves :meth:`CausalLM.logits_array
-<repro.nn.transformer.CausalLM.logits_array>` for every input of one
-position per row (decode steps, and prefill's ``last_only`` logits): the
-final RMSNorm, then the tied embedding or an ``lm_head`` without bias, in
-one call.  The one-call decode step (:mod:`repro.engine.decode_step`) runs
-the same function after its last block, so both paths give the same logits.
-
-Both return ``None`` when the kernel cannot serve a call (no compiler, not
-float64, another shape, weights it cannot read in place), and the numpy path
-runs instead; that path also stays the reference the tests compare against.
-Results agree with it to rounding, not bit for bit.  Everything the kernel
-indexes by is checked here first: a slot view's slots by
-:func:`check_slots` and their positions by :func:`slot_positions`, the
-arrays by :func:`bindings` and :func:`head_binding`, the helpers the
-one-call decode step runs too.  Weight and cache addresses are bound once
-per block, cache and model, with every dtype, shape and contiguity check
-made then; later calls compare the arrays and scalars by identity and bind
-again when one is replaced (:func:`~repro.utils.native.current_binding`).
-Bindings are never copied or pickled.
+Every other forward runs on numpy: prefill, the plain caches of
+``CausalLM.generate`` (the oracle the tests compare against) and every call
+the kernel cannot serve (no compiler, not float64, another shape, weights it
+cannot read in place), for which both functions return ``None``.  Results
+agree with numpy to rounding, not bit for bit.  Everything the kernel
+indexes by is checked here first: a slot view's slots by :func:`check_slots`
+and their positions by :func:`slot_positions`, the arrays by
+:func:`bindings` and :func:`head_binding`, the helpers the one-call decode
+step runs too.  Weight and cache addresses are bound once per block, cache
+and model, with every dtype, shape and contiguity check made then; later
+calls compare the arrays and scalars by identity and bind again when one is
+replaced (:func:`~repro.utils.native.current_binding`).  Bindings are never
+copied or pickled.
 """
 
 from __future__ import annotations
@@ -253,83 +245,35 @@ def decode_head(model: "CausalLM", x: np.ndarray) -> Optional[np.ndarray]:
 
 
 def decode_attention(
-    block: "TransformerBlock",
-    x: np.ndarray,
-    kv_cache,
-    attention_mask: Optional[np.ndarray] = None,
-    position_ids: Optional[np.ndarray] = None,
+    block: "TransformerBlock", x: np.ndarray, kv_cache
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """``(residual, mlp_input)`` of ``block``'s attention half for one new
-    token per row of ``x``, or ``None`` when the numpy path must run.
+    token per slot of the slot view ``kv_cache``, or ``None`` when the numpy
+    path must run (any other cache among them).
 
-    ``x`` is ``(1, d_model)`` or ``(batch, 1, d_model)``; both outputs have
-    its shape.  The K/V land in ``kv_cache`` and its lengths advance, as
-    :meth:`KVCache.append` or :meth:`KVCacheSlotView.append` would.
+    ``x`` is ``(len(slots), 1, d_model)``; both outputs have its shape.  The
+    K/V land in the view's cache and its slots' lengths advance, as
+    :meth:`KVCacheSlotView.append` would.
     """
-    if kv_cache is None or x.ndim not in (2, 3) or x.shape[-2] != 1 or x.dtype != np.float64:
+    if not isinstance(kv_cache, KVCacheSlotView) or x.ndim != 3 or x.shape[1] != 1 or x.dtype != np.float64:
         return None
     kernel = DECODE_ATTN.load()
     if kernel is None:
         return None
-    batch = x.shape[0] if x.ndim == 3 else 1
-    bias, stride = None, 0
-    if isinstance(kv_cache, KVCacheSlotView):
-        if attention_mask is not None or position_ids is not None:
-            raise ValueError("a slot view sets its own positions and key mask")
-        cache, slots = kv_cache.cache, kv_cache.slots.tolist()
-        if len(slots) != batch:
-            return None
-        check_slots(slots, cache.batch_size)
-        written, top = slot_positions(cache, slots, block.attention.rope.max_seq_len)
-        rows = slots + written + written
-    elif isinstance(kv_cache, KVCache):
-        cache, top, rope_len = kv_cache, kv_cache.length, block.attention.rope.max_seq_len
-        if cache.batch_size != batch:
-            return None
-        if position_ids is None:
-            if not 0 <= top < rope_len:
-                raise ValueError("sequence exceeds RoPE table length")
-            positions = [top] * batch
-        else:
-            given = np.asarray(position_ids, dtype=np.int64)
-            if given.ndim not in (1, 2) or given.shape[-1] != 1 or given.size != batch:
-                return None
-            positions = given.ravel().tolist()
-            if max(positions) >= rope_len or min(positions) < 0:
-                raise ValueError("position_ids exceed the RoPE table length")
-        if top + 1 > cache.max_seq_len:
-            raise RuntimeError("KV cache overflow")
-        rows = list(range(batch)) + [top] * batch + positions
-    else:
+    cache, slots = kv_cache.cache, kv_cache.slots.tolist()
+    if len(slots) != x.shape[0]:
         return None
-    if attention_mask is not None:  # the kernel takes one (batch, keys) row per sequence
-        bias = np.asarray(attention_mask, dtype=np.float64)
-        if bias.shape[-1] != top + 1:
-            raise ValueError(f"attention_mask covers {bias.shape[-1]} key positions, expected {top + 1}")
-        if bias.shape != (batch, top + 1):
-            return None
-        if bias.strides[1] != bias.itemsize or bias.strides[0] % bias.itemsize:
-            bias = np.ascontiguousarray(bias)
-        stride = bias.strides[0] // bias.itemsize
+    check_slots(slots, cache.batch_size)
+    written, top = slot_positions(cache, slots, block.attention.rope.max_seq_len)
     bound = bindings(block, cache)
     if bound is None:
         return None
     block_bound, cache_bound = bound
 
-    rows = np.array(rows, dtype=np.int64)  # slot, write index and position of each row
+    rows = np.array(slots + written, dtype=np.int64)  # each row's slot, then its write index and position
     x = np.ascontiguousarray(x)
     out = np.empty((2,) + x.shape)
-    status = kernel(
-        block_bound.address,
-        cache_bound.address,
-        batch,
-        address(x),
-        address(rows),
-        0 if bias is None else address(bias),
-        stride,
-        address(out),
-    )
-    if status != 0:
+    if kernel(block_bound.address, cache_bound.address, len(slots), address(x), address(rows), address(out)) != 0:
         raise MemoryError("decode attention could not allocate its scratch memory")
     cache.length = max(cache.length, top + 1)
     return out[0], out[1]

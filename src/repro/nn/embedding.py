@@ -68,3 +68,35 @@ def check_prompt(prompt: Sequence[int], vocab_size: int) -> None:
     if ids.size == 0:
         raise ValueError("prompt must hold at least one token id")
     check_ids(ids, vocab_size)
+
+
+def check_length(prompt_len: int, max_new_tokens: int, max_seq_len: int) -> None:
+    """Raise ``ValueError`` for a negative token budget, or unless a prompt
+    and its budget fit ``max_seq_len`` positions.
+
+    Generation writes ``prompt_len + max_new_tokens - 1`` positions (the
+    final sampled token is never fed back), and at least the prompt's, so
+    anything larger is refused before any forward instead of failing
+    mid-decode.  A budget of 0 is the prompt alone.
+    """
+    if max_new_tokens < 0:
+        raise ValueError("max_new_tokens must not be negative")
+    if prompt_len > max_seq_len:
+        raise ValueError(f"prompt of {prompt_len} tokens exceeds max_seq_len={max_seq_len}")
+    if prompt_len + max_new_tokens - 1 > max_seq_len:
+        raise ValueError(
+            f"prompt of {prompt_len} tokens + max_new_tokens={max_new_tokens} exceeds "
+            f"max_seq_len={max_seq_len}; at most {max_seq_len - prompt_len + 1} new tokens fit"
+        )
+
+
+def check_budget(prompt_len: int, max_new_tokens: int, max_seq_len: int) -> None:
+    """Raise ``ValueError`` unless a prompt and its token budget fit one
+    decode slot of ``max_seq_len`` positions: a budget of at least one
+    token, room to decode past the prompt, and :func:`check_length`'s rule.
+    """
+    if max_new_tokens <= 0:
+        raise ValueError("max_new_tokens must be positive")
+    if prompt_len >= max_seq_len:
+        raise ValueError(f"prompt of {prompt_len} tokens leaves no decode room in max_seq_len={max_seq_len}")
+    check_length(prompt_len, max_new_tokens, max_seq_len)

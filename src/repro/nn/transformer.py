@@ -1,9 +1,11 @@
 """Decoder-only transformer (causal LM) built from attention + gated MLP blocks.
 
-Decode steps run each block's attention half in one call of a compiled
-kernel when one is built (:mod:`repro.nn.decode_attn`), and so does the head
-of every input of one position per row; every other forward, and every
-forward on a host without a C compiler, runs on numpy.
+A decode step through the slot views of a ``ContinuousBatch`` runs each
+block's attention half, and the head, in one call of a compiled kernel when
+one is built (:mod:`repro.nn.decode_attn`).  Every other forward runs on
+numpy: prefill, every forward on a host without a C compiler, and
+:meth:`CausalLM.generate`, the deliberately simple oracle every decode path
+is compared against.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import numpy as np
 from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor, no_grad
 from repro.backend import active_backend
-from repro.nn.attention import MASKED_BIAS, AttentionConfig, GroupedQueryAttention, KVCache
+from repro.nn.attention import MASKED_BIAS, AttentionConfig, GroupedQueryAttention, KVCache, KVCacheSlotView
 from repro.nn.decode_attn import decode_attention, decode_head
-from repro.nn.embedding import Embedding, check_prompt
+from repro.nn.embedding import Embedding, check_length, check_prompt
 from repro.nn.linear import Linear
 from repro.nn.mlp import GLUMLPConfig, SwiGLUMLP
 from repro.nn.module import Module, ModuleList
@@ -92,15 +94,13 @@ def _sample_token(logits: np.ndarray, temperature: float, rng) -> int:
     return int(rng.choice(len(probs), p=probs))
 
 
-def left_pad_ragged(
-    prompts: Sequence[np.ndarray], pad_id: int = 0
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def left_pad_ragged(prompts: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Left-pad ragged token sequences into one rectangular batch.
 
     Returns ``(padded, position_ids, key_bias, lengths)``:
 
-    * ``padded`` — ``(batch, P)`` int64, each row right-aligned with
-      ``pad_id`` in front (``P`` is the longest prompt);
+    * ``padded`` — ``(batch, P)`` int64, each row right-aligned with id 0
+      in front (``P`` is the longest prompt);
     * ``position_ids`` — ``(batch, P)``, each real token's position *within
       its own sequence* (pads get 0, which is irrelevant because they are
       masked);
@@ -117,7 +117,7 @@ def left_pad_ragged(
         raise ValueError("left_pad_ragged needs at least one non-empty sequence")
     lengths = np.asarray([len(p) for p in sequences], dtype=np.int64)
     longest = int(lengths.max())
-    padded = np.full((len(sequences), longest), int(pad_id), dtype=np.int64)
+    padded = np.zeros((len(sequences), longest), dtype=np.int64)
     for i, seq in enumerate(sequences):
         padded[i, longest - len(seq) :] = seq
     pads = (longest - lengths)[:, None]
@@ -173,12 +173,14 @@ class TransformerBlock(Module):
         ``attention_mask``/``position_ids`` pass through to the attention
         block (left-padded ragged batches).
 
-        A decode step — one new token per row through a KV cache — runs the
-        attention half (both norms included) as one call of a C kernel when
-        one is built (:mod:`repro.nn.decode_attn`); prefill, cache-less
-        forwards and hosts without a compiler take the numpy path.  The two
-        agree to rounding.  The MLP always runs here."""
-        attended = decode_attention(self, x, kv_cache, attention_mask, position_ids)
+        A decode step through a slot view — one new token per slot — runs
+        the attention half (both norms included) as one call of a C kernel
+        when one is built (:mod:`repro.nn.decode_attn`); every other forward
+        and hosts without a compiler take the numpy path.  The two agree to
+        rounding.  The MLP always runs here."""
+        attended = None
+        if attention_mask is None and position_ids is None:  # the numpy path refuses them on a slot view
+            attended = decode_attention(self, x, kv_cache)
         if attended is not None:
             x, normed = attended
         else:
@@ -269,6 +271,13 @@ class CausalLM(Module):
         for every non-final prompt position.  ``attention_mask`` (additive
         key bias) and ``position_ids`` (absolute RoPE positions per token)
         support left-padded ragged batches; see :func:`left_pad_ragged`.
+
+        A step through slot views (``ContinuousBatch.step``) runs its head in
+        one call of the compiled head when it is built
+        (:func:`~repro.nn.decode_attn.decode_head`), the function the
+        one-call decode step (:mod:`repro.engine.decode_step`) ends with, so
+        both give the same logits; every other forward runs
+        :meth:`logits_array`.
         """
         token_ids = np.asarray(token_ids, dtype=np.int64)
         if token_ids.ndim not in (1, 2):
@@ -286,26 +295,19 @@ class CausalLM(Module):
             )
             if return_hidden:
                 hidden_states.append(x.copy())
-        logits = self.logits_array(x, last_only)
+        logits = None
+        if kv_caches and isinstance(kv_caches[0], KVCacheSlotView):
+            logits = decode_head(self, x)
+        if logits is None:
+            logits = self.logits_array(x, last_only)
         if return_hidden:
             return logits, hidden_states
         return logits
 
     def logits_array(self, x: np.ndarray, last_only: bool = False) -> np.ndarray:
         """Logits of the last block's hidden states ``x`` ``(..., seq,
-        d_model)``: the final RMSNorm, then the lm_head or, tied, the
-        embedding.  ``last_only`` projects the final position only.
-
-        One position per row (a decode step, or ``last_only``) runs in one
-        call of the compiled head when it is built
-        (:func:`~repro.nn.decode_attn.decode_head`), the function the
-        one-call decode step (:mod:`repro.engine.decode_step`) ends with, so
-        both give the same logits; longer inputs, an ``lm_head`` with a bias
-        and hosts without a compiler run on numpy."""
-        if last_only or x.shape[-2] == 1:
-            logits = decode_head(self, x[..., -1:, :])
-            if logits is not None:
-                return logits
+        d_model)`` on numpy: the final RMSNorm, then the lm_head or, tied,
+        the embedding.  ``last_only`` projects the final position only."""
         x = self.final_norm.forward_array(x)
         if last_only:
             x = x[..., -1:, :]
@@ -326,11 +328,17 @@ class CausalLM(Module):
         rng: SeedLike = None,
         mlp_override: Optional[Callable[..., np.ndarray]] = None,
     ) -> np.ndarray:
-        """Autoregressive sampling (greedy when ``temperature == 0``);
-        ``ValueError`` for an empty prompt or an id outside the vocabulary."""
+        """Autoregressive sampling (greedy when ``temperature == 0``), on
+        numpy end to end: the oracle every decode path is compared against.
+
+        ``ValueError``, before any forward, for an empty prompt, an id
+        outside the vocabulary, a negative budget or one the model cannot
+        hold (:func:`~repro.nn.embedding.check_length`).  A budget of 0
+        returns the prompt."""
         rng = new_rng(rng)
         prompt = np.asarray(list(prompt_ids), dtype=np.int64)
         check_prompt(prompt, self.config.vocab_size)
+        check_length(len(prompt), max_new_tokens, self.config.max_seq_len)
         max_len = len(prompt) + max_new_tokens
         caches = self.new_kv_caches(max_seq_len=max_len)
         with no_grad():
@@ -346,73 +354,6 @@ class CausalLM(Module):
                         np.asarray([next_id], dtype=np.int64), kv_caches=caches, mlp_override=mlp_override
                     )
         return np.asarray(generated, dtype=np.int64)
-
-    def generate_batch(
-        self,
-        prompts: np.ndarray,
-        max_new_tokens: int,
-        temperature: float = 1.0,
-        rng: SeedLike = None,
-        mlp_override: Optional[Callable[..., np.ndarray]] = None,
-        pad_id: int = 0,
-    ) -> np.ndarray:
-        """Autoregressive sampling for a batch of (possibly ragged) prompts.
-
-        ``prompts`` is a ``(batch, prompt_len)`` array or a list of ragged
-        1-D prompts; ragged rows are left-padded with ``pad_id``, pad keys
-        are masked out of attention, and every row keeps its own RoPE
-        positions, so the result is ``(batch, max_prompt_len +
-        max_new_tokens)`` with each row right-aligned.  The batch shares one
-        set of batched KV caches, so each decode step is a single forward.
-        Greedy decoding (``temperature <= 0``) matches :meth:`generate` on
-        every prompt exactly, ragged or not; sampled decoding draws
-        per-prompt in batch order each step, so it consumes the RNG in a
-        different order than a sequential loop would.
-        """
-        rng = new_rng(rng)
-        if isinstance(prompts, np.ndarray):
-            sequences = list(prompts[None] if prompts.ndim == 1 else prompts)
-        else:
-            sequences = list(prompts)
-            if sequences and all(np.ndim(p) == 0 for p in sequences):
-                # A flat token list is one prompt (the historical contract),
-                # not a batch of single-token prompts.
-                sequences = [sequences]
-        padded, position_ids, key_bias, lengths = left_pad_ragged(sequences, pad_id)
-        batch, longest = padded.shape
-        # Equal-length batches pass no mask or positions: they would change
-        # nothing and only add work to every step.
-        ragged = int(lengths.min()) < longest
-        # Pad keys stay masked for the whole decode; generated keys are visible.
-        full_bias = np.concatenate([key_bias, np.zeros((batch, max_new_tokens))], axis=1)
-        caches = self.new_kv_caches(max_seq_len=longest + max_new_tokens, batch_size=batch)
-        generated = np.empty((batch, longest + max_new_tokens), dtype=np.int64)
-        generated[:, :longest] = padded
-        with no_grad():
-            logits = self.forward_array(
-                padded,
-                kv_caches=caches,
-                mlp_override=mlp_override,
-                attention_mask=key_bias if ragged else None,
-                position_ids=position_ids if ragged else None,
-                last_only=True,
-            )
-            for step in range(max_new_tokens):
-                last = logits[:, -1, :]
-                if temperature <= 0:
-                    next_ids = np.argmax(last, axis=-1)
-                else:
-                    next_ids = np.asarray([_sample_token(row, temperature, rng) for row in last])
-                generated[:, longest + step] = next_ids
-                if step + 1 < max_new_tokens:
-                    logits = self.forward_array(
-                        generated[:, longest + step : longest + step + 1],
-                        kv_caches=caches,
-                        mlp_override=mlp_override,
-                        attention_mask=full_bias[:, : longest + step + 1] if ragged else None,
-                        position_ids=(lengths + step)[:, None] if ragged else None,
-                    )
-        return generated
 
     # ------------------------------------------------------------- structure
     @property

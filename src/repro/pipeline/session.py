@@ -357,10 +357,12 @@ class SparseSession:
     ) -> np.ndarray:
         """Sample continuations under the active method.
 
-        A single ``(prompt_len,)`` prompt returns one sequence; a
-        ``(batch, prompt_len)`` array decodes the whole batch in lock-step
-        through shared batched KV caches.  Method state is reset first, like
-        every other metric, so output never depends on prior session usage.
+        A single ``(prompt_len,)`` prompt returns one sequence, from the
+        numpy oracle (:meth:`SparseInferenceEngine.generate`); a ``(batch,
+        prompt_len)`` array decodes the whole batch through one
+        ``ContinuousBatch`` (:meth:`SparseInferenceEngine.generate_batch`).
+        Method state is reset first, like every other metric, so output
+        never depends on prior session usage.
         """
         self._require_model("generate")
         self.calibrate()

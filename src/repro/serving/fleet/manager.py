@@ -36,8 +36,7 @@ import uuid
 from collections import deque
 from typing import Any, AsyncIterator, Deque, Dict, Iterator, List, Optional, Set, Union
 
-from repro.engine.inference import check_budget
-from repro.nn.embedding import check_prompt
+from repro.nn.embedding import check_budget, check_prompt
 from repro.obs import MetricsRegistry, monotonic
 from repro.obs.metrics import get_registry
 from repro.serving.fleet.config import (

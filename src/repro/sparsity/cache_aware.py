@@ -28,22 +28,25 @@ of a compiled step (``_ca_step.c``, built with the system C compiler on
 first use, see :mod:`repro.utils.native`).  It computes what a loop of
 :func:`cache_aware_step` computes and leaves the same masks and cache state;
 both keep the lower index among scores tied at the k-th place.  Without a
-compiler that loop runs instead; it stays the reference the tests compare
-against, and :class:`~repro.hwsim.simulator.HWSimulator` keeps calling
+compiler, or for cache arrays the step cannot write in place, that loop runs
+instead; it stays the reference the tests compare against, and
+:class:`~repro.hwsim.simulator.HWSimulator` keeps calling
 :func:`cache_aware_step`: at paper-scale groups numpy's vectorised
 ``partition`` beats the scalar kernel.
 
 The per-row step itself is C code in one place, ``_ca_row.h``: ``ca_step``
 runs it on one group's rows, and the compiled decode MLP
-(:mod:`repro.sparsity.decode_mlp`) runs it on both groups of each decode
-step it serves, against the same caches.  Since that kernel serves narrow
-decode steps, ``compute_masks`` mostly runs at prefill.
+(:mod:`repro.sparsity.decode_mlp`) runs it on both groups of each
+``ContinuousBatch`` decode step it serves, against the same caches.  So
+``compute_masks`` runs at prefill, in the oracle ``CausalLM.generate`` and in
+the steps that kernel does not serve.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,7 +54,7 @@ from repro.nn.mlp import SwiGLUMLP
 from repro.sparsity.base import MLPMasks, keep_count, topk_fraction_mask
 from repro.sparsity.density import DIPDensityAllocation
 from repro.sparsity.dip import DynamicInputPruning
-from repro.utils.native import CompiledKernel
+from repro.utils.native import Binding, CompiledKernel, current_binding
 
 if TYPE_CHECKING:  # imported lazily at runtime: repro.hwsim depends on repro.sparsity
     from repro.hwsim.cache import GroupCache
@@ -94,20 +97,31 @@ def cache_aware_step(
     return mask, hits, misses
 
 
-def _bind(cache: GroupCache) -> tuple:
-    """``(arrays, addresses)`` of the compiled step's state for an LFU
-    ``cache``: its ``cached`` and ``frequency`` arrays and a scratch buffer,
-    checked before the step ever writes them."""
-    n = cache.n_units
-    arrays = (cache.cached, cache.frequency, np.empty(2 * n))  # scratch: two rows of n scores
+class BoundGroup(Binding):
+    """The compiled step's binding of one LFU cache: ``struct`` holds the
+    addresses of its ``cached`` and ``frequency`` arrays and of ``scratch``,
+    a buffer of two rows of scores the binding owns."""
+
+    __slots__ = ("scratch",)
+
+    def __init__(self, sources: Sequence, scratch: np.ndarray) -> None:
+        super().__init__(sources, (ctypes.c_void_p * 3)(*(a.ctypes.data for a in (*sources, scratch))))
+        self.scratch = scratch
+
+
+def _bind(n_units: int, arrays: Sequence) -> Optional[BoundGroup]:
+    """The binding of an LFU cache's ``(cached, frequency)`` arrays, or
+    ``None`` unless the step can write them in place: C-contiguous,
+    writable, ``(n_units,)`` bool and int64."""
+    cached, frequency = arrays
     if not (
-        arrays[0].dtype == np.bool_
-        and arrays[1].dtype == np.int64
-        and arrays[0].shape == arrays[1].shape == (n,)
+        cached.dtype == np.bool_
+        and frequency.dtype == np.int64
+        and cached.shape == frequency.shape == (n_units,)
         and all(a.flags.c_contiguous and a.flags.writeable for a in arrays)
     ):
-        raise ValueError(f"an LFU cache needs writable C-contiguous ({n},) bool and int64 arrays")
-    return arrays, tuple(a.ctypes.data for a in arrays)
+        return None
+    return BoundGroup(arrays, np.empty(2 * n_units))
 
 
 @dataclasses.dataclass
@@ -158,8 +172,8 @@ class CacheAwareDIP(DynamicInputPruning):
         self.gamma = float(gamma)
         self.cache_fraction = float(cache_fraction)
         #: (layer_index, group) -> LFU cache, group in {"input", "down"}.
-        #: ``self._bound[(layer_index, group)]`` holds what :func:`_bind`
-        #: returns for that cache.
+        #: ``self._bound[(layer_index, group)]`` holds the compiled step's
+        #: binding of that cache (:func:`_bind`).
         self._caches: Dict[Tuple[int, str], GroupCache] = {}
         self.stats = CacheHitStats()
 
@@ -185,14 +199,22 @@ class CacheAwareDIP(DynamicInputPruning):
         """Serve each row of ``rows`` (signed ``x`` or GLU values) in order
         against one weight group's cache; return the fresh ``(T, n)`` mask.
 
-        One call of the compiled step covers every row; without it, a loop
-        of :func:`cache_aware_step` does.  Before the compiled step runs, a
-        row width other than the cache's raises ``ValueError``.
+        One call of the compiled step covers every row; without it, or for
+        cache arrays it cannot write in place, a loop of
+        :func:`cache_aware_step` does.  Before the compiled step runs, a row
+        width other than the cache's raises ``ValueError``.  The step's
+        binding of the cache is held per layer and group and made again when
+        its arrays are replaced (:func:`~repro.utils.native.current_binding`).
         """
-        key = (layer_index, group)
         cache = self._cache_for(layer_index, group, n_units)
         step = CA_STEP.load()
-        if step is None:
+        bound = None
+        if step is not None:
+            if rows.shape[-1] != cache.n_units:
+                raise ValueError(f"active vector must have shape ({cache.n_units},)")
+            arrays = (cache.cached, cache.frequency)
+            bound = current_binding(self._bound, (layer_index, group), arrays, lambda a: _bind(cache.n_units, a))
+        if bound is None:
             mask = np.empty(rows.shape, dtype=bool)
             for t, row in enumerate(np.abs(rows)):
                 mask[t], hits, misses = cache_aware_step(cache, row, keep_fraction, self.gamma)
@@ -201,14 +223,9 @@ class CacheAwareDIP(DynamicInputPruning):
             return mask
         rows = np.ascontiguousarray(rows, dtype=np.float64)
         n_tokens, n = rows.shape
-        if n != cache.n_units:
-            raise ValueError(f"active vector must have shape ({cache.n_units},)")
-        bound = self._bound.get(key)
-        if bound is None or bound[0][0] is not cache.cached or bound[0][1] is not cache.frequency:
-            bound = self._bound[key] = _bind(cache)
         k = keep_count(keep_fraction, n)
         mask = np.empty(rows.shape, dtype=bool)
-        hits = step(rows.ctypes.data, n_tokens, n, k, self.gamma, cache.capacity_units, *bound[1], mask.ctypes.data)
+        hits = step(rows.ctypes.data, n_tokens, n, k, self.gamma, cache.capacity_units, *bound.struct, mask.ctypes.data)
         cache.token_index += n_tokens
         self.stats.hits += hits
         self.stats.misses += n_tokens * k - hits

@@ -1,10 +1,10 @@
 """The MLP half of a DIP or DIP-CA decode step in one C call (``_decode_mlp.c``).
 
-:func:`decode_mlp` serves :meth:`SparseInferenceEngine._mlp_override
-<repro.engine.inference.SparseInferenceEngine._mlp_override>`, the one place
-that dispatches to it; the one-call decode step
-(:mod:`repro.engine.decode_step`) runs the same kernel for every layer of a
-step, through the same :func:`bound_layer` and :func:`advance`.  One call of
+The one-call decode step (:mod:`repro.engine.decode_step`) runs the kernel
+for every layer of a narrow ``ContinuousBatch`` step, through
+:func:`bound_layer` and :func:`advance`; :func:`decode_mlp` runs it on one
+layer's MLP input through the same two, for the tests and the benchmarks
+that check and time the kernel on its own.  One call of
 the kernel runs, for each row of the MLP input, DIP's input mask (Eq. 7),
 the GLU over the kept rows of the unit-major up and gate weights, the down
 mask (Eq. 8) and the down projection over the kept rows of the down weight;

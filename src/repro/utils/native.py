@@ -52,7 +52,7 @@ _size, _pointer = ctypes.c_int64, ctypes.c_void_p
 #: Each kernel's ``ctypes`` argument types; every kernel returns an int64.
 _ARGTYPES: Dict[str, Sequence[Any]] = {
     "ca_step": [_pointer, _size, _size, _size, ctypes.c_double, _size, _pointer, _pointer, _pointer, _pointer],
-    "decode_attn": [_pointer, _pointer, _size, _pointer, _pointer, _pointer, _size, _pointer],
+    "decode_attn": [_pointer, _pointer, _size, _pointer, _pointer, _pointer],
     "decode_head": [_pointer, _size, _pointer, _pointer],
     "decode_mlp": [_pointer, _size, _pointer, _pointer],
     "decode_step": [_pointer, _size, _size, _pointer, _pointer, _pointer, _pointer, _pointer],

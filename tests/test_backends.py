@@ -1,9 +1,9 @@
 """Parity and kernel tests for the pluggable compute backends.
 
-The acceptance property is token-identity: greedy ``generate`` under the
+The acceptance property is token-identity: greedy decoding under the
 gather backend must reproduce the numpy reference *exactly*, for every
-registered sparsity method, on single prompts, rectangular batches, ragged
-batches and the continuous-batching decode core.
+registered sparsity method, on single prompts (``generate``), ragged batches
+(``generate_batch``) and the continuous-batching decode core.
 """
 
 from __future__ import annotations
@@ -131,7 +131,10 @@ def test_ragged_batch_token_identity(
         calibration_sequences[2][:9],
     ]
     ref = _engine(trained_tiny_model, method_name, calibration_sequences, "numpy")
-    expected = ref.generate_batch(prompts, 8, temperature=0.0)
+    longest = max(len(p) for p in prompts)
+    expected = np.zeros((len(prompts), longest + 8), dtype=np.int64)
+    for row, prompt in zip(expected, prompts):  # the numpy oracle, prompt after prompt as generate_batch
+        row[longest - len(prompt) :] = ref.generate(prompt, 8, temperature=0.0)
     out = _engine(trained_tiny_model, method_name, calibration_sequences, backend).generate_batch(
         prompts, 8, temperature=0.0
     )

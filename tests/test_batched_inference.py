@@ -22,6 +22,7 @@ from repro.pipeline import (
     SparseSession,
     run_experiment,
 )
+from repro.sparsity.base import DenseBaseline
 from repro.sparsity.registry import REGISTRY
 from repro.utils.numerics import log_softmax
 
@@ -122,7 +123,8 @@ class TestBatchedForward:
 
     def test_generate_batch_greedy_matches_generate(self, trained_tiny_model):
         prompts = np.asarray([[1, 2, 3, 4], [5, 6, 7, 8]], dtype=np.int64)
-        batched = trained_tiny_model.generate_batch(prompts, max_new_tokens=6, temperature=0.0)
+        dense = SparseInferenceEngine(trained_tiny_model, DenseBaseline())
+        batched = dense.generate_batch(prompts, max_new_tokens=6, temperature=0.0)
         singles = np.stack(
             [trained_tiny_model.generate(p, max_new_tokens=6, temperature=0.0) for p in prompts]
         )
@@ -130,12 +132,13 @@ class TestBatchedForward:
 
 
 class TestRaggedGenerateBatch:
-    """Ragged prompts decode left-padded; the DIP-CA fallback matches the layout."""
+    """Ragged prompts come back left-padded; DIP-CA's width-1 batch matches the layout."""
 
     PROMPTS = [[1, 2, 3, 4, 5, 6], [7, 8], [9, 10, 11]]
 
     def test_ragged_rows_match_generate(self, trained_tiny_model):
-        out = trained_tiny_model.generate_batch(self.PROMPTS, max_new_tokens=5, temperature=0.0, pad_id=0)
+        dense = SparseInferenceEngine(trained_tiny_model, DenseBaseline())
+        out = dense.generate_batch(self.PROMPTS, max_new_tokens=5, temperature=0.0)
         longest = max(len(p) for p in self.PROMPTS)
         assert out.shape == (3, longest + 5)
         for i, prompt in enumerate(self.PROMPTS):
@@ -146,7 +149,7 @@ class TestRaggedGenerateBatch:
     def test_engine_ragged_matches_generate(self, trained_tiny_model, calibrated_method):
         engine = SparseInferenceEngine(trained_tiny_model, calibrated_method)
         engine.reset()
-        batched = engine.generate_batch(self.PROMPTS, max_new_tokens=4, temperature=0.0, pad_id=0)
+        batched = engine.generate_batch(self.PROMPTS, max_new_tokens=4, temperature=0.0)
         longest = max(len(p) for p in self.PROMPTS)
         for i, prompt in enumerate(self.PROMPTS):
             engine.reset()
@@ -154,18 +157,17 @@ class TestRaggedGenerateBatch:
             assert np.array_equal(batched[i, longest - len(prompt) :], single)
 
     def test_cache_state_fallback_layout_matches_batched_path(self, trained_tiny_model):
-        """Regression: the sequential DIP-CA fallback must pad like the batched path."""
+        """Regression: the width-1 DIP-CA batch must pad like the wide one."""
         from repro.sparsity.cache_aware import CacheAwareDIP
-        from repro.sparsity.base import DenseBaseline
 
         cache_aware = SparseInferenceEngine(trained_tiny_model, CacheAwareDIP(target_density=0.6))
-        out = cache_aware.generate_batch(self.PROMPTS, max_new_tokens=4, temperature=0.0, pad_id=0)
+        out = cache_aware.generate_batch(self.PROMPTS, max_new_tokens=4, temperature=0.0)
         dense = SparseInferenceEngine(trained_tiny_model, DenseBaseline())
-        reference = dense.generate_batch(self.PROMPTS, max_new_tokens=4, temperature=0.0, pad_id=0)
+        reference = dense.generate_batch(self.PROMPTS, max_new_tokens=4, temperature=0.0)
         # Same shape and same pad placement as the batched (left-padded) path.
         assert out.shape == reference.shape
         longest = max(len(p) for p in self.PROMPTS)
-        # The fallback is the sequential loop (state carries across prompts,
+        # Width 1 decodes prompt after prompt (state carries across prompts,
         # as it always did): replay it and check the left-padded placement.
         replay = SparseInferenceEngine(trained_tiny_model, CacheAwareDIP(target_density=0.6))
         for i, prompt in enumerate(self.PROMPTS):
@@ -175,11 +177,36 @@ class TestRaggedGenerateBatch:
             single = replay.generate(np.asarray(prompt), max_new_tokens=4, temperature=0.0)
             assert np.array_equal(out[i, pad:], single)
 
+    @pytest.mark.parametrize("name", ["dense", "dip", "dip-ca"])
+    def test_seeded_sampling_is_step_major_from_one_rng(self, trained_tiny_model, name):
+        """Sampled tokens come from one rng, step by step with each step's
+        rows in input order; DIP-CA decodes prompt after prompt, so its rows
+        draw from that stream one whole prompt at a time."""
+        from repro.nn.transformer import _sample_token
+
+        method = REGISTRY.create(name, target_density=0.5)
+        out = SparseInferenceEngine(trained_tiny_model, method).generate_batch(
+            self.PROMPTS, max_new_tokens=5, temperature=0.8, rng=7
+        )
+        reference = SparseInferenceEngine(trained_tiny_model, REGISTRY.create(name, target_density=0.5))
+        rng = np.random.default_rng(7)
+        if method.requires_cache_state:
+            rows = [reference.generate(prompt, 5, temperature=0.8, rng=rng) for prompt in self.PROMPTS]
+        else:
+            rows = [list(prompt) for prompt in self.PROMPTS]
+            for _ in range(5):
+                for row in rows:
+                    row.append(_sample_token(reference.logits(np.asarray(row))[-1], 0.8, rng))
+        longest = max(len(p) for p in self.PROMPTS)
+        for got, want in zip(out, rows):
+            assert np.array_equal(got[longest + 5 - len(want) :], want)
+
     def test_equal_length_list_unchanged(self, trained_tiny_model):
         """Equal-length prompts given as a list keep the legacy stacked layout."""
         prompts = [[1, 2, 3], [4, 5, 6]]
-        out = trained_tiny_model.generate_batch(prompts, max_new_tokens=3, temperature=0.0)
-        stacked = trained_tiny_model.generate_batch(np.asarray(prompts), max_new_tokens=3, temperature=0.0)
+        dense = SparseInferenceEngine(trained_tiny_model, DenseBaseline())
+        out = dense.generate_batch(prompts, max_new_tokens=3, temperature=0.0)
+        stacked = dense.generate_batch(np.asarray(prompts), max_new_tokens=3, temperature=0.0)
         assert np.array_equal(out, stacked)
 
 

@@ -1,9 +1,11 @@
 """The compiled decode attention (``repro.nn.decode_attn``) against the numpy
-path it replaces for decode steps, and greedy parity on both paths."""
+path it replaces for slot-view decode steps, greedy parity on both paths,
+and an oracle that runs none of the compiled decode kernels."""
 
 from __future__ import annotations
 
 import asyncio
+import collections
 import copy
 import dataclasses
 import pickle
@@ -16,13 +18,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.inference import ContinuousBatch, SparseInferenceEngine, serve_continuous_greedy
-from repro.nn.attention import MASKED_BIAS, KVCache
+from repro.nn import transformer
+from repro.nn.attention import KVCache
 from repro.nn.decode_attn import decode_attention, decode_head
 from repro.nn.module import Parameter
 from repro.nn.transformer import CausalLM, TransformerBlock, TransformerConfig
 from repro.pipeline.session import SparseSession
 from repro.serving import ContinuousBatchingScheduler, GenerationRequest, SchedulerConfig
 from repro.sparsity.base import DenseBaseline
+from repro.sparsity.cache_aware import CacheAwareDIP
+from repro.sparsity.dip import DynamicInputPruning
 from repro.sparsity.registry import REGISTRY
 from repro.utils import native
 
@@ -41,16 +46,14 @@ def make_block(n_heads, n_kv_heads, head_dim, rope_len, seed):
     return block
 
 
-def numpy_half(block, x, cache, mask=None, positions=None):
+def numpy_half(block, x, view):
     """The attention half on the numpy path: what the kernel must reproduce."""
-    h = x + block.attention.forward_array(
-        block.attention_norm.forward_array(x), cache, attention_mask=mask, position_ids=positions
-    )
+    h = x + block.attention.forward_array(block.attention_norm.forward_array(x), view)
     return h, block.mlp_norm.forward_array(h)
 
 
-def kernel_half(block, x, cache, mask=None, positions=None):
-    out = decode_attention(block, x, cache, mask, positions)
+def kernel_half(block, x, view):
+    out = decode_attention(block, x, view)
     assert out is not None, "the kernel declined a call it should serve"
     return out
 
@@ -73,42 +76,21 @@ def decode_cases(draw):
     head_dim = draw(st.sampled_from([2, 4, 10, 18]))  # dot products shorter and longer than 8 lanes
     max_seq_len = draw(st.integers(min_value=1, max_value=12))
     width = draw(st.integers(min_value=1, max_value=8))
-    if draw(st.booleans()):
-        n_slots = draw(st.integers(min_value=width, max_value=10))
-        slots = draw(st.permutations(range(n_slots)))[:width]  # any subset, any order
-        lengths = draw(st.lists(st.integers(0, max_seq_len - 1), min_size=n_slots, max_size=n_slots))
-        layout = ("slots", n_slots, slots, lengths, None, None)
-    else:
-        length = draw(st.integers(0, max_seq_len - 1))
-        bias = draw(st.booleans())
-        positions = draw(st.booleans())
-        layout = ("lockstep", width, list(range(width)), [length] * width, bias, positions)
-    return n_heads, n_kv_heads, head_dim, max_seq_len, layout, draw(st.integers(0, 2**32 - 1))
+    n_slots = draw(st.integers(min_value=width, max_value=10))
+    slots = draw(st.permutations(range(n_slots)))[:width]  # any subset, any order
+    lengths = draw(st.lists(st.integers(0, max_seq_len - 1), min_size=n_slots, max_size=n_slots))
+    return n_heads, n_kv_heads, head_dim, max_seq_len, slots, lengths, draw(st.integers(0, 2**32 - 1))
 
 
 def build(case):
-    """``(block, x, cache, mask, positions, slots)`` of one drawn case; the
-    RoPE table is longer than the cache so positions past it are valid."""
-    n_heads, n_kv_heads, head_dim, max_seq_len, layout, seed = case
-    kind, n_slots, slots, lengths, bias, positions = layout
+    """``(block, x, cache, slots)`` of one drawn case; the RoPE table is
+    longer than the cache so positions past it are valid."""
+    n_heads, n_kv_heads, head_dim, max_seq_len, slots, lengths, seed = case
     rng = np.random.default_rng(seed)
-    rope_len = max_seq_len + 8
-    block = make_block(n_heads, n_kv_heads, head_dim, rope_len, seed)
-    cache = filled_cache(block, max_seq_len, n_slots, lengths, rng)
+    block = make_block(n_heads, n_kv_heads, head_dim, max_seq_len + 8, seed)
+    cache = filled_cache(block, max_seq_len, len(lengths), lengths, rng)
     x = rng.normal(size=(len(slots), 1, block.attention.config.d_model))
-    mask = pos = None
-    if kind == "lockstep":
-        total = lengths[0] + 1
-        if bias:  # left-pad style: some keys hidden, the rest shifted
-            mask = np.where(rng.random((len(slots), total)) < 0.3, MASKED_BIAS, rng.normal(size=(len(slots), total)))
-        if positions:
-            pos = rng.integers(0, rope_len, size=(len(slots), 1))
-    return block, x, cache, mask, pos, slots
-
-
-def run(fn, block, x, cache, mask, pos, slots, layout_kind):
-    target = cache.slot_view(slots) if layout_kind == "slots" else cache
-    return fn(block, x, target, mask, pos)
+    return block, x, cache, slots
 
 
 def written_positions(cache, slots, lengths):
@@ -123,12 +105,11 @@ class TestKernelAgainstNumpy:
     @given(case=decode_cases())
     @settings(max_examples=120, deadline=None)
     def test_matches_numpy_path(self, compiled_kernels, case):
-        block, x, cache, mask, pos, slots = build(case)
-        kind = case[4][0]
+        block, x, cache, slots = build(case)
         before = copy.deepcopy(cache)
         theirs = copy.deepcopy(cache)
-        h, mlp_in = run(kernel_half, block, x, cache, mask, pos, slots, kind)
-        h_ref, mlp_in_ref = run(numpy_half, block, x, theirs, mask, pos, slots, kind)
+        h, mlp_in = kernel_half(block, x, cache.slot_view(slots))
+        h_ref, mlp_in_ref = numpy_half(block, x, theirs.slot_view(slots))
         np.testing.assert_allclose(h, h_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(mlp_in, mlp_in_ref, rtol=0, atol=1e-12)
 
@@ -143,31 +124,16 @@ class TestKernelAgainstNumpy:
 
         # A row's numbers do not depend on the batch around it.
         for row, slot in enumerate(slots):
-            alone = copy.deepcopy(before)
-            if kind == "slots":
-                h1, mlp_in1 = kernel_half(block, x[row : row + 1], alone.slot_view([slot]))
-            else:
-                single = KVCache(alone.n_kv_heads, alone.head_dim, alone.max_seq_len, batch_size=1)
-                single.keys[:] = alone.keys[row : row + 1]
-                single.values[:] = alone.values[row : row + 1]
-                single.lengths[:] = alone.length
-                single.length = alone.length
-                row_mask = None if mask is None else mask[row : row + 1]
-                row_pos = None if pos is None else pos[row : row + 1]
-                h1, mlp_in1 = kernel_half(block, x[row : row + 1], single, row_mask, row_pos)
+            h1, mlp_in1 = kernel_half(block, x[row : row + 1], copy.deepcopy(before).slot_view([slot]))
             assert np.array_equal(h1[0], h[row]) and np.array_equal(mlp_in1[0], mlp_in[row])
 
-    @pytest.mark.parametrize("kind", ["slots", "lockstep"])
-    def test_overflow_raises_before_any_write(self, compiled_kernels, kind):
+    def test_overflow_raises_before_any_write(self, compiled_kernels):
         rng = np.random.default_rng(0)
         block = make_block(4, 2, 4, rope_len=16, seed=0)
-        lengths = [3, 6, 0] if kind == "slots" else [6, 6, 6]
-        cache = filled_cache(block, 6, 3, lengths, rng)
+        cache = filled_cache(block, 6, 3, [3, 6, 0], rng)
         before = copy.deepcopy(cache)
-        x = rng.normal(size=(2 if kind == "slots" else 3, 1, 16))
-        target = cache.slot_view([0, 1]) if kind == "slots" else cache
         with pytest.raises(RuntimeError, match="KV cache overflow"):
-            decode_attention(block, x, target)
+            decode_attention(block, rng.normal(size=(2, 1, 16)), cache.slot_view([0, 1]))
         assert np.array_equal(cache.keys, before.keys) and np.array_equal(cache.values, before.values)
         assert np.array_equal(cache.lengths, before.lengths) and cache.length == before.length
 
@@ -181,15 +147,6 @@ class TestKernelAgainstNumpy:
         view.slots[1] = bad  # the kernel writes by slot: it checks them on every call
         with pytest.raises(ValueError, match="distinct and lie in"):
             decode_attention(block, rng.normal(size=(2, 1, 8)), view)
-        assert np.array_equal(cache.keys, before.keys) and np.array_equal(cache.lengths, before.lengths)
-
-    def test_bad_bias_raises_before_any_write(self, compiled_kernels):
-        rng = np.random.default_rng(1)
-        block = make_block(2, 1, 4, rope_len=16, seed=1)
-        cache = filled_cache(block, 8, 2, [3, 3], rng)
-        before = copy.deepcopy(cache)
-        with pytest.raises(ValueError, match="covers 3 key positions, expected 4"):
-            decode_attention(block, rng.normal(size=(2, 1, 8)), cache, np.zeros((2, 3)))
         assert np.array_equal(cache.keys, before.keys) and np.array_equal(cache.lengths, before.lengths)
 
     @pytest.mark.parametrize("kind", ["lockstep", "slot-view"])
@@ -218,32 +175,14 @@ class TestKernelAgainstNumpy:
             with pytest.raises(ValueError, match="slot view sets its own"):
                 block.forward_array(x, cache.slot_view([0]), **kwargs)
 
-    def test_pad_keys_weigh_nothing(self, compiled_kernels):
-        """A left-padded row of a lock-step cache (pad keys under
-        MASKED_BIAS, its own position_ids) gives the bits the same row gives
-        in a cache without the pads: each pad's exponential is exactly 0."""
-        rng = np.random.default_rng(5)
-        block = make_block(4, 2, 10, rope_len=32, seed=5)
-        cfg = block.attention.config
-        pads, length = 6, 9
-        padded = filled_cache(block, 24, 2, [pads + length] * 2, rng)  # row 0: pads, then its keys
-        plain = KVCache(cfg.n_kv_heads, cfg.head_dim, 24, batch_size=1)
-        plain.keys[0, :, :length] = padded.keys[0, :, pads : pads + length]
-        plain.values[0, :, :length] = padded.values[0, :, pads : pads + length]
-        plain.lengths[:] = plain.length = length
-        x = rng.normal(size=(2, 1, cfg.d_model))
-        mask = np.zeros((2, pads + length + 1))
-        mask[0, :pads] = MASKED_BIAS
-        h, mlp_in = kernel_half(block, x, padded, mask, np.array([[length], [pads + length]]))
-        h_plain, mlp_in_plain = kernel_half(block, x[:1], plain)
-        assert np.array_equal(h[0], h_plain[0]) and np.array_equal(mlp_in[0], mlp_in_plain[0])
-
     def test_other_inputs_take_the_numpy_path(self, compiled_kernels):
         block = make_block(2, 1, 4, rope_len=16, seed=3)
         cache = filled_cache(block, 8, 1, [2], np.random.default_rng(3))
-        assert decode_attention(block, np.zeros((1, 2, 8)), cache) is None  # two tokens: prefill
+        view = cache.slot_view([0])
+        assert decode_attention(block, np.zeros((1, 8)), cache) is None  # a plain cache: the oracle's decode
+        assert decode_attention(block, np.zeros((1, 2, 8)), view) is None  # two tokens: prefill
         assert decode_attention(block, np.zeros((1, 8)), None) is None  # no cache
-        assert decode_attention(block, np.zeros((1, 8), dtype=np.float32), cache) is None
+        assert decode_attention(block, np.zeros((1, 1, 8), dtype=np.float32), view) is None
         assert cache.lengths.tolist() == [2] and cache.length == 2
 
 
@@ -260,20 +199,26 @@ def head_model(tied, seed=4):
 
 @pytest.mark.parametrize("tied", [True, False], ids=["tied", "lm_head"])
 def test_head_matches_numpy_and_serves_one_position(compiled_kernels, monkeypatch, tied):
-    """The compiled head agrees with numpy within 1e-12, a row's logits do
-    not depend on its neighbours, and ``logits_array`` sends it every input
-    of one position per row, ``last_only`` prefill included."""
+    """The compiled head agrees with numpy (``logits_array``) within 1e-12,
+    a row's logits do not depend on its neighbours, and ``forward_array``
+    sends it the one position of a slot-view step, but not the last
+    position of a prefill."""
     model = head_model(tied)
     rng = np.random.default_rng(5)
-    x, sequence = rng.normal(size=(3, 1, CONFIG.d_model)), rng.normal(size=(3, 4, CONFIG.d_model))
+    x = rng.normal(size=(3, 1, CONFIG.d_model))
     got = decode_head(model, x)
     assert got.shape == (3, 1, CONFIG.vocab_size)
     for row in range(3):
         assert np.array_equal(decode_head(model, x[row]), got[row])
-    assert np.array_equal(model.logits_array(x), got)
-    assert np.array_equal(model.logits_array(sequence, last_only=True), decode_head(model, sequence[:, -1:]))
-    monkeypatch.setattr(native.LIBRARY, "load", lambda: None)  # the numpy path
     np.testing.assert_allclose(got, model.logits_array(x), rtol=0, atol=1e-12)
+
+    heads = []
+    monkeypatch.setattr(transformer, "decode_head", lambda *args: heads.append(args[1].shape) or decode_head(*args))
+    caches = model.new_kv_caches(16, batch_size=2)
+    model.forward_array(np.ones((2, 3), dtype=np.int64), kv_caches=caches, last_only=True)
+    assert heads == []
+    model.forward_array(np.ones((2, 1), dtype=np.int64), kv_caches=[cache.slot_view([1, 0]) for cache in caches])
+    assert heads == [(2, 1, CONFIG.d_model)]
 
 
 def test_a_head_with_a_bias_takes_the_numpy_path(compiled_kernels):
@@ -300,11 +245,13 @@ def test_copies_drop_the_head_binding_and_replaced_arrays_are_bound_again(compil
 
 
 def decode(model, caches=None, n_steps=5):
-    """Logits of a fixed prompt's decode steps (lock-step cache, batch 1)."""
+    """Logits of a fixed prompt's decode steps, through slot views of
+    one-slot caches (the compiled attention and head)."""
     if caches is None:
         caches = model.new_kv_caches(16)
         model.forward_array(np.arange(1, 6), kv_caches=caches)
-    return np.concatenate([model.forward_array(np.asarray([t]), kv_caches=caches) for t in range(n_steps)])
+    views = [cache.slot_view([0]) for cache in caches]
+    return np.concatenate([model.forward_array(np.asarray([[t]]), kv_caches=views)[0] for t in range(n_steps)])
 
 
 @pytest.mark.parametrize("clone", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))], ids=["deepcopy", "pickle"])
@@ -350,14 +297,15 @@ def test_replaced_arrays_are_bound_again(compiled_kernels):
 def test_threads_decode_one_model_on_their_own_caches(compiled_kernels):
     """The kernel runs without the interpreter lock, and a fresh model binds
     its blocks in whichever thread decodes first: threads decoding one model
-    at once, each on its own caches, get the logits each gets alone."""
+    at once, each through slot views of its own caches, get the logits each
+    gets alone."""
     model = CausalLM(CONFIG, seed=3)
     prompts = [np.random.default_rng(seed).integers(0, 32, size=5) for seed in range(4)]
 
     def run(prompt):
         caches = model.new_kv_caches(24)
         model.forward_array(prompt, kv_caches=caches)
-        return np.concatenate([model.forward_array(np.asarray([t]), kv_caches=caches) for t in range(16)])
+        return decode(model, caches, n_steps=16)
 
     expected = [run(prompt) for prompt in prompts]
     for block in model.blocks:
@@ -438,11 +386,11 @@ def test_greedy_parity_on_every_decode_surface(
 
 
 def test_ragged_decode_logits_match_each_row_alone(decode_path, trained_tiny_model, calibration_sequences):
-    """Each row's per-step logits from a ragged generate_batch and from
-    ContinuousBatch.step equal that row's decoded alone and unpadded, within
-    1e-9.  The dense method keeps every mask fixed, so only the attention
-    can move them: greedy tokens do not see pad keys that leak a little
-    weight into a ragged decode, these logits do."""
+    """Each row's per-step logits from ContinuousBatch.step equal that row's
+    decoded alone and unpadded by the oracle, within 1e-9.  The dense method
+    keeps every mask fixed, so only the attention can move them: greedy
+    tokens do not see pad keys that leak a little weight into a ragged
+    decode, these logits do."""
     model = trained_tiny_model
     engine = SparseInferenceEngine(model, DenseBaseline())
     prompts = [calibration_sequences[i][:n] for i, n in enumerate((6, 11, 9, 4))]
@@ -467,11 +415,6 @@ def test_ragged_decode_logits_match_each_row_alone(decode_path, trained_tiny_mod
         _, seen = recorded(lambda: engine.generate(prompt, budget, temperature=0.0))
         alone.append(np.array([logits[-1] for logits in seen]))  # (budget, vocab)
 
-    _, seen = recorded(lambda: engine.generate_batch(prompts, budget, temperature=0.0))
-    batched = np.stack([logits[:, -1] for logits in seen], axis=1)  # (row, step, vocab)
-    for row, want in enumerate(alone):
-        np.testing.assert_allclose(batched[row], want, rtol=0, atol=1e-9)
-
     batch = ContinuousBatch.from_engine(engine, max_batch_size=len(prompts), max_seq_len=32)
     slots, logits = batch.admit(prompts)
     stepped = [logits]
@@ -480,3 +423,33 @@ def test_ragged_decode_logits_match_each_row_alone(decode_path, trained_tiny_mod
     stepped = np.stack(stepped, axis=1)
     for row, want in enumerate(alone):
         np.testing.assert_allclose(stepped[row], want, rtol=0, atol=1e-9)
+
+
+def test_the_oracle_runs_no_compiled_decode_kernel(
+    compiled_kernels, monkeypatch, trained_tiny_model, calibration_sequences
+):
+    """``CausalLM.generate`` and ``SparseInferenceEngine.generate`` (dense,
+    DIP, DIP-CA) call none of the compiled decode kernels, so every parity
+    test compares them with numpy; DIP-CA's prefill masks run in ``ca_step``
+    on both sides.  The same engines' ``ContinuousBatch`` steps call them."""
+    calls = collections.Counter()
+    load = native.CompiledKernel.load
+
+    def counted(handle):
+        function = load(handle)
+        return lambda *args: calls.update([handle.symbol]) or function(*args)
+
+    monkeypatch.setattr(native.CompiledKernel, "load", counted)
+    decode_kernels = {"decode_attn", "decode_head", "decode_mlp", "decode_step"}
+    prompt = calibration_sequences[0][:6]
+    methods = {"dense": DenseBaseline, "dip": DynamicInputPruning, "dip-ca": CacheAwareDIP}
+    trained_tiny_model.generate(prompt, 6, temperature=0.0)
+    for make in methods.values():
+        SparseInferenceEngine(trained_tiny_model, make()).generate(prompt, 6, temperature=0.0)
+    assert not decode_kernels & set(calls)
+    for name, make in methods.items():
+        calls.clear()
+        batch = ContinuousBatch.from_engine(SparseInferenceEngine(trained_tiny_model, make()), max_batch_size=1)
+        serve_continuous_greedy(batch, [prompt], [6])
+        served = {"decode_attn", "decode_head"} if name == "dense" else {"decode_step"}
+        assert {symbol for symbol in calls if symbol in decode_kernels} == served, name

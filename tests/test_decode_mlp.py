@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.inference import SparseInferenceEngine
+from repro.engine.inference import ContinuousBatch, SparseInferenceEngine, serve_continuous_greedy
 from repro.nn.mlp import GLUMLPConfig, SwiGLUMLP
 from repro.nn.transformer import CausalLM, TransformerConfig
 from repro.sparsity.base import keep_count
@@ -238,15 +238,15 @@ class TestDispatch:
             decode_mlp(DynamicInputPruning(0.5), mlp, 0, np.ones((1, mlp.d_model)))
 
     def test_engine_runs_decode_steps_in_the_kernel(self, compiled_kernels, tiny_model):
-        """Prefill and recorded runs compute masks on numpy; decode steps do
-        not, and the tokens are those of the numpy path."""
+        """Prefill and recorded runs compute masks on numpy; the decode steps
+        of the engine's ``ContinuousBatch`` do not."""
         prompt = np.arange(1, 9)
         for record in (False, True):
             engine = SparseInferenceEngine(tiny_model, CacheAwareDIP(0.5), record_masks=record)
             calls = []
             compute_masks = engine.method.compute_masks
             engine.method.compute_masks = lambda *args: calls.append(args[2].shape[0]) or compute_masks(*args)
-            engine.generate(prompt, 4, temperature=0.0)
+            serve_continuous_greedy(ContinuousBatch.from_engine(engine, max_batch_size=1), [prompt], [4])
             n_layers = len(tiny_model.blocks)
             assert calls == [len(prompt)] * n_layers + ([1] * 3 * n_layers if record else [])
 
@@ -256,8 +256,10 @@ CONFIG = TransformerConfig(vocab_size=32, d_model=16, n_layers=2, n_heads=4, n_k
 
 
 def decode(engine, n_steps=5):
-    """Tokens and last logits of a fixed prompt's greedy decode steps."""
-    tokens = engine.generate(np.arange(1, 6), n_steps, temperature=0.0)
+    """Tokens and last logits of a fixed prompt's greedy decode steps, served
+    through the engine's ``ContinuousBatch`` (the kernels)."""
+    batch = ContinuousBatch.from_engine(engine, max_batch_size=1)
+    tokens = serve_continuous_greedy(batch, [np.arange(1, 6)], [n_steps])[0]
     return tokens, engine.logits(tokens)
 
 

@@ -1,6 +1,7 @@
 """The one-call decode step (``repro.engine.decode_step``) against the
-per-layer path of ``ContinuousBatch.step``: the same logits bit for bit, the
-same DIP-CA state, when it serves a step, its checks and its bindings."""
+kernels it runs, called one by one through the per-layer path of
+``ContinuousBatch.step``: the same logits bit for bit, the same DIP-CA
+state, when it serves a step, its checks and its bindings."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import dataclasses
 import pickle
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -55,8 +57,24 @@ def make_batch(model, method, width, per_layer=False, max_seq_len=None, record_m
     backend = type(active_backend())()
     engine = SparseInferenceEngine(model, method, record_masks=record_masks, backend=backend)
     batch = ContinuousBatch.from_engine(engine, max_batch_size=width, max_seq_len=max_seq_len)
-    if per_layer:
-        batch.fused_step = None
+    return run_per_layer(batch) if per_layer else batch
+
+
+def kernel_mlp(engine, block, normed):
+    """``engine``'s MLP override, with each narrow DIP/DIP-CA call (no
+    masks recorded) in the compiled decode MLP, as the one-call step runs it."""
+    out = None
+    if engine.recorder is None:
+        out = decode_mlp.decode_mlp(engine.method, block.mlp, block.layer_index, normed.reshape(-1, normed.shape[-1]))
+    return engine._mlp_override(block, normed) if out is None else out.reshape(normed.shape)
+
+
+def run_per_layer(batch):
+    """Turn ``batch``'s one-call step off: each step then makes one by one the
+    kernel calls the one-call step makes at once (the compiled attention and
+    head on the slot views, and each MLP through :func:`kernel_mlp`)."""
+    batch.fused_step = None
+    batch.mlp_override = types.MethodType(kernel_mlp, engine_of(batch))
     return batch
 
 
@@ -297,8 +315,7 @@ def test_replaced_arrays_are_bound_again(served, how):
         replace_weights(model, how)
     else:
         replace_cache_arrays(batch, how)
-    reference = copy.deepcopy(batch)  # binds its own arrays on first use
-    reference.fused_step = None
+    reference = run_per_layer(copy.deepcopy(batch))  # binds its own arrays on first use
     got, want = lockstep([batch, reference], slots, tokens, 4)
     assert np.array_equal(got, want)
     assert_same_kv(kv_state(batch), kv_state(reference))
@@ -349,8 +366,7 @@ def test_a_batch_binds_once_and_again_when_a_source_changes(served, monkeypatch)
         lambda: setattr(engine_of(batch).method, "gamma", 0.3),
     ):
         replace()
-        reference = copy.deepcopy(batch)
-        reference.fused_step = None
+        reference = run_per_layer(copy.deepcopy(batch))
         got, want = lockstep([batch, reference], slots, tokens, 1)
         assert np.array_equal(got, want)
         assert batch._bound is not bound and checks

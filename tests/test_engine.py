@@ -67,7 +67,7 @@ class TestSparseInferenceEngine:
                 engine.sequence_log_likelihood(ids)
         with pytest.raises(ValueError, match=match):
             engine.generate([5, bad], 3, temperature=0.0)
-        for method in (DenseBaseline(), CacheAwareDIP(0.5)):  # batched, and DIP-CA's sequential fallback
+        for method in (DenseBaseline(), CacheAwareDIP(0.5)):  # wide, and DIP-CA's width-1 batch
             with pytest.raises(ValueError, match=match):
                 SparseInferenceEngine(trained_tiny_model, method).generate_batch([[5, 6], [bad]], 2, temperature=0.0)
 
@@ -94,6 +94,30 @@ class TestSparseInferenceEngine:
             engine.perplexity([[5]])
         with pytest.raises(ValueError, match="at least two tokens to have a target"):
             engine.sequence_log_likelihood([5])
+
+    def test_budgets_the_model_cannot_hold_are_refused_before_any_forward(self, trained_tiny_model):
+        """tiny holds 96 positions and generation writes prompt + budget - 1
+        of them: 3 + 95 tokens are refused up front, as a negative budget
+        is, and a DIP-CA engine's caches and hit counts do not move; a
+        budget of 0 returns the prompt."""
+        method = CacheAwareDIP(0.5)
+        engine = SparseInferenceEngine(trained_tiny_model, method)
+        engine.generate([4, 5, 6, 7], 3, temperature=0.0)  # some cache state first
+
+        def state():
+            caches = {k: (c.cached.tolist(), c.frequency.tolist(), c.token_index) for k, c in method._caches.items()}
+            return caches, method.stats.hits, method.stats.misses
+
+        before = state()
+        generates = (trained_tiny_model.generate, engine.generate, engine.generate_batch)
+        for budget, match in ((95, "at most 94 new tokens fit"), (-2, "must not be negative")):
+            for generate in generates:
+                with pytest.raises(ValueError, match=match):
+                    generate([1, 2, 3], budget, temperature=0.0)
+        assert state() == before
+        for generate in generates:
+            assert np.array_equal(np.ravel(generate([1, 2, 3], 0, temperature=0.0)), [1, 2, 3])
+        assert np.ravel(engine.generate_batch([1, 2, 3], 94, temperature=0.0)).shape == (97,)
 
     def test_mask_recorder_errors(self):
         recorder = MaskRecorder(2)

@@ -48,6 +48,7 @@ from repro.serving import (
     SchedulerConfig,
     run_experiment_payload,
 )
+from repro.sparsity.base import DenseBaseline
 from repro.sparsity.cache_aware import CacheAwareDIP
 from repro.sparsity.dip import DynamicInputPruning
 
@@ -154,8 +155,8 @@ class TestPayloads:
 
 class TestLeftPadRagged:
     def test_layout_positions_and_mask(self):
-        padded, positions, bias, lengths = left_pad_ragged([[5, 6, 7], [9]], pad_id=2)
-        assert np.array_equal(padded, [[5, 6, 7], [2, 2, 9]])
+        padded, positions, bias, lengths = left_pad_ragged([[5, 6, 7], [9]])
+        assert np.array_equal(padded, [[5, 6, 7], [0, 0, 9]])
         assert np.array_equal(positions, [[0, 1, 2], [0, 0, 0]])
         assert np.array_equal(bias, [[0.0, 0.0, 0.0], [MASKED_BIAS, MASKED_BIAS, 0.0]])
         assert np.array_equal(lengths, [3, 1])
@@ -358,7 +359,8 @@ class TestContinuousBatch:
         out = engine.generate_batch([1, 2, 3], max_new_tokens=4, temperature=0.0)
         assert out.shape == (1, 7)
         assert np.array_equal(out[0], engine.generate([1, 2, 3], max_new_tokens=4, temperature=0.0))
-        model_out = trained_tiny_model.generate_batch([1, 2, 3], max_new_tokens=4, temperature=0.0)
+        dense = SparseInferenceEngine(trained_tiny_model, DenseBaseline())
+        model_out = dense.generate_batch([1, 2, 3], max_new_tokens=4, temperature=0.0)
         assert model_out.shape == (1, 7)
         assert np.array_equal(
             model_out[0], trained_tiny_model.generate([1, 2, 3], max_new_tokens=4, temperature=0.0)

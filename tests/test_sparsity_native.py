@@ -78,8 +78,9 @@ def serve(mlp, n_calls=4):
 
 
 def decode(model, n_steps=6):
-    """Logits of a fixed prompt's decode steps under DIP-CA, lock-step and
-    through a ``ContinuousBatch`` (the one-call step), with the hit counts."""
+    """Logits of a fixed prompt's decode steps under DIP-CA, lock-step (on
+    numpy) and through a ``ContinuousBatch`` (the one-call step), with the
+    hit counts."""
     engine = SparseInferenceEngine(model, CacheAwareDIP(0.5, gamma=0.2, cache_fraction=0.4))
     caches = model.new_kv_caches(16)
     model.forward_array(np.arange(1, 6), kv_caches=caches, mlp_override=engine._mlp_override)
@@ -102,8 +103,8 @@ def assert_same_service(got, reference):
 
 
 def test_one_compiler_call_builds_one_library(compiled_kernels, fresh_loader, monkeypatch, mlp, model):
-    """DIP-CA prefill masks, the per-layer decode attention and MLP and the
-    one-call step all run from one library, built by one compiler call."""
+    """DIP-CA prefill masks and the one-call step run from one library,
+    built by one compiler call, which holds every kernel."""
     calls, run = [], subprocess.run
 
     def counted_run(command, *args, **kwargs):
@@ -261,6 +262,31 @@ def test_copies_serve_concurrently_on_their_own_state(compiled_kernels):
     assert not any(thread.is_alive() for thread in threads)
     for got, want in zip(results, expected):
         assert np.array_equal(got, want)
+
+
+def test_cache_arrays_are_bound_again_or_served_by_the_loop(compiled_kernels, monkeypatch, mlp):
+    """DIP-CA's step binds an LFU cache through ``current_binding``: a
+    replaced ``cached`` array is bound again, and an array the step cannot
+    write in place (an int32 ``frequency``) gets the ``cache_aware_step``
+    loop's masks and counts instead of an error."""
+    rng = np.random.default_rng(9)
+    method = CacheAwareDIP(0.5, gamma=0.2, cache_fraction=0.4)
+    method.compute_masks(mlp, 0, rng.normal(size=(3, mlp.d_model)))
+    cache, bound = method._caches[(0, "input")], method._bound[(0, "input")]
+    cache.cached = cache.cached.copy()
+    method.compute_masks(mlp, 0, rng.normal(size=(3, mlp.d_model)))
+    assert method._bound[(0, "input")] is not bound and method._bound[(0, "input")].sources[0] is cache.cached
+
+    cache.frequency = cache.frequency.astype(np.int32)
+    loop = copy.deepcopy(method)
+    x = rng.normal(size=(4, mlp.d_model))
+    got = method.compute_masks(mlp, 0, x)
+    assert method._bound[(0, "input")] is None
+    with monkeypatch.context() as patch:
+        patch.setattr(CA_STEP, "load", lambda: None)
+        want = loop.compute_masks(mlp, 0, x)
+    assert np.array_equal(got.input_mask, want.input_mask) and np.array_equal(got.down_mask, want.down_mask)
+    assert (method.stats.hits, method.stats.misses) == (loop.stats.hits, loop.stats.misses)
 
 
 def test_wrong_width_raises_before_the_kernel(monkeypatch, mlp):
