@@ -308,9 +308,9 @@ class CausalLM(Module):
         """Logits of the last block's hidden states ``x`` ``(..., seq,
         d_model)`` on numpy: the final RMSNorm, then the lm_head or, tied,
         the embedding.  ``last_only`` projects the final position only."""
-        x = self.final_norm.forward_array(x)
-        if last_only:
+        if last_only:  # the norm is per position: normalise the last one only
             x = x[..., -1:, :]
+        x = self.final_norm.forward_array(x)
         if self.lm_head is not None:
             return self.lm_head.forward_array(x)
         # Tied embedding head: one flattened GEMM through the backend.
