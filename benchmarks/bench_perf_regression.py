@@ -179,8 +179,9 @@ def run_serving(
     Requests have ragged prompt lengths *and* ragged decode budgets: the
     continuous batch retires each sequence on time and admits the queue into
     freed slots.  Sequential serving runs the same served path one request
-    at a time (a width-1 batch), so the ratio measures batching alone, not
-    the compiled decode kernels against the numpy oracle.
+    at a time (a width-1 batch), and both widths run every DIP step in the
+    one-call decode step, so the ratio measures batching alone, not the
+    compiled decode kernels against the numpy oracle.
     """
     if fast:
         repeats = 2

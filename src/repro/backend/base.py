@@ -8,11 +8,11 @@ compiled kernels under every backend when they are built:
 1. the attention half of a decode step (norms, projections, RoPE, softmax),
    in :mod:`repro.nn.decode_attn`.  Every backend ran the same dense code
    there, so the kernel takes nothing a backend could change;
-2. the MLP half of a DIP or DIP-CA decode step narrow enough that reading
-   only the kept weight rows beats a dense GEMM (rows x density <= 1), in
-   :mod:`repro.sparsity.decode_mlp`.  It reads fewer bytes than any
-   backend's masked or gathered GEMMs; wider calls, prefill and every other
-   method still go through the seam.
+2. the MLP half of a DIP or DIP-CA decode step, in
+   :mod:`repro.sparsity.decode_mlp`, which reads only the kept weight rows,
+   once for all the step's rows.  It reads fewer bytes than any backend's
+   masked or gathered GEMMs; prefill and every other method still go
+   through the seam.
 
 The reference implementation is
 :class:`~repro.backend.numpy_ref.NumpyBackend` (bit-identical to the

@@ -1,5 +1,5 @@
-/* Every block of a narrow DIP or DIP-CA decode step, and the head, in one
-   call.
+/* Every block of a DIP or DIP-CA decode step, and the head, in one call, at
+   any width.
 
    decode_step is the compiled twin of CausalLM.forward_array after the
    embedding when each of B rows adds one token through ContinuousBatch's
@@ -9,19 +9,20 @@
      1. decode_attn (_decode_attn.c) with layer l's block, cache and rows
         (rows + 2 * B * l: each row's slot, then its write index, which is
         also its RoPE position), giving the residual h and the MLP input;
-     2. decode_mlp (_decode_mlp.c) on that MLP input, which writes
-        hits[l];
+     2. decode_mlp (_decode_mlp.c) on that MLP input, which reads each
+        kept weight row once for every row that kept it and writes hits[l];
      3. x = h + the MLP output, the add TransformerBlock.forward_array does;
 
    then decode_head (_decode_attn.c) on x, which writes logits (B, vocab).
    Every kernel is the one the per-layer calls run (decode_attn and
    decode_head serve ContinuousBatch.step's per-layer path too), included
    here, and the add rounds as numpy's does, so the logits are bit for bit
-   those of the per-layer calls and the head.  The caller checks every layer first.  Returns the parts run,
-   2 * n_layers + 1 when every layer and the head have run: a layer's
-   attention half that cannot allocate its scratch memory leaves its layer
-   unwritten, an MLP half leaves it after its attention, the head leaves
-   the logits unwritten, and every earlier layer has run whole.
+   those of the per-layer calls and the head.  The caller checks every
+   layer first.  Returns the parts run, 2 * n_layers + 1 when every layer
+   and the head have run: a layer's attention half that cannot allocate its
+   scratch memory leaves its layer unwritten, an MLP half leaves it after
+   its attention, the head leaves the logits unwritten, and every earlier
+   layer has run whole.
 
    This file is also the one translation unit of the package's C kernels:
    with _ca_step.c included too, one compiler call builds ca_step,

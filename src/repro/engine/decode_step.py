@@ -1,5 +1,5 @@
-"""Every block of a narrow DIP/DIP-CA decode step, and the head, in one C call
-(``_decode_step.c``).
+"""Every block of a DIP/DIP-CA decode step, and the head, in one C call
+(``_decode_step.c``), at any width.
 
 :func:`decode_step` serves :meth:`ContinuousBatch.step
 <repro.engine.inference.ContinuousBatch.step>` for a batch built by
@@ -11,17 +11,19 @@ RMSNorm and the head (:func:`~repro.nn.decode_attn.decode_head`).  Its
 logits are, bit for bit, those of the same kernels called one by one
 (``decode_attention``, ``decode_mlp`` and the add per block, then
 ``decode_head``), without the Python between the calls.  The embedding
-lookup stays in numpy: step ids are not range-checked, and numpy's indexing
-refuses an id past the table.
+lookup stays in numpy, on ids :meth:`ContinuousBatch.step
+<repro.engine.inference.ContinuousBatch.step>` has checked against the
+vocabulary.
 
 It serves a step exactly when every block's attention half, its MLP and
 the head can run in those kernels (method exactly DIP or DIP-CA, SiLU,
-float64, rows x MLP density <= 1, arrays the kernels can use, no
-``lm_head`` bias, the kernel library built), and returns ``None``
-otherwise, so the per-layer path runs: the compiled attention and head on
-the step's slot views, the MLP on numpy.  The kernel is a function of the
-one library that holds the others (:data:`repro.utils.native.LIBRARY`), so
-it loads exactly when they do.
+float64, arrays the kernels can use, no ``lm_head`` bias, the kernel
+library built), and returns ``None`` otherwise, so the per-layer path runs:
+the compiled attention and head on the step's slot views, the MLP on numpy.
+The compiled MLP reads each kept weight row once for all the step's rows,
+so the width of a step does not decide which path runs.  The kernel is a
+function of the one library that holds the others
+(:data:`repro.utils.native.LIBRARY`), so it loads exactly when they do.
 
 A :class:`StepBinding` holds every layer's bindings and the head's, made
 through the per-layer helpers with every check they make:
@@ -107,17 +109,17 @@ class StepBinding(Binding):
 
 
 def _bind(
-    sources: List[Any], model: CausalLM, method: SparsityMethod, caches: Sequence[KVCache], rows: int
+    sources: List[Any], model: CausalLM, method: SparsityMethod, caches: Sequence[KVCache]
 ) -> Optional[StepBinding]:
-    """The :class:`StepBinding` made from ``sources`` (:func:`_sources`) for
-    ``rows`` rows, or ``None`` when a layer or the head is one the per-layer
-    path runs on numpy."""
+    """The :class:`StepBinding` made from ``sources`` (:func:`_sources`), or
+    ``None`` when a layer or the head is one the per-layer path runs on
+    numpy."""
     head = head_binding(model)
     if head is None:
         return None
     layers: List[Tuple[BoundBlock, BoundCache, BoundLayer]] = []
     for block, cache in zip(model.blocks, caches):
-        mlp = bound_layer(method, block.mlp, block.layer_index, rows)
+        mlp = bound_layer(method, block.mlp, block.layer_index)
         attention = bindings(block, cache)
         if mlp is None or attention is None:
             return None
@@ -136,11 +138,8 @@ def decode_step(
     every layer's cache, or ``None`` when the per-layer path must run.  The
     step's binding is kept on the batch (``batch._bound``)."""
     model, caches, width = batch.model, batch.caches, len(slots)
-    config = model.config
     if type(method) not in SERVED or len(caches) != len(model.blocks):
         return None  # first, so other methods never load a kernel
-    if width * method.expected_density(config.d_model, config.d_ffn) > 1.0:
-        return None
     kernel = DECODE_STEP.load()
     if kernel is None:
         return None
@@ -148,7 +147,7 @@ def decode_step(
         vars(batch),
         "_bound",
         _sources(model, method, caches),
-        lambda sources: _bind(sources, model, method, caches, width),
+        lambda sources: _bind(sources, model, method, caches),
     )
     if bound is None:
         return None

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.backend import BackendLike, use_backend
 from repro.engine.decode_step import decode_step
-from repro.nn.embedding import check_budget, check_ids, check_length, check_prompt
+from repro.nn.embedding import check_budget, check_id_range, check_ids, check_length, check_prompt
 from repro.nn.prefix_cache import PrefixCache, PrefixMatch
 from repro.nn.transformer import CausalLM, TransformerBlock, _sample_token, left_pad_ragged
 from repro.sparsity.base import MLPMasks, SparsityMethod, masks_mlp_density
@@ -192,10 +192,10 @@ class SparseInferenceEngine:
 
     The engine uses the model's array (inference) path and replaces every
     MLP call with ``method.sparse_forward``; attention, norms and embeddings
-    are untouched, exactly as in the paper.  A narrow DIP or DIP-CA decode
-    step of a :class:`ContinuousBatch` runs every block, its MLP in the
-    compiled decode MLP, in one call instead (:mod:`repro.engine.decode_step`),
-    unless masks are being recorded.
+    are untouched, exactly as in the paper.  A DIP or DIP-CA decode step of
+    a :class:`ContinuousBatch`, at any width, runs every block, its MLP in
+    the compiled decode MLP, in one call instead
+    (:mod:`repro.engine.decode_step`), unless masks are being recorded.
     """
 
     def __init__(
@@ -231,7 +231,7 @@ class SparseInferenceEngine:
         return out
 
     def _fused_step(self, batch: "ContinuousBatch", slots: List[int], ids: np.ndarray) -> Optional[np.ndarray]:
-        # Every block of a narrow DIP/DIP-CA step in one compiled call, the
+        # Every block of a DIP/DIP-CA step in one compiled call, the
         # binding kept on the batch; like the compiled decode MLP, it yields
         # no masks to record.
         if self.recorder is not None:
@@ -674,7 +674,9 @@ class ContinuousBatch:
         sequence lengths.  Each layer's slot view gives every slot its own
         RoPE position and hides the key positions past its length.  A step
         the ``fused_step`` serves builds no slot views, no per-layer forward
-        and no backend scope; its logits are the same bits.
+        and no backend scope; its logits are the same bits.  A token id
+        outside the vocabulary raises ``ValueError`` before any forward, on
+        either path, so no length, K/V entry or method state moves.
         """
         slots = [int(s) for s in slots]
         if not slots:
@@ -685,6 +687,7 @@ class ContinuousBatch:
             if not self.occupied[slot]:
                 raise ValueError(f"slot {slot} is not occupied")
         ids = np.asarray(tokens, dtype=np.int64).reshape(len(slots), 1)
+        check_id_range(min(tokens), max(tokens), self.model.config.vocab_size)
         lengths = self.caches[0].lengths.tolist()
         if max(lengths[slot] for slot in slots) + 1 > self.max_seq_len:
             raise RuntimeError("KV cache overflow; evict finished slots or raise max_seq_len")

@@ -50,9 +50,15 @@ def check_ids(ids: np.ndarray, vocab_size: int) -> None:
     ``-1`` would silently embed the last vocabulary row.
     """
     if ids.size:
-        low, high = int(ids.min()), int(ids.max())
-        if low < 0 or high >= vocab_size:
-            raise ValueError(f"token ids must lie in [0, {vocab_size}), got {low if low < 0 else high}")
+        check_id_range(int(ids.min()), int(ids.max()), vocab_size)
+
+
+def check_id_range(low: int, high: int, vocab_size: int) -> None:
+    """Raise ``ValueError`` unless the smallest token id ``low`` and the
+    largest ``high`` lie in ``[0, vocab_size)``: :func:`check_ids` for a
+    caller that already holds them."""
+    if low < 0 or high >= vocab_size:
+        raise ValueError(f"token ids must lie in [0, {vocab_size}), got {low if low < 0 else high}")
 
 
 def check_prompt(prompt: Sequence[int], vocab_size: int) -> None:

@@ -1,17 +1,19 @@
 """The MLP half of a DIP or DIP-CA decode step in one C call (``_decode_mlp.c``).
 
 The one-call decode step (:mod:`repro.engine.decode_step`) runs the kernel
-for every layer of a narrow ``ContinuousBatch`` step, through
+for every layer of a DIP/DIP-CA ``ContinuousBatch`` step, through
 :func:`bound_layer` and :func:`advance`; :func:`decode_mlp` runs it on one
 layer's MLP input through the same two, for the tests and the benchmarks
-that check and time the kernel on its own.  One call of
-the kernel runs, for each row of the MLP input, DIP's input mask (Eq. 7),
-the GLU over the kept rows of the unit-major up and gate weights, the down
-mask (Eq. 8) and the down projection over the kept rows of the down weight;
-for DIP-CA both masks are chosen against, and update, the method's LFU
-caches (Algorithm 1), with the per-row step of ``_ca_row.h`` that DIP-CA's
-``ca_step`` runs too.  So it reads only the weight rows it keeps, where
-numpy multiplies masked-dense.
+that check and time the kernel on its own.  One call of the kernel runs,
+for the rows of the MLP input, DIP's input mask (Eq. 7) of each row, the
+GLU over the kept rows of the unit-major up and gate weights, each row's
+down mask (Eq. 8) and the down projection over the kept rows of the down
+weight; for DIP-CA both masks are chosen against, and update, the method's
+LFU caches (Algorithm 1), with the per-row step of ``_ca_row.h`` that
+DIP-CA's ``ca_step`` runs too.  So it reads only the weight rows it keeps,
+where numpy multiplies masked-dense, and reads each of them once for up to
+eight rows: a weight row is added into every row that kept it.  Each row's
+numbers are those it gets alone, bit for bit.
 
 It serves a call only when every one of these holds, and returns ``None``
 otherwise, so the numpy path (``compute_masks`` then ``sparse_forward``)
@@ -20,10 +22,10 @@ runs; that path also stays the reference the tests compare against:
 - the method is :class:`~repro.sparsity.dip.DynamicInputPruning` or
   :class:`~repro.sparsity.cache_aware.CacheAwareDIP` (no subclass);
 - the MLP's activation is SiLU and the input is float64;
-- rows x the method's MLP density <= 1.  A row reads about ``density`` of
-  the weights through the kernel, while one GEMM over all rows reads them
-  once, so wider calls (prefill, wide decode batches) stay on numpy;
 - the kernel is built.
+
+The engine calls it only through the one-call step, so prefill and every
+step the per-layer path runs stay on numpy.
 
 Outputs agree with numpy to rounding, not bit for bit; masks agree except
 where two scores tie to rounding.  DIP-CA's caches, ``token_index`` and
@@ -147,15 +149,15 @@ def _bind(sources: tuple) -> Optional[BoundLayer]:
     return BoundLayer(sources, struct, caches, ks[0] + ks[1])
 
 
-def bound_layer(method: SparsityMethod, mlp: SwiGLUMLP, layer_index: int, rows: int) -> Optional[BoundLayer]:
-    """The binding of ``method`` for ``mlp`` when the kernel serves ``rows``
-    rows of its float64 input, or ``None``.
+def bound_layer(method: SparsityMethod, mlp: SwiGLUMLP, layer_index: int) -> Optional[BoundLayer]:
+    """The binding of ``method`` for ``mlp`` when the kernel serves its
+    float64 input, or ``None``.
 
     The binding is held on the method per layer and made, and checked, again
     when one of its :func:`layer_sources` has been replaced
     (:func:`~repro.utils.native.current_binding`).
     """
-    if type(method) not in SERVED or rows * method.expected_density(mlp.d_model, mlp.d_ffn) > 1.0:
+    if type(method) not in SERVED:
         return None
     held = cast(DynamicInputPruning, method)._bound
     return current_binding(held, layer_index, layer_sources(method, mlp, layer_index), _bind)
@@ -186,7 +188,7 @@ def decode_mlp(method: SparsityMethod, mlp: SwiGLUMLP, layer_index: int, x: np.n
     if x.dtype != np.float64 or x.ndim != 2 or x.shape[1] != mlp.d_model:
         return None
     rows = x.shape[0]
-    layer = bound_layer(method, mlp, layer_index, rows)  # first, so other methods never load the kernel
+    layer = bound_layer(method, mlp, layer_index)  # first, so other methods never load the kernel
     if layer is None:
         return None
     kernel = DECODE_MLP.load()

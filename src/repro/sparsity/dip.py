@@ -13,8 +13,8 @@ The split of the density budget between the up/gate input rows and the
 down neuron rows follows the allocation model of Appendix B.1
 (:mod:`repro.sparsity.density`).
 
-A decode step narrow enough runs both steps and the MLP itself in one
-compiled call that reads only the kept rows
+A decode step runs both steps and the MLP itself in one compiled call that
+reads only the kept rows, once for all the step's rows
 (:mod:`repro.sparsity.decode_mlp`); :meth:`DynamicInputPruning.compute_masks`
 and ``sparse_forward`` are the numpy path and the reference.
 """

@@ -61,10 +61,11 @@ def make_batch(model, method, width, per_layer=False, max_seq_len=None, record_m
 
 
 def kernel_mlp(engine, block, normed):
-    """``engine``'s MLP override, with each narrow DIP/DIP-CA call (no
-    masks recorded) in the compiled decode MLP, as the one-call step runs it."""
+    """``engine``'s MLP override, with each one-position DIP/DIP-CA call (a
+    decode step, no masks recorded) in the compiled decode MLP, as the
+    one-call step runs it; prefill stays on numpy, as in the one-call batch."""
     out = None
-    if engine.recorder is None:
+    if engine.recorder is None and normed.shape[-2] == 1:
         out = decode_mlp.decode_mlp(engine.method, block.mlp, block.layer_index, normed.reshape(-1, normed.shape[-1]))
     return engine._mlp_override(block, normed) if out is None else out.reshape(normed.shape)
 
@@ -79,8 +80,8 @@ def run_per_layer(batch):
 
 
 def admit(batch, lengths, seed=0):
-    """Prefill prompts of ``lengths`` (on numpy: they are wider than the
-    kernels serve) and return their slots and first greedy tokens."""
+    """Prefill prompts of ``lengths`` (on numpy, as every prefill runs) and
+    return their slots and first greedy tokens."""
     rng = np.random.default_rng(seed)
     if batch.reset_method is not None:
         batch.reset_method()
@@ -135,12 +136,44 @@ def engine_of(batch):
 
 
 # ----------------------------------------------------------------- parity
+@pytest.fixture
+def attended(compiled_kernels, monkeypatch):
+    """Counts the per-layer path's compiled attention calls."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])  # the call's rows
+        return compiled_kernels["decode_attn"](*args)
+
+    monkeypatch.setattr(decode_attn.DECODE_ATTN, "load", lambda: counted)
+    return calls
+
+
+RAGGED = {width: [4 + i for i in range(width)] for width in (3, 8)}
+
+
 @pytest.mark.parametrize(
     "name, lengths, tied",
-    [("dip", [7], True), ("dip", [5, 9], True), ("dip-ca", [8], True), ("dip", [7], False)],
-    ids=["dip-width1", "dip-width2-ragged", "dip-ca-width1", "dip-untied-head"],
+    [
+        ("dip", [7], True),
+        ("dip", [5, 9], True),
+        ("dip", RAGGED[3], True),
+        ("dip", RAGGED[8], True),
+        ("dip-ca", [8], True),
+        ("dip", [7], False),
+    ],
+    ids=[
+        "dip-width1",
+        "dip-width2-ragged",
+        "dip-width3-ragged",
+        "dip-width8-ragged",
+        "dip-ca-width1",
+        "dip-untied-head",
+    ],
 )
-def test_logits_and_state_match_the_per_layer_path(served, name, lengths, tied):
+def test_logits_and_state_match_the_per_layer_path(served, attended, name, lengths, tied):
+    """At any width, a DIP/DIP-CA step runs in one call (no per-layer
+    attention call) with the per-layer path's logits, K/V and DIP-CA state."""
     model = CausalLM(dataclasses.replace(CONFIG, tie_embeddings=tied), seed=1)
     fused = make_batch(model, make_method(name), len(lengths))
     per_layer = make_batch(model, make_method(name), len(lengths), per_layer=True)
@@ -149,7 +182,11 @@ def test_logits_and_state_match_the_per_layer_path(served, name, lengths, tied):
     fused_engine, per_layer_engine = engine_of(fused), engine_of(per_layer)
     n_steps = 40
     for step in range(n_steps):
-        got, want = fused.step(slots, tokens), per_layer.step(slots, tokens)
+        attended.clear()
+        got = fused.step(slots, tokens)
+        assert attended == []
+        want = per_layer.step(slots, tokens)
+        assert attended == [len(lengths)] * CONFIG.n_layers
         assert np.array_equal(got, want), step
         assert_same_state(engine_state(fused_engine), engine_state(per_layer_engine))
         tokens = np.argmax(want, axis=-1).tolist()
@@ -168,16 +205,15 @@ class Ranked(DynamicInputPruning):  # a subclass may rank otherwise
     pass
 
 
-@pytest.mark.parametrize("case", ["recorder", "dense", "dip-subclass", "width-3", "width-8", "relu"])
+@pytest.mark.parametrize("case", ["recorder", "dense", "dip-subclass", "relu"])
 def test_other_steps_take_the_per_layer_path(served, case):
     model = relu_model() if case == "relu" else CausalLM(CONFIG, seed=1)
     method = {"dense": create_method("dense", target_density=0.5), "dip-subclass": Ranked(0.5)}.get(case)
-    width = {"width-3": 3, "width-8": 8}.get(case, 1)
-    lengths = [4 + i for i in range(width)]
+    lengths = [4]
 
     def build(per_layer):
         served_method = make_method("dip") if method is None else copy.deepcopy(method)
-        return make_batch(model, served_method, width, per_layer=per_layer, record_masks=case == "recorder")
+        return make_batch(model, served_method, 1, per_layer=per_layer, record_masks=case == "recorder")
 
     fused, per_layer = build(False), build(True)
     slots, tokens = admit(fused, lengths)
@@ -248,6 +284,26 @@ def test_bad_steps_raise_before_any_state_changes(served, case):
     assert_same_kv(kv_state(batch), kv)
     assert_same_state(engine_state(engine_of(batch)), state)
     assert len(served) == (0 if past_the_table else 1)
+
+
+@pytest.mark.parametrize("per_layer", [False, True], ids=["one-call", "per-layer"])
+@pytest.mark.parametrize("width", [1, 8])
+@pytest.mark.parametrize("bad", [-1, CONFIG.vocab_size])
+def test_ids_outside_the_vocabulary_raise_before_any_state_changes(served, per_layer, width, bad):
+    """Id -1 would embed the last vocabulary row and an id past the table
+    fail in numpy's indexing; the step refuses both on either path before
+    any length, K/V entry or DIP-CA cache changes (DIP-CA decodes at width 1
+    only)."""
+    model = CausalLM(CONFIG, seed=1)
+    batch = make_batch(model, make_method("dip-ca" if width == 1 else "dip"), width, per_layer=per_layer)
+    slots, tokens = admit(batch, RAGGED[8][:width])
+    batch.step(slots, tokens)
+    before = kv_state(batch), engine_state(engine_of(batch))
+    with pytest.raises(ValueError, match=rf"token ids must lie in \[0, {CONFIG.vocab_size}\), got {bad}"):
+        batch.step(slots, tokens[:-1] + [bad])
+    assert_same_kv(kv_state(batch), before[0])
+    assert_same_state(engine_state(engine_of(batch)), before[1])
+    assert len(served) == (0 if per_layer else 1)
 
 
 @pytest.mark.parametrize("slots, match", [([-1], r"lie in \[0, 2\)"), ([2], r"lie in \[0, 2\)"), ([1, 1], "distinct")])
