@@ -12,8 +12,8 @@
         input group: |x|, Eq. 10 when gamma < 1, the top k, and for DIP-CA
         the hits, LFU counts and eviction on the input cache;
      2. sums up and gate over the union of the rows' kept inputs: each kept
-        row of w_up and w_gate, in ascending order, is added into every row
-        that kept it, one column tile at a time (add_kept_rows);
+        row of w_up and w_gate, in ascending order, is added whole into every
+        row that kept it (add_kept_rows);
      3. forms each row's glu = up * SiLU(gate), with SiLU(a) = a / (1 +
         exp(-a)), the exponentials in one vectorised loop (exp_in_place,
         _vector.h), and runs ca_row on it against the down group, in row
@@ -22,9 +22,9 @@
         w_down in the same way.
 
    So one pass over the kept weight rows serves every row of a block, where
-   a row at a time would read them once per row.  At one or two rows the
-   tile is the whole weight row, the loop a row at a time has always run.
-   out is (B, d_model) and holds the MLP output without the residual.
+   a row at a time would read them once per row; at one row it is the loop
+   a row at a time has always run.  out is (B, d_model) and holds the MLP
+   output without the residual.
 
    Every (row, column) sum still runs over that row's own kept units in
    ascending order, and a row never reads another row's results, so a row's
@@ -45,10 +45,8 @@
 #include "_ca_row.h"
 
 /* The rows one pass over the weights serves (at most 64: the rows that kept
-   a unit are the bits of a uint64_t), and the columns of a weight row added
-   into them at once past two rows: 8 KB, which stays in the L1 cache while
-   every row that kept the unit reads it. */
-enum { ROW_BLOCK = 8, TILE = 1024 };
+   a unit are the bits of a uint64_t). */
+enum { ROW_BLOCK = 8 };
 
 /* One weight group: the units kept per row and, for DIP-CA, its LFU cache
    (cached == NULL for plain DIP). */
@@ -68,30 +66,25 @@ struct mlp {
 /* acc[b] += a[b][i] * w[i] (and acc2[b] += a[b][i] * w2[i] when w2 is not
    NULL) for each unit i, in ascending order, and each row b set in kept[i]:
    a is (rows, units) with rows a_stride apart, w and w2 are (units, n), acc
-   and acc2 (rows, n).  Each weight row is read once, one column tile at a
-   time, the whole row at one or two rows. */
-INLINE void add_kept_rows(int64_t rows, int64_t units, int64_t n, const double *a, int64_t a_stride,
-                          const uint64_t *kept, const double *w, double *acc, const double *w2, double *acc2) {
-    const int64_t tile = rows <= 2 ? n : TILE;
+   and acc2 (rows, n).  Each kept weight row is read once for all the rows
+   that kept it. */
+INLINE void add_kept_rows(int64_t units, int64_t n, const double *a, int64_t a_stride, const uint64_t *kept,
+                          const double *w, double *acc, const double *w2, double *acc2) {
     for (int64_t i = 0; i < units; i++) {
-        if (kept[i] == 0) continue;
-        for (int64_t j0 = 0; j0 < n; j0 += tile) {
-            const int64_t width = n - j0 < tile ? n - j0 : tile;
-            const double *restrict wi = w + i * n + j0;
-            for (uint64_t bits = kept[i]; bits; bits &= bits - 1) {
-                const int64_t b = __builtin_ctzll(bits);
-                const double s = a[b * a_stride + i];
-                double *restrict o = acc + b * n + j0;
-                if (w2 == NULL) {
-                    for (int64_t j = 0; j < width; j++) o[j] += s * wi[j];
-                    continue;
-                }
-                const double *restrict wi2 = w2 + i * n + j0;
-                double *restrict o2 = acc2 + b * n + j0;
-                for (int64_t j = 0; j < width; j++) {
-                    o[j] += s * wi[j];
-                    o2[j] += s * wi2[j];
-                }
+        const double *restrict wi = w + i * n;
+        for (uint64_t bits = kept[i]; bits; bits &= bits - 1) {
+            const int64_t b = __builtin_ctzll(bits);
+            const double s = a[b * a_stride + i];
+            double *restrict o = acc + b * n;
+            if (w2 == NULL) {
+                for (int64_t j = 0; j < n; j++) o[j] += s * wi[j];
+                continue;
+            }
+            const double *restrict wi2 = w2 + i * n;
+            double *restrict o2 = acc2 + b * n;
+            for (int64_t j = 0; j < n; j++) {
+                o[j] += s * wi[j];
+                o2[j] += s * wi2[j];
             }
         }
     }
@@ -118,7 +111,7 @@ int64_t decode_mlp(const struct mlp *m, int64_t B, const double *x, double *out)
             for (int64_t i = 0; i < d; i++) kept_in[i] |= (uint64_t)mask[i] << b;
         }
         for (int64_t j = 0; j < rows * f; j++) up[j] = gate[j] = 0.0;
-        add_kept_rows(rows, d, f, x, d, kept_in, m->w_up, up, m->w_gate, gate);
+        add_kept_rows(d, f, x, d, kept_in, m->w_up, up, m->w_gate, gate);
 
         for (int64_t b = 0; b < rows; b++) {
             double *restrict u = up + b * f, *restrict g = gate + b * f, *restrict e = scratch; /* ca_row's scratch */
@@ -129,7 +122,7 @@ int64_t decode_mlp(const struct mlp *m, int64_t B, const double *x, double *out)
             for (int64_t i = 0; i < f; i++) kept_down[i] |= (uint64_t)mask[i] << b;
         }
         for (int64_t j = 0; j < rows * d; j++) out[j] = 0.0;
-        add_kept_rows(rows, f, d, up, f, kept_down, m->w_down, out, NULL, NULL);
+        add_kept_rows(f, d, up, f, kept_down, m->w_down, out, NULL, NULL);
     }
     free(scratch);
     return hits;

@@ -149,27 +149,30 @@ class TestKernelAgainstNumpy:
     def test_row_is_the_same_alone_and_in_a_batch(self, compiled_kernels):
         """B rows in one call give, bit for bit, the outputs of B one-row
         calls in order, and leave DIP-CA's caches, counts and hits as those
-        calls do, rows with exact zeros and tied magnitudes included.  17
-        rows span three row blocks; the wide geometries span two column
-        tiles of the up and gate sums, or of the down sums."""
-        geometries = [(12, 40), (5, 1030), (1030, 6)]
-        for (d_model, d_ffn), name, density in itertools.product(geometries, ["dip", "dip-ca"], [0.25, 0.5, 0.75]):
+        calls do, rows with exact zeros and tied magnitudes included: DIP,
+        and DIP-CA at gamma 0.2 and 1.0 with no cache, part of the units and
+        all of them cached, at densities up to 1.0, on rows shorter than a
+        vector and rows of a thousand.  17 rows span three row blocks."""
+        settings = [("dip", 0.2, 0.5)] + [("dip-ca", g, f) for g in (0.2, 1.0) for f in (0.0, 0.4, 1.0)]
+        geometries = [(2, 3), (12, 40), (5, 1030), (1030, 6)]
+        for (d_model, d_ffn), (name, gamma, fraction), density in itertools.product(
+            geometries, settings, [0.25, 0.35, 0.5, 0.75, 1.0]
+        ):
             rng = np.random.default_rng(int(density * 100) + d_model)
             mlp = SwiGLUMLP(GLUMLPConfig(d_model=d_model, d_ffn=d_ffn), seed=d_ffn)
-            batched = make_method(name, density, cache_fraction=0.4)
+            batched = make_method(name, density, gamma, fraction)
             kernel_mlp(batched, mlp, rng.normal(size=(3, d_model)))  # some cache state first
             for rows in (2, 3, 8, 17):
-                alone = copy.deepcopy(batched)
                 x = rng.normal(size=(rows, d_model))
                 x[0, : d_model // 2] = 0.0  # exact zeros
                 x[-1, ::2] = np.where(x[-1, ::2] < 0, -0.5, 0.5)  # tied magnitudes
+                alone = copy.deepcopy(batched)
                 got = kernel_mlp(batched, mlp, x)
                 want = np.concatenate([kernel_mlp(alone, mlp, x[i : i + 1]) for i in range(rows)])
-                case = (d_model, d_ffn, name, density, rows)
-                assert np.array_equal(got, want), case
+                assert np.array_equal(got, want), (d_model, d_ffn, name, gamma, fraction, density, rows)
                 assert_same_state(cache_state(batched), cache_state(alone))
-            if name == "dip-ca":
-                assert batched.stats.hits > 0, (d_model, d_ffn, density)
+            if name == "dip-ca" and fraction > 0:
+                assert batched.stats.hits > 0, (d_model, d_ffn, gamma, fraction, density)
 
 
 # ----------------------------------------------------------------- dispatch
