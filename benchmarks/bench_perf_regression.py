@@ -53,6 +53,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 import argparse  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
+import statistics  # noqa: E402
 import sys  # noqa: E402
 import threading  # noqa: E402
 import time  # noqa: E402
@@ -249,12 +250,20 @@ def _fleet_throughput(fleet: FleetManager, prompts, max_new_tokens: int) -> floa
     return tokens / (time.perf_counter() - start)
 
 
+#: Timed waves per fleet size, after the warm-up wave; each size records the
+#: median.  One wave of 12 requests lasts some 25-50 ms, so a single wave
+#: read host noise (quartiles 3,977-6,092 tok/s over 20 runs of one commit).
+FLEET_WAVES = 5
+
+
 def run_fleet(n_requests: int = 12, max_new_tokens: int = 12, fast: bool = False) -> dict:
     """The multi-worker scaling curve plus the experiment-isolation probe.
 
     * **Scaling** — the same wave of concurrent requests through a pipe-
-      transport fleet of 1 and of 2 decode workers; the ratio of the two
-      throughputs is ``speedup_vs_one_worker``.
+      transport fleet of 1 and of 2 decode workers, warmed by one small wave
+      and then timed over :data:`FLEET_WAVES` waves; each size's
+      ``tokens_per_second`` is the median wave, and the ratio of the two is
+      ``speedup_vs_one_worker``.
     * **Isolation** — per-request TTFT (as the manager measures it) on a
       1-decode-worker fleet, first idle, then while the separate experiment
       worker class grinds ``/experiment`` jobs in a loop.  Experiments run in
@@ -278,7 +287,9 @@ def run_fleet(n_requests: int = 12, max_new_tokens: int = 12, fast: bool = False
     for workers in (1, 2):
         with FleetManager(_fleet_config(workers), registry=MetricsRegistry()) as fleet:
             _fleet_throughput(fleet, prompts[:2], max_new_tokens)  # warm the pool
-            throughput = _fleet_throughput(fleet, prompts, max_new_tokens)
+            throughput = statistics.median(
+                _fleet_throughput(fleet, prompts, max_new_tokens) for _ in range(FLEET_WAVES)
+            )
         scaling["one_worker" if workers == 1 else "two_workers"] = {
             "decode_workers": workers,
             "tokens_per_second": throughput,

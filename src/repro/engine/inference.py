@@ -26,11 +26,13 @@ import numpy as np
 
 from repro.backend import BackendLike, use_backend
 from repro.engine.decode_step import decode_step
-from repro.nn.embedding import check_budget, check_id_range, check_ids, check_length, check_prompt
+from repro.nn.decode_attn import check_slots
+from repro.nn.embedding import check_id_range, check_ids, check_length, check_prompt, check_request
 from repro.nn.prefix_cache import PrefixCache, PrefixMatch
 from repro.nn.transformer import CausalLM, TransformerBlock, _sample_token, left_pad_ragged
 from repro.sparsity.base import MLPMasks, SparsityMethod, masks_mlp_density
 from repro.utils.logging import get_logger
+from repro.utils.native import BoundAttribute
 from repro.utils.numerics import logsumexp
 from repro.utils.rng import SeedLike, new_rng
 
@@ -447,6 +449,12 @@ class ContinuousBatch:
     #: caches (:mod:`repro.engine.decode_step`).  Holds addresses, so copies
     #: and pickles start without it.
     _bound = None
+    #: What that binding reads of the batch: replacing one bumps
+    #: :data:`~repro.utils.native.VERSION`.  ``caches`` is a tuple, one KV
+    #: cache per block, so its items are replaced only with it.
+    model = BoundAttribute()
+    caches = BoundAttribute()
+    occupied = BoundAttribute()
 
     def __init__(
         self,
@@ -468,7 +476,7 @@ class ContinuousBatch:
         self.max_batch_size = max_batch_size
         self.max_seq_len = max_seq_len if max_seq_len is not None else model.config.max_seq_len
         self.prefix_cache = prefix_cache
-        self.caches = model.new_kv_caches(self.max_seq_len, batch_size=max_batch_size)
+        self.caches = tuple(model.new_kv_caches(self.max_seq_len, batch_size=max_batch_size))
         self.occupied = np.zeros(max_batch_size, dtype=bool)
         #: slot -> (prompt_tokens, forwarded_tokens) of its latest admission.
         self.slot_prefill: dict = {}
@@ -523,6 +531,13 @@ class ContinuousBatch:
         return batch
 
     # ------------------------------------------------------------- slot state
+    def check_request(self, prompt_len: int, max_new_tokens: int) -> None:
+        """Raise ``ValueError`` unless a prompt of ``prompt_len`` tokens and
+        ``max_new_tokens`` fit one slot: decode room in the caches'
+        ``max_seq_len``, and room under the smaller of that and the model's
+        RoPE table (:func:`~repro.nn.embedding.check_request`)."""
+        check_request(prompt_len, max_new_tokens, self.max_seq_len, self.model.config.max_seq_len)
+
     def free_slots(self) -> List[int]:
         """Indices of currently unoccupied KV-cache slots."""
         return [int(i) for i in np.flatnonzero(~self.occupied)]
@@ -566,7 +581,7 @@ class ContinuousBatch:
             raise ValueError(f"cannot admit {n} prompts into {len(free)} free slots")
         for prompt in prompts:
             check_prompt(prompt, self.model.config.vocab_size)
-            check_budget(len(prompt), 1, self.max_seq_len)
+            self.check_request(len(prompt), 1)
         if cache_prefix is not None and len(cache_prefix) != n:
             raise ValueError("cache_prefix must have one entry per prompt")
         slots = free[:n]
@@ -674,25 +689,26 @@ class ContinuousBatch:
         sequence lengths.  Each layer's slot view gives every slot its own
         RoPE position and hides the key positions past its length.  A step
         the ``fused_step`` serves builds no slot views, no per-layer forward
-        and no backend scope; its logits are the same bits.  A token id
-        outside the vocabulary raises ``ValueError`` before any forward, on
-        either path, so no length, K/V entry or method state moves.
+        and no backend scope, and its call checks the slots and ids itself;
+        its logits are the same bits.  On either path, slots that repeat,
+        lie outside the batch or hold no sequence, a token id outside the
+        vocabulary and a full slot raise before any forward, so no length,
+        K/V entry or method state moves.
         """
         slots = [int(s) for s in slots]
         if not slots:
             raise ValueError("step needs at least one slot")
-        if len(set(slots)) != len(slots):
-            raise ValueError(f"step needs distinct slots, got {slots}")
-        for slot in slots:
-            if not self.occupied[slot]:
-                raise ValueError(f"slot {slot} is not occupied")
         ids = np.asarray(tokens, dtype=np.int64).reshape(len(slots), 1)
-        check_id_range(min(tokens), max(tokens), self.model.config.vocab_size)
-        lengths = self.caches[0].lengths.tolist()
-        if max(lengths[slot] for slot in slots) + 1 > self.max_seq_len:
-            raise RuntimeError("KV cache overflow; evict finished slots or raise max_seq_len")
         logits = None if self.fused_step is None else self.fused_step(self, slots, ids)
         if logits is None:
+            check_slots(slots, self.max_batch_size)
+            for slot in slots:
+                if not self.occupied[slot]:
+                    raise ValueError(f"slot {slot} is not occupied")
+            check_id_range(int(ids.min()), int(ids.max()), self.model.config.vocab_size)
+            lengths = self.caches[0].lengths.tolist()
+            if max(lengths[slot] for slot in slots) + 1 > self.max_seq_len:
+                raise RuntimeError("KV cache overflow; evict finished slots or raise max_seq_len")
             slot_ids = np.asarray(slots, dtype=np.int64)
             with use_backend(self.backend):
                 logits = self.model.forward_array(
@@ -786,9 +802,10 @@ class ContinuousDecoder(Generic[RequestT]):
 
     def submit(self, request: RequestT) -> None:
         """Queue ``request``; ``ValueError`` if its prompt is empty or holds
-        an id outside the vocabulary, or its budget cannot fit a slot."""
+        an id outside the vocabulary, or its budget cannot fit a slot or the
+        model's RoPE table (:meth:`ContinuousBatch.check_request`)."""
         check_prompt(request.prompt, self.batch.model.config.vocab_size)
-        check_budget(len(request.prompt), request.max_new_tokens, self.batch.max_seq_len)
+        self.batch.check_request(len(request.prompt), request.max_new_tokens)
         self.waiting.append(request)
 
     def find(self, key: str) -> Optional[RequestT]:

@@ -38,12 +38,20 @@ from typing import Dict, Optional, Tuple, Type
 
 import numpy as np
 
+from repro.utils.native import BoundAttribute
+
 
 class GroupCache:
     """Base class: a cache over ``n_units`` equally sized units."""
 
     name = "abstract"
     requires_future = False
+    #: What DIP-CA's compiled kernels bind (with :class:`LFUCache`'s
+    #: ``frequency``): replacing one bumps
+    #: :data:`~repro.utils.native.VERSION`; ``token_index`` and the arrays'
+    #: contents change on every token and bump nothing.
+    cached = BoundAttribute()
+    capacity_units = BoundAttribute()
 
     def __init__(self, n_units: int, capacity_units: int):
         if n_units <= 0:
@@ -173,6 +181,7 @@ class LFUCache(_EvictingCache):
     """Least-frequently-used eviction (the paper's default policy)."""
 
     name = "lfu"
+    frequency = BoundAttribute()
 
     def __init__(self, n_units: int, capacity_units: int):
         super().__init__(n_units, capacity_units)

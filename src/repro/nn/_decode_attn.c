@@ -42,13 +42,13 @@
 #include "../utils/_vector.h"
 
 struct block {
-    int64_t d_model, n_heads, n_kv_heads, head_dim;
+    int64_t d_model, n_heads, n_kv_heads, head_dim, rope_len;
     double attention_eps, mlp_eps, scale;
     const double *wq, *wk, *wv, *wo, *attention_norm, *mlp_norm, *cos, *sin;
 };
 
 struct cache {
-    int64_t max_seq_len;
+    int64_t batch_size, max_seq_len;
     double *keys, *values;
     int64_t *lengths;
 };

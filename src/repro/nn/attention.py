@@ -19,6 +19,7 @@ from repro.backend import active_backend
 from repro.nn.linear import Linear
 from repro.nn.module import Module
 from repro.utils.config import ConfigBase
+from repro.utils.native import BoundAttribute
 from repro.utils.rng import new_rng, spawn_rng
 
 #: Additive attention-bias value that hides a key position entirely (its
@@ -54,6 +55,11 @@ class AttentionConfig(ConfigBase):
 
 class RotaryEmbedding:
     """Pre-computed rotary position embedding tables."""
+
+    #: The tables the compiled decode kernels bind: replacing one bumps
+    #: :data:`~repro.utils.native.VERSION`.
+    cos = BoundAttribute()
+    sin = BoundAttribute()
 
     def __init__(self, head_dim: int, max_seq_len: int, base: float = 10000.0):
         if head_dim % 2 != 0:
@@ -134,6 +140,12 @@ class KVCache:
     #: :mod:`repro.nn.decode_attn`).  Holds addresses, so copies and pickles
     #: start without it.
     _bound = None
+    #: The arrays that view binds: replacing one bumps
+    #: :data:`~repro.utils.native.VERSION`; ``length`` and the arrays'
+    #: contents change on every step and bump nothing.
+    keys = BoundAttribute()
+    values = BoundAttribute()
+    lengths = BoundAttribute()
 
     def __init__(self, n_kv_heads: int, head_dim: int, max_seq_len: int, batch_size: int = 1):
         if batch_size <= 0:

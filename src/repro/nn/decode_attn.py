@@ -25,16 +25,17 @@ and their positions by :func:`slot_positions`, the arrays by
 :func:`bindings` and :func:`head_binding`, the helpers the one-call decode
 step runs too.  Weight and cache addresses are bound once per block, cache
 and model, with every dtype, shape and contiguity check made then; later
-calls compare the arrays and scalars by identity and bind again when one is
-replaced (:func:`~repro.utils.native.current_binding`).  Bindings are never
-copied or pickled.
+calls use a binding while the process-wide version has not moved, and bind
+again once an array or scalar it reads has been replaced
+(:func:`~repro.utils.native.current_binding`).  Bindings are never copied or
+pickled.
 """
 
 from __future__ import annotations
 
 import ctypes
 import operator
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
@@ -48,19 +49,22 @@ _size, _double, _pointer = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 
 
 class _Block(ctypes.Structure):
-    """``struct block``: one block's geometry and weight addresses."""
+    """``struct block``: one block's geometry, the positions its RoPE
+    tables hold (``rope_len``) and its weight addresses."""
 
     _fields_ = (
-        [(name, _size) for name in ("d_model", "n_heads", "n_kv_heads", "head_dim")]
+        [(name, _size) for name in ("d_model", "n_heads", "n_kv_heads", "head_dim", "rope_len")]
         + [(name, _double) for name in ("attention_eps", "mlp_eps", "scale")]
         + [(name, _pointer) for name in ("wq", "wk", "wv", "wo", "attention_norm", "mlp_norm", "cos", "sin")]
     )
 
 
 class _Cache(ctypes.Structure):
-    """``struct cache``: one KV cache's geometry and array addresses."""
+    """``struct cache``: one KV cache's slots, positions per slot and array addresses."""
 
-    _fields_ = [("max_seq_len", _size)] + [(name, _pointer) for name in ("keys", "values", "lengths")]
+    _fields_ = [("batch_size", _size), ("max_seq_len", _size)] + [
+        (name, _pointer) for name in ("keys", "values", "lengths")
+    ]
 
 
 class _Head(ctypes.Structure):
@@ -77,7 +81,7 @@ def _fits(a: np.ndarray, shape: Tuple[int, ...], dtype: type = np.float64) -> bo
     return a.dtype == dtype and a.shape == shape and a.flags.c_contiguous
 
 
-#: Everything a block's binding reads, compared by identity on each call.
+#: Everything a block's binding reads, gathered when it is made.
 block_state = operator.attrgetter(
     "attention.q_proj.weight.data",
     "attention.k_proj.weight.data",
@@ -96,35 +100,14 @@ block_state = operator.attrgetter(
     "attention.config",
 )
 
-#: The arrays a cache's binding reads, compared by identity on each call.
+#: The arrays a cache's binding reads, gathered when it is made.
 cache_state = operator.attrgetter("keys", "values", "lengths")
 
 
-class BoundBlock(Binding):
-    """A block's binding: its ``struct block``, and ``rope_len``, the
-    positions its RoPE tables hold."""
-
-    __slots__ = ("rope_len",)
-
-    def __init__(self, sources: Sequence, struct: _Block, rope_len: int) -> None:
-        super().__init__(sources, struct)
-        self.rope_len = rope_len
-
-
-class BoundCache(Binding):
-    """A cache's binding: its ``struct cache``, and ``batch_size``, the
-    slots its arrays hold."""
-
-    __slots__ = ("batch_size",)
-
-    def __init__(self, sources: Sequence, struct: _Cache, batch_size: int) -> None:
-        super().__init__(sources, struct)
-        self.batch_size = batch_size
-
-
-def _bind_block(block: "TransformerBlock", state: Sequence) -> Optional[BoundBlock]:
-    """The binding made from ``block``'s :data:`block_state`, or ``None`` if
-    the kernel cannot read its weights."""
+def _bind_block(block: "TransformerBlock") -> Optional[Binding]:
+    """The binding made from ``block``'s :data:`block_state`, its ``struct
+    block``, or ``None`` if the kernel cannot read its weights."""
+    state = block_state(block)
     wq, wk, wv, wo, attention_norm, mlp_norm, cos, sin, attention_eps, mlp_eps, *biases, cfg = state
     arrays, rope_len = (wq, wk, wv, wo, attention_norm, mlp_norm, cos, sin), block.attention.rope.max_seq_len
     d, kv_dim, table = cfg.d_model, cfg.n_kv_heads * cfg.head_dim, (rope_len, cfg.head_dim // 2)
@@ -136,17 +119,19 @@ def _bind_block(block: "TransformerBlock", state: Sequence) -> Optional[BoundBlo
         cfg.n_heads,
         cfg.n_kv_heads,
         cfg.head_dim,
+        rope_len,
         attention_eps,
         mlp_eps,
         1.0 / np.sqrt(cfg.head_dim),
         *(a.ctypes.data for a in arrays),
     )
-    return BoundBlock(state, struct, rope_len)
+    return Binding(state, struct)
 
 
-def _bind_cache(cache: KVCache, arrays: Sequence) -> Optional[BoundCache]:
+def _bind_cache(cache: KVCache) -> Optional[Binding]:
     """The binding made from ``cache``'s :data:`cache_state`, or ``None`` if
     the kernel cannot write it in place."""
+    arrays = cache_state(cache)
     keys, values, lengths = arrays
     shape = (cache.batch_size, cache.n_kv_heads, cache.max_seq_len, cache.head_dim)
     if not (
@@ -156,7 +141,7 @@ def _bind_cache(cache: KVCache, arrays: Sequence) -> Optional[BoundCache]:
         and all(a.flags.writeable for a in arrays)
     ):
         return None
-    return BoundCache(arrays, _Cache(cache.max_seq_len, *(a.ctypes.data for a in arrays)), cache.batch_size)
+    return Binding(arrays, _Cache(cache.batch_size, cache.max_seq_len, *(a.ctypes.data for a in arrays)))
 
 
 def check_slots(slots: List[int], batch_size: int) -> None:
@@ -183,32 +168,33 @@ def slot_positions(cache: KVCache, slots: List[int], rope_len: int) -> Tuple[Lis
     return written, top
 
 
-def bindings(block: "TransformerBlock", cache: KVCache) -> Optional[Tuple[BoundBlock, BoundCache]]:
+def bindings(block: "TransformerBlock", cache: KVCache) -> Optional[Tuple[Binding, Binding]]:
     """The kernel's bindings of ``block`` and ``cache``, or ``None`` when it
     cannot read the weights or write the cache in place.  Each is held on
-    its block or cache and made again when something it was made from has
+    its block or cache and made again once something it was made from has
     been replaced (:func:`~repro.utils.native.current_binding`)."""
     cfg = block.attention.config
     if cache.n_kv_heads != cfg.n_kv_heads or cache.head_dim != cfg.head_dim:
         return None
-    bound = current_binding(vars(block), "_bound", block_state(block), lambda state: _bind_block(block, state))
+    bound = current_binding(vars(block), "_bound", (), lambda: _bind_block(block))
     if bound is None:
         return None
-    held = current_binding(vars(cache), "_bound", cache_state(cache), lambda arrays: _bind_cache(cache, arrays))
+    held = current_binding(vars(cache), "_bound", (), lambda: _bind_cache(cache))
     return None if held is None else (bound, held)
 
 
 def head_state(model: "CausalLM") -> tuple:
-    """Everything the head's binding reads, compared by identity on each call."""
+    """Everything the head's binding reads, gathered when it is made."""
     norm, head = model.final_norm, model.lm_head
     if head is None:
         return norm.weight.data, model.embedding.weight.data, norm.eps, None
     return norm.weight.data, head.weight.data, norm.eps, head.bias
 
 
-def _bind_head(state: Sequence) -> Optional[Binding]:
+def _bind_head(model: "CausalLM") -> Optional[Binding]:
     """The binding made from :func:`head_state`, its ``struct head``, or
     ``None`` if the kernel cannot serve the head."""
+    state = head_state(model)
     norm, weight, eps, bias = state
     if bias is not None or norm.ndim != 1 or weight.ndim != 2:
         return None
@@ -222,7 +208,7 @@ def head_binding(model: "CausalLM") -> Optional[Binding]:
     """The kernel's binding of ``model``'s final norm and head, or ``None``
     when it cannot read them in place (an ``lm_head`` with a bias, say);
     held on the model under the rule :func:`bindings` follows."""
-    return current_binding(vars(model), "_bound", head_state(model), _bind_head)
+    return current_binding(vars(model), "_bound", (), lambda: _bind_head(model))
 
 
 def decode_head(model: "CausalLM", x: np.ndarray) -> Optional[np.ndarray]:

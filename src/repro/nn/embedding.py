@@ -96,6 +96,19 @@ def check_length(prompt_len: int, max_new_tokens: int, max_seq_len: int) -> None
         )
 
 
+def check_request(prompt_len: int, max_new_tokens: int, max_seq_len: int, model_max_seq_len: int) -> None:
+    """Raise ``ValueError`` unless a prompt and its token budget fit one
+    decode slot of ``max_seq_len`` positions (:func:`check_budget`) and, by
+    :func:`check_length`'s rule, the model's ``model_max_seq_len`` positions
+    (its RoPE table), as :meth:`CausalLM.generate
+    <repro.nn.transformer.CausalLM.generate>` refuses: a request past the
+    smaller limit is refused before any forward instead of failing
+    mid-stream.
+    """
+    check_budget(prompt_len, max_new_tokens, max_seq_len)
+    check_length(prompt_len, max_new_tokens, model_max_seq_len)
+
+
 def check_budget(prompt_len: int, max_new_tokens: int, max_seq_len: int) -> None:
     """Raise ``ValueError`` unless a prompt and its token budget fit one
     decode slot of ``max_seq_len`` positions: a budget of at least one

@@ -1,4 +1,12 @@
-"""Module / Parameter abstractions (a small subset of ``torch.nn``)."""
+"""Module / Parameter abstractions (a small subset of ``torch.nn``).
+
+The compiled decode kernels bind weight arrays, norms' ``eps`` and configs
+by address (:mod:`repro.utils.native`).  So replacing a Parameter's ``data``,
+or any attribute of an existing Module (a submodule, a parameter, ``config``,
+``eps``), with another object bumps the process-wide
+:data:`~repro.utils.native.VERSION`, and every binding made before is made
+again on its next use.  Reads stay plain attribute reads.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +15,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.autograd.tensor import Tensor
+from repro.utils.native import VERSION
 
 
 class Parameter(Tensor):
@@ -14,6 +23,12 @@ class Parameter(Tensor):
 
     def __init__(self, data, requires_grad: bool = True, name: Optional[str] = None):
         super().__init__(np.asarray(data, dtype=np.float64), requires_grad=requires_grad, name=name)
+
+    def __setattr__(self, name: str, value) -> None:
+        replaced = name == "data" and getattr(self, "data", value) is not value
+        object.__setattr__(self, name, value)
+        if replaced:
+            VERSION.bump()
 
 
 class Module:
@@ -35,15 +50,22 @@ class Module:
             self._parameters[name] = value
         elif isinstance(value, Module):
             self._modules[name] = value
-        object.__setattr__(self, name, value)
+        self._replace(name, value)
 
     def register_parameter(self, name: str, param: Parameter) -> None:
         self._parameters[name] = param
-        object.__setattr__(self, name, param)
+        self._replace(name, param)
 
     def add_module(self, name: str, module: "Module") -> None:
         self._modules[name] = module
-        object.__setattr__(self, name, module)
+        self._replace(name, module)
+
+    def _replace(self, name: str, value) -> None:
+        """Set ``name``; a new object in place of one already set bumps the version."""
+        replaced = self.__dict__.get(name, value) is not value
+        object.__setattr__(self, name, value)
+        if replaced:
+            VERSION.bump()
 
     # ------------------------------------------------------------- iteration
     def named_parameters(self, prefix: str = "") -> Iterator[Tuple[str, Parameter]]:
@@ -118,12 +140,21 @@ class ModuleList(Module):
     def __init__(self, modules: Optional[List[Module]] = None) -> None:
         super().__init__()
         self._items: List[Module] = []
-        for module in modules or []:
-            self.append(module)
+        for module in modules or []:  # a new list is in no binding: no bump
+            self.add_module(str(len(self._items)), module)
+            self._items.append(module)
 
     def append(self, module: Module) -> None:
+        """Add ``module`` at the end; the list bindings read grew, so the version bumps."""
         self.add_module(str(len(self._items)), module)
         self._items.append(module)
+        VERSION.bump()
+
+    def __setitem__(self, index: int, module: Module) -> None:
+        """Replace item ``index`` (bumps the version, as replacing an attribute does)."""
+        index = range(len(self._items))[index]
+        self._items[index] = module
+        self.add_module(str(index), module)
 
     def __iter__(self) -> Iterator[Module]:
         return iter(self._items)

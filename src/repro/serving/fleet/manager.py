@@ -36,7 +36,7 @@ import uuid
 from collections import deque
 from typing import Any, AsyncIterator, Deque, Dict, Iterator, List, Optional, Set, Union
 
-from repro.nn.embedding import check_budget, check_prompt
+from repro.nn.embedding import check_prompt, check_request
 from repro.obs import MetricsRegistry, monotonic
 from repro.obs.metrics import get_registry
 from repro.serving.fleet.config import (
@@ -102,6 +102,7 @@ class _WorkerState:
         self.restarts = 0
         self.pid: Optional[int] = None
         self.max_seq_len = 0
+        self.model_max_seq_len = 0
         self.vocab_size = 0
         self.generation = 0  # bumped per relaunch; stale receiver threads exit
 
@@ -326,6 +327,7 @@ class FleetManager:
             with self._lock:
                 state.pid = int(message.get("pid", 0)) or state.pid
                 state.max_seq_len = int(message.get("max_seq_len", 0))
+                state.model_max_seq_len = int(message.get("model_max_seq_len", 0))
                 state.vocab_size = int(message.get("vocab_size", 0))
                 state.ready.set()
             self._flush_pending()
@@ -554,7 +556,12 @@ class FleetManager:
                 # mid-stream.
                 try:
                     check_prompt(request.prompt, min(s.vocab_size for s in decoders))
-                    check_budget(len(request.prompt), request.max_new_tokens, max(s.max_seq_len for s in decoders))
+                    check_request(
+                        len(request.prompt),
+                        request.max_new_tokens,
+                        max(s.max_seq_len for s in decoders),
+                        max(s.model_max_seq_len for s in decoders),
+                    )
                 except ValueError as exc:
                     raise RequestError(str(exc)) from None
             entry = _Entry(request, fault)

@@ -205,6 +205,7 @@ def decode_worker_main(mailbox: Mailbox, config_json: str) -> None:
         mailbox.send_json({
             "type": "ready", "worker_id": config.worker_id, "role": "decode",
             "pid": os.getpid(), "max_seq_len": int(decoder.batch.max_seq_len),
+            "model_max_seq_len": int(decoder.batch.model.config.max_seq_len),
             "vocab_size": int(decoder.batch.model.config.vocab_size),
         })
         while True:

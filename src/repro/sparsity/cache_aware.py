@@ -54,7 +54,7 @@ from repro.nn.mlp import SwiGLUMLP
 from repro.sparsity.base import MLPMasks, keep_count, topk_fraction_mask
 from repro.sparsity.density import DIPDensityAllocation
 from repro.sparsity.dip import DynamicInputPruning
-from repro.utils.native import Binding, CompiledKernel, current_binding
+from repro.utils.native import Binding, BoundAttribute, BoundDict, CompiledKernel, current_binding
 
 if TYPE_CHECKING:  # imported lazily at runtime: repro.hwsim depends on repro.sparsity
     from repro.hwsim.cache import GroupCache
@@ -155,6 +155,9 @@ class CacheAwareDIP(DynamicInputPruning):
 
     name = "dip-ca"
     requires_cache_state = True
+    #: Eq. 10's penalty, which the compiled kernels bind: replacing it bumps
+    #: :data:`~repro.utils.native.VERSION`.
+    gamma = BoundAttribute()
 
     def __init__(
         self,
@@ -171,10 +174,11 @@ class CacheAwareDIP(DynamicInputPruning):
             raise ValueError("cache_fraction must lie in [0, 1]")
         self.gamma = float(gamma)
         self.cache_fraction = float(cache_fraction)
-        #: (layer_index, group) -> LFU cache, group in {"input", "down"}.
+        #: (layer_index, group) -> LFU cache, group in {"input", "down"};
+        #: replacing or removing one bumps the bindings' version.
         #: ``self._bound[(layer_index, group)]`` holds the compiled step's
         #: binding of that cache (:func:`_bind`).
-        self._caches: Dict[Tuple[int, str], GroupCache] = {}
+        self._caches: Dict[Tuple[int, str], GroupCache] = BoundDict()
         self.stats = CacheHitStats()
 
     # ----------------------------------------------------------------- caches
@@ -203,8 +207,9 @@ class CacheAwareDIP(DynamicInputPruning):
         cache arrays it cannot write in place, a loop of
         :func:`cache_aware_step` does.  Before the compiled step runs, a row
         width other than the cache's raises ``ValueError``.  The step's
-        binding of the cache is held per layer and group and made again when
-        its arrays are replaced (:func:`~repro.utils.native.current_binding`).
+        binding of the cache is held per layer and group, for that cache, and
+        made again once its arrays are replaced
+        (:func:`~repro.utils.native.current_binding`).
         """
         cache = self._cache_for(layer_index, group, n_units)
         step = CA_STEP.load()
@@ -212,8 +217,12 @@ class CacheAwareDIP(DynamicInputPruning):
         if step is not None:
             if rows.shape[-1] != cache.n_units:
                 raise ValueError(f"active vector must have shape ({cache.n_units},)")
-            arrays = (cache.cached, cache.frequency)
-            bound = current_binding(self._bound, (layer_index, group), arrays, lambda a: _bind(cache.n_units, a))
+            bound = current_binding(
+                self._bound,
+                (layer_index, group),
+                (cache,),
+                lambda: _bind(cache.n_units, (cache.cached, cache.frequency)),
+            )
         if bound is None:
             mask = np.empty(rows.shape, dtype=bool)
             for t, row in enumerate(np.abs(rows)):

@@ -33,9 +33,10 @@ where two scores tie to rounding.  DIP-CA's caches, ``token_index`` and
 on numpy and decode here share one cache state.  Weight addresses, cache
 arrays and keep counts are bound once per method and layer, with every
 dtype, shape, contiguity, writability and keep-count check made then, as the
-compiled decode attention binds its blocks; later calls compare what the
-binding was made from (:func:`layer_sources`) by identity and bind again
-when an array or scalar has been replaced
+compiled decode attention binds its blocks; later calls use a binding while
+the process-wide version has not moved and the layer's MLP and DIP-CA caches
+are the objects it was made for, and bind again once something it was made
+from (:func:`layer_sources`) has been replaced
 (:func:`~repro.utils.native.current_binding`).  Copies and pickles of a
 method start without bindings.
 """
@@ -115,17 +116,23 @@ _cache_state = operator.attrgetter("cached", "frequency", "capacity_units")
 
 
 def layer_sources(method: SparsityMethod, mlp: SwiGLUMLP, layer_index: int) -> tuple:
-    """Everything the binding of ``method`` for ``mlp`` reads, compared by
-    identity on each call: the MLP's config and weights, the method's
-    allocation (its keep fractions) and gamma and, for DIP-CA, the layer's
-    input and down caches with their arrays and capacities."""
-    sources = _mlp_state(mlp) + (cast(DynamicInputPruning, method).allocation, method.gamma)
-    if type(method) is CacheAwareDIP:
-        dip_ca = cast(CacheAwareDIP, method)
-        inputs = dip_ca._cache_for(layer_index, "input", mlp.d_model)
-        down = dip_ca._cache_for(layer_index, "down", mlp.d_ffn)
-        sources += (inputs, down) + _cache_state(inputs) + _cache_state(down)
+    """Everything the binding of ``method`` for ``mlp`` reads, gathered when
+    it is made: the MLP's config and weights, the method's allocation (its
+    keep fractions) and gamma and, for DIP-CA, the layer's input and down
+    caches with their arrays and capacities."""
+    caches = _layer_caches(method, mlp, layer_index)
+    sources = _mlp_state(mlp) + (cast(DynamicInputPruning, method).allocation, method.gamma) + caches
+    for cache in caches:
+        sources += _cache_state(cache)
     return sources
+
+
+def _layer_caches(method: SparsityMethod, mlp: SwiGLUMLP, layer_index: int) -> tuple:
+    """DIP-CA's input and down caches of the layer, made on first use; none for DIP."""
+    if type(method) is not CacheAwareDIP:
+        return ()
+    dip_ca = cast(CacheAwareDIP, method)
+    return dip_ca._cache_for(layer_index, "input", mlp.d_model), dip_ca._cache_for(layer_index, "down", mlp.d_ffn)
 
 
 def _bind(sources: tuple) -> Optional[BoundLayer]:
@@ -153,14 +160,16 @@ def bound_layer(method: SparsityMethod, mlp: SwiGLUMLP, layer_index: int) -> Opt
     """The binding of ``method`` for ``mlp`` when the kernel serves its
     float64 input, or ``None``.
 
-    The binding is held on the method per layer and made, and checked, again
-    when one of its :func:`layer_sources` has been replaced
+    The binding is held on the method per layer, for ``mlp`` and, for
+    DIP-CA, the layer's two caches, and made, and checked, again once one of
+    its :func:`layer_sources` has been replaced
     (:func:`~repro.utils.native.current_binding`).
     """
     if type(method) not in SERVED:
         return None
+    owners = (mlp,) + _layer_caches(method, mlp, layer_index)
     held = cast(DynamicInputPruning, method)._bound
-    return current_binding(held, layer_index, layer_sources(method, mlp, layer_index), _bind)
+    return current_binding(held, layer_index, owners, lambda: _bind(layer_sources(method, mlp, layer_index)))
 
 
 def advance(method: SparsityMethod, layers: Sequence[BoundLayer], rows: int, hits: Sequence[int]) -> None:

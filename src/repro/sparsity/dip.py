@@ -28,6 +28,7 @@ import numpy as np
 from repro.nn.mlp import SwiGLUMLP
 from repro.sparsity.base import MLPMasks, SparsityMethod, topk_fraction_mask
 from repro.sparsity.density import DIPDensityAllocation, allocate_dip_densities
+from repro.utils.native import BoundAttribute
 
 
 class DynamicInputPruning(SparsityMethod):
@@ -44,6 +45,9 @@ class DynamicInputPruning(SparsityMethod):
     """
 
     name = "dip"
+    #: The keep fractions the compiled decode MLP binds: replacing them bumps
+    #: :data:`~repro.utils.native.VERSION`.
+    allocation = BoundAttribute()
 
     def __init__(
         self,

@@ -16,13 +16,20 @@ is one function's handle.  Failures are logged at DEBUG level only.
 
 A :class:`Binding` is a kernel's view of some arrays and scalars, checked
 when it is made; :func:`current_binding` is the one rule for when a held
-binding is used again.
+binding is used again.  Each binding is stamped with the process-wide
+:data:`VERSION` read before its sources are gathered, and every attribute a
+binding reads bumps that version when it is replaced on an existing object
+(:class:`BoundAttribute`, :class:`BoundDict`, or a ``__setattr__`` for
+``Module`` and ``Parameter``), so a held binding is current while the version
+has not moved and its owners are the same objects: one integer compare
+instead of gathering and comparing every source.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import itertools
 import logging
 import operator
 import os
@@ -33,7 +40,7 @@ import subprocess
 import tempfile
 import threading
 from pathlib import Path
-from typing import Any, Callable, Dict, Hashable, MutableMapping, Optional, Sequence, TypeVar
+from typing import Any, Callable, Dict, Hashable, MutableMapping, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -55,7 +62,7 @@ _ARGTYPES: Dict[str, Sequence[Any]] = {
     "decode_attn": [_pointer, _pointer, _size, _pointer, _pointer, _pointer],
     "decode_head": [_pointer, _size, _pointer, _pointer],
     "decode_mlp": [_pointer, _size, _pointer, _pointer],
-    "decode_step": [_pointer, _size, _size, _pointer, _pointer, _pointer, _pointer, _pointer],
+    "decode_step": [_pointer, _size, _pointer, _pointer, _pointer, _pointer],
 }
 
 
@@ -163,16 +170,82 @@ class CompiledKernel:
         return None if functions is None else functions[self.symbol]
 
 
+class Version:
+    """The process-wide version every :class:`Binding` is stamped with.
+
+    :meth:`bump` moves ``now`` to a value no earlier bump has taken, drawn
+    from an atomic counter, so two threads replacing arrays at once cannot
+    lose a bump.  Only replacing an attribute that some binding reads, on an
+    object that exists, bumps: a new object is in no binding yet, and
+    per-step writes (lengths, counters, statistics) are not bound."""
+
+    __slots__ = ("now", "_counter")
+
+    def __init__(self) -> None:
+        self._counter = itertools.count(1)
+        self.now = 0
+
+    def bump(self) -> None:
+        """Mark every binding made so far stale; called after the store."""
+        self.now = next(self._counter)
+
+
+#: The one version of the process.
+VERSION = Version()
+
+
+class BoundAttribute:
+    """A class attribute naming an instance attribute that bindings read:
+    assigning it a new object, once the instance holds one, bumps
+    :data:`VERSION`.  It defines no ``__get__``, so reads stay plain
+    instance-dict reads; first assignments, and an in-place operator that
+    assigns the same object back, bump nothing.  Copies and pickles restore
+    their ``__dict__`` directly, so they bump nothing either."""
+
+    __slots__ = ("name",)
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __set__(self, instance: Any, value: Any) -> None:
+        attributes = instance.__dict__
+        old = attributes.get(self.name, value)
+        attributes[self.name] = value
+        if old is not value:
+            VERSION.bump()  # after the store: a binding stamped before it sees a new version
+
+
+class BoundDict(dict):
+    """A dict whose values bindings read: replacing a value (``d[key] =``)
+    or removing one (``del d[key]``) bumps :data:`VERSION`; adding a key
+    does not, the new value being in no binding yet."""
+
+    __slots__ = ()
+
+    def __setitem__(self, key: Any, value: Any) -> None:
+        replaced = self.get(key, value) is not value
+        super().__setitem__(key, value)
+        if replaced:
+            VERSION.bump()
+
+    def __delitem__(self, key: Any) -> None:
+        super().__delitem__(key)
+        VERSION.bump()
+
+
 class Binding:
     """A kernel's view of some arrays and scalars: what it was made from
-    (``sources``), the ``struct`` the kernel reads, made after every dtype,
-    shape and value check it needs, and the struct's ``address``.  It holds
-    addresses, so its holders drop it from copies and pickles."""
+    (``sources``, which it keeps alive), the ``struct`` the kernel reads,
+    made after every dtype, shape and value check it needs, and the struct's
+    ``address``.  :func:`current_binding` stamps it with the ``version`` it
+    was made at and the ``owners`` it was made for.  It holds addresses, so
+    its holders drop it from copies and pickles."""
 
-    __slots__ = ("sources", "struct", "address")
+    __slots__ = ("sources", "struct", "address", "version", "owners")
 
     def __init__(self, sources: Sequence[Any], struct: Any) -> None:
         self.sources, self.struct, self.address = sources, struct, ctypes.addressof(struct)
+        self.version, self.owners = -1, ()
 
 
 _Bound = TypeVar("_Bound", bound=Binding)
@@ -181,21 +254,37 @@ _Bound = TypeVar("_Bound", bound=Binding)
 def current_binding(
     holder: MutableMapping[Any, Any],
     key: Hashable,
-    sources: Sequence[Any],
-    bind: Callable[[Sequence[Any]], Optional[_Bound]],
+    owners: Tuple[Any, ...],
+    bind: Callable[[], Optional[_Bound]],
 ) -> Optional[_Bound]:
-    """The binding ``holder[key]`` if it was made from ``sources``, the same
-    objects in the same order, else ``bind(sources)``, stored there: a new
-    binding, or ``None`` when the kernel cannot use them.  So a binding's
-    checks run once, when it is made, and a replaced array or scalar is
-    bound, and checked, again.
+    """The binding ``holder[key]`` if it is current, else ``bind()``, stored
+    there: a new binding, or ``None`` when the kernel cannot use what it
+    gathers.
+
+    A binding is current while :data:`VERSION` has not moved since it was
+    made and it was made for the same ``owners``, the same objects in the
+    same order: the objects its sources hang from that no version covers
+    (an MLP whose binding the method holds per layer, an item of a list or
+    dict).  Every attribute on the way from the holder or an owner to a
+    source bumps the version when it is replaced, so a replaced array or
+    scalar is bound, and checked, again; ``bind`` gathers the sources only
+    then, after the version it is stamped with has been read, so a bump
+    while it gathers leaves it stale.
 
     ``holder`` is the dict the binding is kept in: an object's ``vars()``
     or a method's per-layer bindings.  A binding still current is not
     stored again.  The caller holds the returned binding until its kernel
     call returns: another thread may replace ``holder[key]`` meanwhile."""
     held = holder.get(key)
-    if held is not None and len(held.sources) == len(sources) and all(map(operator.is_, sources, held.sources)):
+    if (
+        held is not None
+        and held.version == VERSION.now
+        and len(held.owners) == len(owners)
+        and all(map(operator.is_, owners, held.owners))
+    ):
         return held
-    bound = holder[key] = bind(sources)
+    version = VERSION.now
+    bound = holder[key] = bind()
+    if bound is not None:
+        bound.version, bound.owners = version, owners
     return bound

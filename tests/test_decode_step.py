@@ -20,7 +20,9 @@ from repro.backend import active_backend
 from repro.engine import inference
 from repro.engine.decode_step import DECODE_STEP, StepBinding, decode_step
 from repro.engine.inference import ContinuousBatch, SparseInferenceEngine
+from repro.hwsim.cache import LFUCache
 from repro.nn import decode_attn
+from repro.nn.model_zoo import get_model_spec
 from repro.nn.transformer import CausalLM, TransformerConfig
 from repro.sparsity.cache_aware import CacheAwareDIP
 from repro.sparsity.dip import DynamicInputPruning
@@ -34,12 +36,15 @@ CONFIG = TransformerConfig(vocab_size=48, d_model=16, n_layers=3, n_heads=4, n_k
 
 @pytest.fixture
 def served(compiled_kernels, monkeypatch):
-    """Counts the one-call steps the kernel serves."""
+    """Counts the one-call steps the kernel serves: each call's width, for
+    the calls its checks did not refuse."""
     calls = []
 
     def counted(*args):
-        calls.append(args[2])  # the step's rows
-        return compiled_kernels["decode_step"](*args)
+        done = compiled_kernels["decode_step"](*args)
+        if done >= 0:
+            calls.append(args[1])  # the step's rows
+        return done
 
     monkeypatch.setattr(DECODE_STEP, "load", lambda: counted)
     return calls
@@ -329,7 +334,13 @@ def test_failed_scratch_allocation_raises(compiled_kernels, monkeypatch, done):
     slots, tokens = admit(batch, [5])
     method = engine_of(batch).method
     indices = {key: cache.token_index for key, cache in method._caches.items()}
-    monkeypatch.setattr(DECODE_STEP, "load", lambda: lambda *args: done)  # halves run
+
+    def halves_run(step, width, slots, ids, counts, logits):
+        for layer, cache in enumerate(batch.caches):  # what the kernel's checks write
+            counts[len(batch.caches) + layer] = cache.lengths[slots[0]]
+        return done
+
+    monkeypatch.setattr(DECODE_STEP, "load", lambda: halves_run)
     with pytest.raises(MemoryError):
         batch.step(slots, tokens)
     # Layer 0 ran whole, layer 1 its attention half only (the kernel stub wrote no lengths).
@@ -492,3 +503,191 @@ def test_threads_decode_one_model_and_method_on_their_own_batches(served):
     for got, want in zip(results, expected):
         np.testing.assert_array_equal(got, want)
     assert len(served) == 2 * 16 * len(expected)
+
+
+# ---------------------------------------------------------------- versions
+#: The paths of ``decode_attn.block_state``, in its order.
+BLOCK_PATHS = (
+    "attention.q_proj.weight.data",
+    "attention.k_proj.weight.data",
+    "attention.v_proj.weight.data",
+    "attention.o_proj.weight.data",
+    "attention_norm.weight.data",
+    "mlp_norm.weight.data",
+    "attention.rope.cos",
+    "attention.rope.sin",
+    "attention_norm.eps",
+    "mlp_norm.eps",
+    "attention.q_proj.bias",
+    "attention.k_proj.bias",
+    "attention.v_proj.bias",
+    "attention.o_proj.bias",
+    "attention.config",
+)
+
+
+def place(root, path):
+    """``(owner, name)`` of the attribute ``path`` leads to from ``root``."""
+    *links, name = path.split(".")
+    for link in links:
+        root = getattr(root, link)
+    return root, name
+
+
+def source_places(batch, method):
+    """Where each object ``decode_step._sources`` gathers sits, in its order:
+    ``(owner, name)`` for an attribute, ``(dict, key)`` for a dict item."""
+    model, places = batch.model, []
+    for block, cache in zip(model.blocks, batch.caches):
+        places += [place(block, path) for path in BLOCK_PATHS]
+        places += [(cache, name) for name in ("keys", "values", "lengths")]
+        places += [place(block.mlp, path) for path in ("config", "up.data", "gate.data", "down.data")]
+        places += [(method, "allocation"), (method, "gamma")]
+        keys = [(block.layer_index, group) for group in ("input", "down")]
+        places += [(method._caches, key) for key in keys]
+        places += [(method._caches[key], name) for key in keys for name in ("cached", "frequency", "capacity_units")]
+    places += [(model.final_norm.weight, "data"), (model.embedding.weight, "data"), (model.final_norm, "eps")]
+    places += [(model, "lm_head"), (model, "config"), (model.embedding.weight, "data"), (batch, "occupied")]
+    return places
+
+
+def read(owner, key):
+    return getattr(owner, key) if isinstance(key, str) else owner[key]
+
+
+def write(owner, key, value):
+    if isinstance(key, str):
+        setattr(owner, key, value)
+    else:
+        owner[key] = value
+
+
+def replacement(value):
+    """An equal object that is not ``value``, or ``None`` when there is none
+    (``None`` itself, a small int): such a source is replaced by another
+    object and put back."""
+    if isinstance(value, np.ndarray):
+        return value.copy()
+    if isinstance(value, float):
+        return value + 0.0
+    if dataclasses.is_dataclass(value):
+        return dataclasses.replace(value)
+    if isinstance(value, LFUCache):
+        return copy.deepcopy(value)
+    return None
+
+
+def test_every_source_replaced_through_its_owner_binds_again(served):
+    """Replacing any object a step binding is made from, through the
+    attribute, list item or dict item that holds it, makes the next step
+    bind again, with the per-layer path's logits bit for bit: no source
+    slips past the version."""
+    from repro.engine.decode_step import _sources
+
+    model = CausalLM(get_model_spec("phi3-medium").sim_config, seed=0)
+    batch = make_batch(model, make_method("dip-ca"), 1)
+    engine, seed = engine_of(batch), [0]
+
+    def readmit():
+        if batch.occupied[0]:
+            batch.evict(0)
+        seed[0] += 1
+        return admit(batch, [4], seed=seed[0])
+
+    slots, tokens = readmit()
+    tokens = np.argmax(batch.step(slots, tokens), axis=-1).tolist()
+    method = engine.method
+    sources, places = _sources(model, method, batch.caches, batch.occupied), source_places(batch, method)
+    assert len(sources) == len(places) == 6 * 32 + 7
+    assert all(read(owner, key) is source for (owner, key), source in zip(places, sources))
+    def with_copy(items, i):
+        return items[:i] + (copy.deepcopy(items[i]),) + items[i + 1 :]
+
+    cases = [(owner, key, None) for owner, key in places]  # attributes and DIP-CA's dict items
+    cases += [(model.blocks, i, lambda i=i: copy.deepcopy(model.blocks[i])) for i in range(6)]  # list items
+    cases += [(batch, "caches", lambda i=i: with_copy(batch.caches, i)) for i in range(6)]  # the batch's tuple
+    for owner, key, make in cases:
+        if batch.caches[0].lengths[slots[0]] + 2 >= model.config.max_seq_len:
+            slots, tokens = readmit()
+            tokens = np.argmax(batch.step(slots, tokens), axis=-1).tolist()
+        bound, value = batch._bound, read(owner, key)
+        new = make() if make is not None else replacement(value)
+        if new is None:
+            write(owner, key, object())
+            write(owner, key, value)
+        else:
+            write(owner, key, new)
+        reference = run_per_layer(copy.deepcopy(batch))
+        got, want = lockstep([batch, reference], slots, tokens, 1)
+        assert np.array_equal(got, want), (key, type(owner))
+        assert batch._bound is not bound and isinstance(batch._bound, StepBinding), (key, type(owner))
+        tokens = np.argmax(want[0], axis=-1).tolist()
+
+
+def serve(batch, lengths, budgets, seed=0):
+    """Serve one request per length through a decoder, as the scheduler
+    does, and return the steps run.  Every prompt starts with one 8-token
+    head."""
+    rng = np.random.default_rng(seed)
+    head = rng.integers(1, CONFIG.vocab_size, size=8)
+    decoder = inference.ContinuousDecoder(batch)
+    for i, (length, budget) in enumerate(zip(lengths, budgets)):
+        prompt = np.concatenate([head, rng.integers(1, CONFIG.vocab_size, size=length)])
+        decoder.submit(inference.DecodeRequest(str(i), prompt, budget))
+    steps = 0
+    while not decoder.idle:
+        decoder.admit()
+        steps += bool(decoder.step())
+    return steps
+
+
+@pytest.mark.parametrize("name, width", [("dip-ca", 1), ("dip", 8)])
+def test_serving_bumps_no_version_and_binds_once(served, name, width):
+    """Steps, admissions (prefix-cache hits and their staging caches
+    included), evictions and DIP-CA's resets replace nothing a binding
+    reads: over 200 steps the version does not move and the batch keeps
+    the binding its first step made."""
+    from repro.nn.prefix_cache import PrefixCache
+
+    model = CausalLM(CONFIG, seed=1)
+    method = make_method(name)
+    engine = SparseInferenceEngine(model, method)
+    prefix = None if method.requires_cache_state else PrefixCache(max_bytes=1 << 22, block_size=4)
+    batch = ContinuousBatch.from_engine(engine, max_batch_size=width, prefix_cache=prefix)
+    serve(batch, [5], [3], seed=9)  # the first binding
+    bound, version = batch._bound, native.VERSION.now
+    assert isinstance(bound, StepBinding)
+    n_requests, longest = (50, 8) if width == 1 else (140, 24)
+    lengths = [1 + (i * 7) % 12 for i in range(n_requests)]
+    budgets = [3 + (i * 5) % (longest - 2) for i in range(n_requests)]
+    assert serve(batch, lengths, budgets) >= 200
+    assert native.VERSION.now == version and batch._bound is bound
+    if prefix is not None:
+        assert batch.prefill_tokens_forwarded < batch.prefill_tokens_total  # prefix hits were served
+
+
+def test_an_array_replaced_while_a_binding_is_made_binds_again(served, monkeypatch):
+    """A binding is stamped with the version read before it gathers: an
+    array replaced after its layer was gathered, while later layers are,
+    makes the next step bind again."""
+    model = CausalLM(CONFIG, seed=1)
+    batch = make_batch(model, make_method("dip-ca"), 1)
+    slots, tokens = admit(batch, [6])
+    gather, gathered = decode_attn.block_state, []
+
+    def gather_then_replace(block):
+        gathered.append(block)
+        if len(gathered) == 2:  # layer 0 is bound; replace one of its weights
+            weight = model.blocks[0].attention.q_proj.weight
+            weight.data = weight.data.copy()
+        return gather(block)
+
+    monkeypatch.setattr(decode_attn, "block_state", gather_then_replace)
+    tokens = np.argmax(batch.step(slots, tokens), axis=-1).tolist()
+    first = batch._bound
+    monkeypatch.setattr(decode_attn, "block_state", gather)
+    reference = run_per_layer(copy.deepcopy(batch))
+    got, want = lockstep([batch, reference], slots, tokens, 2)
+    assert np.array_equal(got, want)
+    assert batch._bound is not first and len(served) == 3
+    assert batch._bound.layers[0][0].sources[0] is model.blocks[0].attention.q_proj.weight.data

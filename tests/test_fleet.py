@@ -173,6 +173,16 @@ class TestInprocFleet:
                 fleet.stream(GenerationRequest(prompt=PROMPT, max_new_tokens=96))
             assert fleet.stats()["requests_failed"] == 0.0
 
+    def test_request_past_the_model_s_rope_table_rejected_before_dispatch(self):
+        """Workers whose slots hold 200 positions on a model with a
+        96-position RoPE table: the manager refuses what the model cannot
+        decode to the end, as the workers' own submit does."""
+        with make_fleet(decode_workers=1, worker=WorkerSpec(max_seq_len=200)) as fleet:
+            with pytest.raises(RequestError, match="at most 8 new tokens fit"):
+                fleet.stream(GenerationRequest(prompt=(7,) * 89, max_new_tokens=30))
+            assert fleet.stats()["requests_failed"] == 0.0
+            assert fleet.stream(GenerationRequest(prompt=(7,) * 89, max_new_tokens=8)).result(60).n_generated == 8
+
     def test_prompt_outside_the_vocabulary_rejected_before_dispatch(self, reference_session):
         """Refused here, it cannot fail the requests a worker admits beside it."""
         want = expected_tokens(reference_session, PROMPT, 4)

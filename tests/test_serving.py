@@ -291,6 +291,21 @@ class TestContinuousBatch:
         assert batch.caches[0].lengths.tolist() == [5, 0]
         assert np.array_equal(batch.caches[0].keys, keys)
 
+    def test_request_past_the_model_s_rope_table_is_refused_at_submit(self, dip_engine):
+        """A slot may hold more positions than the model's RoPE table (96 on
+        ``tiny``); ``submit`` refuses what ``CausalLM.generate`` refuses
+        instead of letting it fail mid-stream, and admits what fits."""
+        decoder = ContinuousDecoder(ContinuousBatch.from_engine(dip_engine, max_batch_size=2, max_seq_len=200))
+        prompt = np.arange(89) % 64
+        with pytest.raises(ValueError, match="exceeds max_seq_len=96; at most 8 new tokens fit"):
+            decoder.submit(DecodeRequest("long", prompt, 30))
+        fits = DecodeRequest("fits", prompt, 8)
+        decoder.submit(fits)
+        while not decoder.idle:
+            decoder.admit()
+            decoder.step()
+        assert fits.finish_reason == "length" and len(fits.tokens) == 8
+
     def test_prompt_the_model_cannot_embed_is_refused_and_its_neighbours_complete(self, dip_engine):
         """Admitted together, such a prompt would fail its batch-mates'
         shared prefill; ``submit`` refuses it instead."""
@@ -514,6 +529,19 @@ class TestScheduler:
                 return result
 
         assert self._run(serve()).n_generated == 7
+
+    def test_request_past_the_model_s_rope_table_is_a_request_error(self, tiny_session):
+        """Slots of 200 positions on a model with a 96-position RoPE table:
+        a request the model cannot decode to the end is refused up front."""
+
+        async def serve():
+            config = SchedulerConfig(max_batch_size=1, max_seq_len=200)
+            async with ContinuousBatchingScheduler(tiny_session.share_calibration(), config) as sched:
+                with pytest.raises(RequestError, match="at most 8 new tokens fit"):
+                    await sched.submit(GenerationRequest(prompt=(7,) * 89, max_new_tokens=30))
+                return await sched.submit(GenerationRequest(prompt=(7,) * 89, max_new_tokens=8))
+
+        assert self._run(serve()).n_generated == 8
 
     def test_prompt_outside_the_vocabulary_is_a_request_error(self, tiny_session):
         """Refused at submit (HTTP 400), while the requests queued beside it complete."""

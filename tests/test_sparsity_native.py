@@ -186,24 +186,74 @@ def test_the_library_hash_covers_every_included_file():
     assert sorted(headers) == sorted(found)
 
 
-def test_a_binding_is_used_again_only_for_the_same_sources():
-    """``current_binding`` keeps a binding for the very objects it was made
-    from, in order, and binds again for a replaced, reordered, equal-valued
-    or extra source; a source the kernel cannot use gives, and stores,
-    ``None``."""
+def test_a_binding_is_used_again_only_at_its_version_and_for_its_owners():
+    """``current_binding`` keeps a binding while the version has not moved
+    and it is asked for with the very owners it was made for, in order; a
+    bump, or replaced, reordered, equal-valued or extra owners, bind again; a
+    binding the kernel cannot use gives, and stores, ``None``."""
     a, b = np.zeros(3), np.ones(3)
     holder, made = {}, []
 
-    def bind(sources):
-        made.append(sources)
-        return None if len(sources) > 3 else native.Binding(sources, ctypes.c_int64(len(sources)))
+    def bind(n):
+        made.append(n)
+        return None if n > 3 else native.Binding((), ctypes.c_int64(n))
 
-    held = native.current_binding(holder, "bound", (a, b), bind)
-    assert native.current_binding(holder, "bound", [a, b], bind) is held is holder["bound"] and len(made) == 1
-    for n, sources in enumerate(((b, a), (a, b.copy()), (a,), (a, b, 0.5)), start=2):
-        rebound = native.current_binding({"bound": held}, "bound", sources, bind)
-        assert rebound is not held and rebound.sources is sources and len(made) == n
-    assert native.current_binding(holder, "bound", (a, b, 0.5, 0.5), bind) is None and holder["bound"] is None
+    held = native.current_binding(holder, "bound", (a, b), lambda: bind(2))
+    assert native.current_binding(holder, "bound", (a, b), lambda: bind(2)) is held is holder["bound"]
+    assert len(made) == 1
+    assert held.version == native.VERSION.now and held.owners == (a, b)
+    for n, owners in enumerate(((b, a), (a, b.copy()), (a,), (a, b, a)), start=2):
+        rebound = native.current_binding({"bound": held}, "bound", owners, lambda: bind(len(owners)))
+        assert rebound is not held and rebound.owners is owners and len(made) == n
+    native.VERSION.bump()
+    rebound = native.current_binding(holder, "bound", (a, b), lambda: bind(2))
+    assert rebound is not held and rebound.version == native.VERSION.now and len(made) == 6
+    assert native.current_binding(holder, "bound", (a, b, a, b), lambda: bind(4)) is None and holder["bound"] is None
+
+
+def test_a_binding_made_while_the_version_moves_is_made_again():
+    """The stamp is read before the sources are gathered: a bump while
+    ``bind`` runs leaves the new binding stale."""
+    holder = {}
+
+    def bind():
+        native.VERSION.bump()  # another thread replaces an array meanwhile
+        return native.Binding((), ctypes.c_int64(0))
+
+    first = native.current_binding(holder, "bound", (), bind)
+    assert first.version != native.VERSION.now
+    assert native.current_binding(holder, "bound", (), bind) is not first
+
+
+def test_replacing_a_bound_attribute_bumps_the_version_and_nothing_else_does():
+    """A new object in place of a bound one bumps; first assignments, the
+    same object assigned back (an in-place operator) and unbound attributes
+    do not, and reads are plain instance-dict reads."""
+    from repro.hwsim.cache import LFUCache
+    from repro.nn.attention import KVCache
+    from repro.nn.linear import Linear
+    from repro.nn.module import Parameter
+
+    version = native.VERSION.now
+    cache, lfu, linear = KVCache(2, 4, 8), LFUCache(8, 4), Linear(4, 4, seed=0)
+    assert native.VERSION.now == version
+    cache.length = 3
+    cache.lengths += 1
+    lfu.token_index += 1
+    lfu.cached |= np.ones(8, dtype=bool)
+    linear.weight.data *= 2.0
+    linear.weight.grad = np.zeros((4, 4))
+    assert native.VERSION.now == version and vars(cache)["keys"] is cache.keys
+    for owner, name, value in (
+        (cache, "keys", cache.keys.copy()),
+        (lfu, "frequency", lfu.frequency.copy()),
+        (linear.weight, "data", linear.weight.data.copy()),
+        (linear, "bias", Parameter(np.zeros(4))),  # None, then a Parameter
+        (linear, "weight", copy.deepcopy(linear.weight)),
+    ):
+        setattr(owner, name, value)
+        assert native.VERSION.now != version, name
+        version = native.VERSION.now
 
 
 def test_cache_directory_others_can_write_is_not_used(compiled_kernels, fresh_loader):
@@ -304,3 +354,61 @@ def test_wrong_width_raises_before_the_kernel(monkeypatch, mlp):
     with pytest.raises(ValueError, match=rf"\({mlp.d_model},\)"):
         method.compute_masks(wider, 0, np.ones((2, wider.d_model)))
     assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------- ABI
+def _c_sources():
+    """The text of every compiled file, comments removed."""
+    paths = (native.LIBRARY.source, *native.LIBRARY.headers)
+    return "\n".join(re.sub(r"/\*.*?\*/", " ", path.read_text(), flags=re.S) for path in paths)
+
+
+def _c_kind(declaration):
+    """``pointer``, ``int64`` or ``double`` for one C parameter or field."""
+    if "*" in declaration:
+        return "pointer"
+    base = declaration.split()[-2] if len(declaration.split()) > 1 else declaration
+    return {"int64_t": "int64", "double": "double"}.get(base, f"struct {base}")
+
+
+def _py_kind(ctype):
+    if ctype is ctypes.c_void_p:
+        return "pointer"
+    if ctype is ctypes.c_int64:
+        return "int64"
+    if ctype is ctypes.c_double:
+        return "double"
+    return f"struct {ctype.__name__.lstrip('_').lower()}"
+
+
+def test_the_ctypes_prototypes_match_the_c_functions():
+    """Each exported function's parameters, in order, have the kinds
+    ``native._ARGTYPES`` passes: ctypes converts a mismatch without a word."""
+    found = {
+        name: [_c_kind(parameter.strip()) for parameter in parameters.split(",")]
+        for name, parameters in re.findall(r"^int64_t\s+(\w+)\(([^)]*)\)\s*\{", _c_sources(), flags=re.M)
+    }
+    assert found == {name: [_py_kind(t) for t in types] for name, types in native._ARGTYPES.items()}
+
+
+def test_the_ctypes_structures_match_the_c_structs():
+    """Each struct a kernel reads has the fields, in order and of the kinds,
+    of the ``ctypes.Structure`` the bindings fill; ``struct layer`` is the
+    three pointers per layer a step binding lays out."""
+    from repro.engine.decode_step import _Step
+    from repro.nn.decode_attn import _Block, _Cache, _Head
+    from repro.sparsity.decode_mlp import _MLP, _Group
+
+    found = {}
+    for name, body in re.findall(r"^struct\s+(\w+)\s*\{([^}]*)\};", _c_sources(), flags=re.M):
+        fields = []
+        for declaration in filter(str.strip, body.split(";")):
+            base, *names = declaration.split(",")
+            kind = _c_kind(base.strip())
+            fields.append((base.split()[-1].lstrip("*"), kind))
+            fields += [(n.strip().lstrip("*"), "pointer" if "*" in n else kind) for n in names]
+        found[name] = fields
+    structures = {"block": _Block, "cache": _Cache, "head": _Head, "group": _Group, "mlp": _MLP, "step": _Step}
+    expected = {name: [(field, _py_kind(t)) for field, t in s._fields_] for name, s in structures.items()}
+    expected["layer"] = [("block", "pointer"), ("cache", "pointer"), ("mlp", "pointer")]
+    assert found == expected
