@@ -113,13 +113,13 @@ class StepBinding(Binding):
         sources: List[Any],
         layers: List[Tuple[Binding, Binding, BoundLayer]],
         head: Binding,
+        batch_size: int,
         vocab: int,
         embedding: np.ndarray,
         occupied: np.ndarray,
     ) -> None:
         addresses = [bound.address for layer in layers for bound in layer]
         layer_structs = (ctypes.c_void_p * len(addresses))(*addresses)
-        batch_size = min(cache.struct.batch_size for _, cache, _ in layers)
         struct = _Step(
             len(layers),
             batch_size,
@@ -157,16 +157,17 @@ def _bind(batch: "ContinuousBatch", method: SparsityMethod) -> Optional[StepBind
             return None
         layers.append((block_bound, cache_bound, mlp))
     embedding, vocab = model.embedding.weight.data, model.config.vocab_size
+    batch_size = min(cache.struct.batch_size for _, cache, _ in layers)  # the slots every cache holds
     if not (
         embedding.dtype == np.float64
         and embedding.shape == (vocab, head.struct.d_model)
         and embedding.flags.c_contiguous
         and occupied.dtype == np.bool_
-        and occupied.shape == (min(cache.struct.batch_size for _, cache, _ in layers),)
+        and occupied.shape == (batch_size,)
         and occupied.flags.c_contiguous
     ):
         return None
-    return StepBinding(kernel, sources, layers, head, vocab, embedding, occupied)
+    return StepBinding(kernel, sources, layers, head, batch_size, vocab, embedding, occupied)
 
 
 def _refuse(code: int, bound: StepBinding, batch: "ContinuousBatch", slots: List[int], ids: np.ndarray) -> NoReturn:
@@ -179,8 +180,9 @@ def _refuse(code: int, bound: StepBinding, batch: "ContinuousBatch", slots: List
         check_id_range(int(ids.min()), int(ids.max()), bound.struct.vocab)
     if code == _PAST_ROPE:
         raise ValueError("position_ids exceed the RoPE table length")
-    assert code == _FULL, code
-    raise RuntimeError("KV cache overflow; evict finished slots or raise max_seq_len")
+    if code == _FULL:
+        raise RuntimeError("KV cache overflow; evict finished slots or raise max_seq_len")
+    raise RuntimeError(f"the one-call decode step refused the step with an unknown code {code}")
 
 
 def decode_step(
